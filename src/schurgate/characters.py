@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cyclotomic import (
     AbelianField,
@@ -31,10 +31,10 @@ from .cyclotomic import (
     _phi,
 )
 from .groups import (
-    BRUTE_FORCE_LIMIT,
     GroupElement,
     MetacyclicParams,
     Subgroup,
+    _psi_orbit_reps,
     conjugacy_classes,
     subgroup_X,
     tower_subgroups,
@@ -46,6 +46,8 @@ __all__ = [
     "VirtualCharacter",
     "irreducible_characters",
     "faithful_characters",
+    "faithful_descriptors",
+    "one_faithful_descriptor",
     "induce_from_X",
     "inner_product",
     "is_faithful",
@@ -56,6 +58,7 @@ __all__ = [
     "regular_character",
     "trivial_character",
     "quotient_identity_virtual_character",
+    "tower_coefficient",
     "QuotientIdentity",
 ]
 
@@ -65,6 +68,11 @@ class PsiDescriptor(NamedTuple):
 
     u: int
     w: int
+
+    @property
+    def char_id(self) -> str:
+        """ID of the character induced from this psi to G."""
+        return f"ind[u={self.u},w={self.w}]"
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +112,7 @@ class Character:
             _, m, u, w = self.provenance
             return f"lift{m}[u={u},w={w}]"
         if kind == "induced":
-            _, u, w = self.provenance
-            return f"ind[u={u},w={w}]"
+            return PsiDescriptor(*self.provenance[1:]).char_id
         return kind
 
     def value_at(self, g: GroupElement) -> CyclotomicNumber:
@@ -276,14 +283,7 @@ def irreducible_characters(G: MetacyclicParams) -> tuple[Character, ...]:
     the squared degrees sum to |G|.
     """
     table = [_linear_character(G, e) for e in range(G.pn)]
-    H = set(_subgroup_H(G))
-    for level in range(G.r, G.n + 1):
-        pmr = G.p ** (level - G.r)
-        ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
-        reps = _psi_orbit_reps(G)
-        for u in reps:
-            for w in ws:
-                table.append(_induced_character(G, level, u, w))
+    table += [_induced_character(G, level, *psi) for level, psi in _induced_descriptors(G)]
     ncls = len(conjugacy_classes(G))
     if len(table) != ncls:
         raise InternalCheckError(
@@ -294,32 +294,38 @@ def irreducible_characters(G: MetacyclicParams) -> tuple[Character, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
-    """Minimal representatives of the H-orbits on units mod q, sorted."""
-    reps = []
-    seen = [False] * G.q
-    for u in range(1, G.q):
-        if seen[u]:
-            continue
-        reps.append(u)
-        t = u
-        while True:
-            seen[t] = True
-            t = t * G.canonical_j % G.q
-            if t == u:
-                break
-    return tuple(reps)
+def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescriptor]]:
+    """(level, psi) of the p^r-dimensional irreducibles, in table order.
+
+    Levels run from r to n, where the faithful ones sit; within a level, u
+    runs over the minimal H-orbit representatives and w over the units mod
+    p^{level - r} (only 0 at level r).
+    """
+    for level in range(G.r, G.n + 1):
+        pmr = G.p ** (level - G.r)
+        ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
+        for u in _psi_orbit_reps(G):
+            for w in ws:
+                yield level, PsiDescriptor(u, w)
+
+
+def faithful_descriptors(G: MetacyclicParams) -> list[PsiDescriptor]:
+    """The psi of the faithful irreducibles, in the order of faithful_characters."""
+    return [psi for level, psi in _induced_descriptors(G) if level == G.n]
 
 
 def faithful_characters(G: MetacyclicParams) -> list[Character]:
     return [chi for chi in irreducible_characters(G) if chi.provenance[0] == "induced"]
 
 
+def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:
+    """The first entry of faithful_descriptors, without enumerating them."""
+    return PsiDescriptor(1, 1 if G.n > G.r else 0)
+
+
 def one_faithful_character(G: MetacyclicParams) -> Character:
     """A single faithful irreducible, without building the whole table."""
-    w = 1 if G.n > G.r else 0
-    return _induced_character(G, G.n, 1, w)
+    return _induced_character(G, G.n, *one_faithful_descriptor(G))
 
 
 def trivial_character(G: MetacyclicParams) -> Character:
@@ -372,24 +378,6 @@ def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     u = psi.u % G.q
     w = psi.w % pmr if pmr > 1 else 0
     return _induced_character(G, G.n, u, w)
-
-
-def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
-    """Induction by the general formula, summing over all of G; test oracle."""
-    if G.order > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    X = subgroup_X(G).elements
-    order_X = len(X)
-    vals = []
-    for c in conjugacy_classes(G):
-        acc = _ZERO
-        for g in G.elements():
-            t = G.mul(G.mul(G.inv(g), c.rep), g)
-            if t in X:
-                acc = acc + psi_value(G, PsiDescriptor(psi.u, psi.w), t)
-        acc = acc * Fraction(1, order_X)
-        vals.append(acc)
-    return Character(G, vals, ("induced_brute", psi.u, psi.w))
 
 
 def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
@@ -558,6 +546,11 @@ class QuotientIdentity:
         }
 
 
+def tower_coefficient(G: MetacyclicParams) -> int:
+    """Multiple of the faithful sum in the tower identity: p^r, or p^r - p^{r-1} if n = r."""
+    return G.pr if G.n > G.r else G.pr - G.pr // G.p
+
+
 def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity:
     towers = {s.label: s for s in tower_subgroups(G)}
     n = G.n
@@ -568,7 +561,7 @@ def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity
         - permutation_character(G, towers[f"F{n - 1}"])
     )
     faith = faithful_characters(G)
-    coeff = G.pr if G.n > G.r else G.pr - G.pr // G.p
+    coeff = tower_coefficient(G)
     rhs = VirtualCharacter.zero(G)
     for chi in faith:
         rhs = rhs + chi

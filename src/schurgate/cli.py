@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .cyclotomic import InternalCheckError
 from .groups import conjugacy_classes, iter_valid_groups, make_group, tower_subgroups
 from .characters import (
     character_field,
     faithful_characters,
+    faithful_descriptors,
     formula_field,
     inner_product,
     irreducible_characters,
     is_faithful,
     one_faithful_character,
+    one_faithful_descriptor,
     permutation_character,
     quotient_identity_virtual_character,
     tensor_decompose,
@@ -121,8 +121,8 @@ def cmd_table(args) -> int:
 
 def cmd_schur(args) -> int:
     G = _group_from_args(args)
-    taus = faithful_characters(G) if args.all else [one_faithful_character(G)]
-    reports = [global_index(G, tau) for tau in taus]
+    psis = faithful_descriptors(G) if args.all else [one_faithful_descriptor(G)]
+    reports = [global_index(G, psi) for psi in psis]
     payload = {
         "group": G.to_json(),
         "reports": [rep.to_json() for rep in reports],
@@ -294,8 +294,7 @@ def cmd_identity(args) -> int:
     return 0
 
 
-def _sweep_one(params) -> dict:
-    G = params
+def _sweep_one(G) -> dict:
     idx, details = qadic_class_order(G.q, G.p, G.n, G.r)
     divisible = (G.q - 1) % G.pn == 0
     consistent = (idx == 1) == divisible
@@ -315,13 +314,7 @@ def _sweep_one(params) -> dict:
 
 def cmd_sweep(args) -> int:
     groups = list(iter_valid_groups(args.max))
-    threads = args.threads or os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_one, groups))
-    else:
-        rows = [_sweep_one(G) for G in groups]
-    rows.sort(key=lambda row: (row["q"], row["p"], row["n"], row["j"]))
+    rows = [_sweep_one(G) for G in groups]
     bad = [row for row in rows if not row["consistent"]]
     table_checked = 0
     if args.tables:
@@ -334,13 +327,12 @@ def cmd_sweep(args) -> int:
                     expected = 1 if i == jj else 0
                     if inner_product(a, table[jj]) != expected:
                         raise InternalCheckError(f"orthogonality failed for {G}")
+            perms = [permutation_character(G, sub) for sub in tower_subgroups(G)]
             for tau in faithful_characters(G):
                 if character_field(tau) != formula_field(G):
                     raise InternalCheckError(f"character field formula failed for {G}")
-                for sub in tower_subgroups(G):
-                    chk = multiplicity_divisibility_check(
-                        G, tau, permutation_character(G, sub)
-                    )
+                for rho in perms:
+                    chk = multiplicity_divisibility_check(G, tau, rho)
                     if not chk.divisible:
                         raise InternalCheckError(f"divisibility failed for {G}")
             table_checked += 1
@@ -453,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tables", action="store_true",
                     help="also run table-level checks on small groups")
     sp.add_argument("--table-max", dest="table_max", type=int, default=300)
-    sp.add_argument("--threads", type=int, default=None, help="default: cpu count")
     sp.add_argument("--verbose-rows", dest="verbose_rows", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=cmd_sweep)

@@ -8,17 +8,11 @@ compare equal exactly when they are equal as algebraic numbers.
 
 No floating point is used anywhere except ``CyclotomicNumber.to_complex``,
 which exists for display and numeric sanity checks only.
-
-Values are immutable and safe to share between threads.  The per-conductor
-tables (cyclotomic polynomials, power-reduction rows, subfield solvers) are
-memoized behind a lock: concurrent reads are lock-free, insertion is
-exclusive.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from fractions import Fraction
 from math import gcd
 
@@ -105,9 +99,8 @@ def _proper_divisors(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-conductor tables, memoized with exclusive insertion
+# per-conductor tables, memoized
 
-_lock = threading.Lock()
 _phi_cache: dict[int, int] = {}
 _cyclo_cache: dict[int, tuple[int, ...]] = {}
 _rows_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -117,9 +110,7 @@ _solver_cache: dict[tuple[int, int], "_SubfieldSolver"] = {}
 def _phi(m: int) -> int:
     val = _phi_cache.get(m)
     if val is None:
-        val = euler_phi(m)
-        with _lock:
-            _phi_cache.setdefault(m, val)
+        val = _phi_cache[m] = euler_phi(m)
     return val
 
 
@@ -153,8 +144,7 @@ def _cyclo(m: int) -> tuple[int, ...]:
         for d in _proper_divisors(m):
             work = _poly_div_monic(work, _cyclo(d))
         poly = tuple(work)
-    with _lock:
-        _cyclo_cache.setdefault(m, poly)
+    _cyclo_cache[m] = poly
     return poly
 
 
@@ -179,8 +169,7 @@ def _rows(m: int) -> list[tuple[int, ...]]:
                 new[i] += carry * base[i]
         row = tuple(new)
         rows.append(row)
-    with _lock:
-        _rows_cache.setdefault(m, rows)
+    _rows_cache[m] = rows
     return rows
 
 
@@ -309,9 +298,7 @@ def _solver(m: int, mp: int) -> _SubfieldSolver:
     key = (m, mp)
     sol = _solver_cache.get(key)
     if sol is None:
-        sol = _SubfieldSolver(m, mp)
-        with _lock:
-            _solver_cache.setdefault(key, sol)
+        sol = _solver_cache[key] = _SubfieldSolver(m, mp)
     return sol
 
 

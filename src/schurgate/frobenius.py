@@ -20,7 +20,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import ConjClass, GroupElement, MetacyclicParams, is_prime
+from .groups import (
+    ConjClass,
+    GroupElement,
+    MetacyclicParams,
+    _psi_orbit_reps,
+    conjugacy_classes,
+    is_prime,
+    vp,
+)
 
 __all__ = [
     "EXAMPLE_F1",
@@ -139,10 +147,10 @@ def _gf_gcd(a, b, v):
     return a
 
 
-def _gf_pow_x(exp, m, v):
-    """x^exp mod (m, v) by binary powering."""
+def _gf_pow(h, exp, m, v):
+    """h(x)^exp mod (m, v) by binary powering."""
     result = [1]
-    base = _gf_mod([0, 1], m, v)
+    base = _gf_mod(h, m, v)
     while exp:
         if exp & 1:
             result = _gf_mod(_gf_mul(result, base, v), m, v)
@@ -175,7 +183,7 @@ def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
     i = 0
     while len(work) - 1 >= 2 * (i + 1):
         i += 1
-        h = _gf_pow_x(v, work, v) if i == 1 else _gf_mod(_gf_pow_frob(h, v, work), work, v)
+        h = _gf_pow(h, v, work, v)
         diff = _gf_trim([(a - b) % v for a, b in _zip_pad(h, [0, 1])])
         g = _gf_gcd(work, diff, v)
         if len(g) > 1:
@@ -186,20 +194,6 @@ def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
     if len(work) > 1:
         degrees.append(len(work) - 1)
     return tuple(sorted(degrees))
-
-
-def _gf_pow_frob(h, v, m):
-    """h(x)^v mod (m, v): since raising to v is semilinear, just power h."""
-    result = [1]
-    base = list(h)
-    exp = v
-    while exp:
-        if exp & 1:
-            result = _gf_mod(_gf_mul(result, base, v), m, v)
-        exp >>= 1
-        if exp:
-            base = _gf_mod(_gf_mul(base, base, v), m, v)
-    return result
 
 
 def _gf_quo(a, b, v):
@@ -281,8 +275,6 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
         raise ValueError(f"{v} is a ramified structural prime for this group")
     pattern = factor_pattern(coeffs, v)
     y = cyclotomic_exponent(v, G.p, G.n)
-    from .groups import conjugacy_classes  # local import to avoid cycle at module load
-
     classes = conjugacy_classes(G)
     by_rep = {c.rep: c for c in classes}
     q, pr = G.q, G.pr
@@ -296,7 +288,7 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
             raise _pattern_error(coeffs, v, pattern, y)
         cands = tuple(
             by_rep[GroupElement(x0, y)]
-            for x0 in _orbit_reps_sorted(G)
+            for x0 in _psi_orbit_reps(G)
         )
         order = cands[0].element_order
         if any(c.element_order != order for c in cands):
@@ -308,15 +300,11 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
         pattern[0] == 1
         and len(set(pattern[1:])) == 1
         and o > 1
-        and _is_p_power(o, G.p)
+        and o == G.p ** vp(o, G.p)
         and pattern.count(o) * o == q - 1
     ):
-        i = 0
-        oo = o
-        while oo > 1:
-            oo //= G.p
-            i += 1
-        if i > G.r or y % pr == 0 or _vp(y, G.p) != G.r - i:
+        i = vp(o, G.p)
+        if i > G.r or y % pr == 0 or vp(y, G.p) != G.r - i:
             raise _pattern_error(coeffs, v, pattern, y)
         cls = by_rep[GroupElement(0, y)]
         return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
@@ -329,22 +317,3 @@ def _pattern_error(coeffs, v, pattern, y):
         f"is incompatible with cyclotomic exponent {y}"
     )
 
-
-def _orbit_reps_sorted(G: MetacyclicParams) -> list[int]:
-    from .characters import _psi_orbit_reps
-
-    return list(_psi_orbit_reps(G))
-
-
-def _is_p_power(o: int, p: int) -> bool:
-    while o % p == 0:
-        o //= p
-    return o == 1
-
-
-def _vp(m: int, p: int) -> int:
-    v = 0
-    while m and m % p == 0:
-        m //= p
-        v += 1
-    return v

@@ -5,15 +5,17 @@ Elements are residue pairs (x, y) standing for a^x b^y, with the product
     (x1, y1) * (x2, y2) = (x1 + j^y1 * x2 mod q, y1 + y2 mod p^n).
 
 Everything downstream (conjugacy classes, the distinguished subgroup X, the
-tower subgroups) is computed from closed forms in (q, p, n, r); brute-force
-enumerations exist as test oracles, gated to order <= 10^4.
+tower subgroups) is computed from closed forms in (q, p, n, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
+
+from .cyclotomic import InternalCheckError, prime_factors
 
 __all__ = [
     "MetacyclicParams",
@@ -26,9 +28,6 @@ __all__ = [
     "tower_subgroups",
     "iter_valid_groups",
 ]
-
-BRUTE_FORCE_LIMIT = 10 ** 4
-
 
 def is_prime(m: int) -> bool:
     if m < 2:
@@ -54,6 +53,15 @@ def multiplicative_order(a: int, m: int) -> int:
         x = x * a % m
         k += 1
     return k
+
+
+def vp(m: int, p: int) -> int:
+    """p-adic valuation of m (0 for m = 0)."""
+    v = 0
+    while m and m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 class GroupElement(NamedTuple):
@@ -172,11 +180,7 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if j is None:
-        v = 0
-        m = q - 1
-        while m % p == 0:
-            m //= p
-            v += 1
+        v = vp(q - 1, p)
         j = _min_residue_of_order(q, p, min(n, v)) if v else None
         if j is None:
             raise ValueError(f"no element of order {p} mod {q}: need p | q-1")
@@ -186,12 +190,8 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
     if j == 1:
         raise ValueError("abelian: j = 1 gives the direct product, not handled here")
     t = multiplicative_order(j, q)
-    r = 0
-    tt = t
-    while tt % p == 0:
-        tt //= p
-        r += 1
-    if tt != 1:
+    r = vp(t, p)
+    if t != p ** r:
         raise ValueError(
             f"not metacyclic of required type: j = {j} has order {t} mod {q}, "
             f"which is not a power of p = {p}"
@@ -206,25 +206,12 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
 
 def _min_residue_of_order(q: int, p: int, r: int) -> int | None:
     """Smallest residue of multiplicative order p^r mod q, or None."""
-    v = 0
-    m = q - 1
-    while m % p == 0:
-        m //= p
-        v += 1
+    v = vp(q - 1, p)
     if r > v:
         return None
     if r == 0:
         return 1
-    # generator of the Sylow p-subgroup of (Z/q)^x
-    gen = None
-    for x in range(2, q):
-        h = pow(x, (q - 1) // p ** v, q)
-        if pow(h, p ** (v - 1), q) != 1:
-            gen = h
-            break
-    if gen is None:
-        return None
-    step = pow(gen, p ** (v - r), q)
+    step = pow(_sylow_generator(q, p, v), p ** (v - r), q)
     best = None
     t = step
     for k in range(1, p ** r):
@@ -232,6 +219,14 @@ def _min_residue_of_order(q: int, p: int, r: int) -> int | None:
             best = t
         t = t * step % q
     return best
+
+
+def _sylow_generator(q: int, p: int, v: int) -> int:
+    """A generator of the Sylow p-subgroup of (Z/q)^x, whose order p^v >= p divides q - 1."""
+    for x in range(2, q):
+        h = pow(x, (q - 1) // p ** v, q)
+        if pow(h, p ** (v - 1), q) != 1:
+            return h
 
 
 def conjugacy_classes(G: MetacyclicParams) -> list[ConjClass]:
@@ -242,7 +237,7 @@ def conjugacy_classes(G: MetacyclicParams) -> list[ConjClass]:
     """
     out = []
     pr, pn, q = G.pr, G.pn, G.q
-    orbit_reps = _orbit_reps(G)
+    orbit_reps = _psi_orbit_reps(G)
     for y in range(pn):
         if y % pr == 0:
             e = GroupElement(0, y)
@@ -255,50 +250,26 @@ def conjugacy_classes(G: MetacyclicParams) -> list[ConjClass]:
             out.append(ConjClass(e, q, G.element_order(e)))
     total = sum(c.size for c in out)
     if total != G.order:
-        raise RuntimeError(f"class sizes sum to {total}, expected {G.order}")
+        raise InternalCheckError(f"class sizes sum to {total}, expected {G.order}")
     return out
 
 
-def _orbit_reps(G: MetacyclicParams) -> list[int]:
-    seen = [False] * G.q
+@lru_cache(maxsize=None)
+def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
+    """Minimal representatives of the H-orbits on units mod q, sorted."""
     reps = []
-    for x in range(1, G.q):
-        if seen[x]:
+    seen = [False] * G.q
+    for u in range(1, G.q):
+        if seen[u]:
             continue
-        reps.append(x)
-        t = x
+        reps.append(u)
+        t = u
         while True:
             seen[t] = True
-            t = G.canonical_j * t % G.q
-            if t == x:
+            t = t * G.canonical_j % G.q
+            if t == u:
                 break
-    return reps
-
-
-def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
-    """Independent class computation by orbit closure; test oracle only."""
-    if G.order > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    gens = [GroupElement(1, 0), GroupElement(0, 1)]
-    seen: set[GroupElement] = set()
-    classes = []
-    for g in G.elements():
-        if g in seen:
-            continue
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            h = frontier.pop()
-            for s in gens:
-                c = G.conjugate(h, s)
-                if c not in orbit:
-                    orbit.add(c)
-                    frontier.append(c)
-        seen |= orbit
-        rep = min(orbit)
-        classes.append(ConjClass(GroupElement(*rep), len(orbit), G.element_order(g)))
-    classes.sort(key=lambda c: (c.rep.y, c.rep.x))
-    return classes
+    return tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -375,34 +346,6 @@ def tower_subgroups(G: MetacyclicParams) -> list[Subgroup]:
     return out
 
 
-def centralizer_of(G: MetacyclicParams, g: GroupElement) -> set[GroupElement]:
-    """Brute-force centralizer; test oracle only."""
-    if G.order > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    return {h for h in G.elements() if G.mul(h, g) == G.mul(g, h)}
-
-
-def commutator_subgroup(G: MetacyclicParams) -> set[GroupElement]:
-    """Brute-force commutator subgroup; test oracle only."""
-    if G.order > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    gens = set()
-    for g in G.elements():
-        for h in (GroupElement(1, 0), GroupElement(0, 1)):
-            gens.add(G.mul(G.mul(g, h), G.mul(G.inv(g), G.inv(h))))
-    # closure
-    closure = {GroupElement(0, 0)}
-    frontier = list(gens)
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            c = G.mul(g, h)
-            if c not in closure:
-                closure.add(c)
-                frontier.append(c)
-    return closure
-
-
 def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[MetacyclicParams]:
     """All valid parameter tuples (q, p, n, j) with q * p^n <= max_order.
 
@@ -413,21 +356,11 @@ def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[Metacyclic
     for q in range(3, max_order // 3 + 1, 2):
         if not is_prime(q):
             continue
-        for p in prime_divisors_of(q - 1):
+        for p in prime_factors(q - 1):
             if p == 2 or p == q or q * p > max_order:
                 continue
-            v = 0
-            m = q - 1
-            while m % p == 0:
-                m //= p
-                v += 1
-            # elements of p-power order mod q, grouped by order
-            sylow_gen = None
-            for x in range(2, q):
-                h = pow(x, (q - 1) // p ** v, q)
-                if pow(h, p ** (v - 1), q) != 1:
-                    sylow_gen = h
-                    break
+            v = vp(q - 1, p)
+            sylow_gen = _sylow_generator(q, p, v)
             n = 1
             while q * p ** n <= max_order:
                 if all_j:
@@ -443,16 +376,3 @@ def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[Metacyclic
                     yield make_group(q, p, n, j)
                 n += 1
 
-
-def prime_divisors_of(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, InternalCheckError
+from .cyclotomic import CyclotomicNumber, InternalCheckError, prime_factors
 from .groups import ConjClass, GroupElement, MetacyclicParams, is_prime
 from .characters import Character, _class_index, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
@@ -481,19 +481,7 @@ def _assemble(X: int, local: dict[int, list]) -> DirichletSeries:
 
 @lru_cache(maxsize=64)
 def _field_bad_primes(field_coeffs: tuple) -> set[int]:
-    disc = poly_discriminant(field_coeffs)
-    out = set()
-    d = 2
-    m = abs(disc)
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
+    return set(prime_factors(abs(poly_discriminant(field_coeffs))))
 
 
 def good_primes(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int) -> list[int]:

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cyclotomic import InternalCheckError
 from .groups import MetacyclicParams
 from .characters import (
     Character,
-    faithful_characters,
-    one_faithful_character,
-    quotient_identity_virtual_character,
+    PsiDescriptor,
+    faithful_descriptors,
+    one_faithful_descriptor,
+    tower_coefficient,
 )
 from .schur import global_index
 
@@ -64,7 +66,9 @@ class PredictionReport:
         }
 
 
-def prediction_report(G: MetacyclicParams, tau: Character | None = None) -> PredictionReport:
+def prediction_report(
+    G: MetacyclicParams, tau: Character | PsiDescriptor | None = None
+) -> PredictionReport:
     """Assemble the conditional predictions attached to a faithful tau.
 
     When p^n | q - 1 the Schur index is 1 and the report says so: no forced
@@ -74,17 +78,15 @@ def prediction_report(G: MetacyclicParams, tau: Character | None = None) -> Pred
     and (d) the reformulation of the twist as a Dirichlet twist of the base
     change to the degree-p^r cyclotomic layer.
     """
-    if tau is None:
-        tau = one_faithful_character(G)
-    rep = global_index(G, tau)
+    rep = global_index(G, one_faithful_descriptor(G) if tau is None else tau)
     m = rep.global_index
     count = faithful_count(G)
-    if len(faithful_characters(G)) != count:
-        raise RuntimeError("faithful character count formula disagrees with the table")
+    if len(faithful_descriptors(G)) != count:
+        raise InternalCheckError("faithful character count formula disagrees with the enumeration")
     if m == 1:
         return PredictionReport(
             group=G,
-            character_id=tau.char_id,
+            character_id=rep.character_id,
             schur_modulus=1,
             forced=False,
             statements=(
@@ -98,8 +100,8 @@ def prediction_report(G: MetacyclicParams, tau: Character | None = None) -> Pred
                 },
             ),
         )
-    qi = quotient_identity_virtual_character(G)
-    identity_modulus = qi.coefficient * count * m
+    coefficient = tower_coefficient(G)
+    identity_modulus = coefficient * count * m
     pmr = G.pn // G.pr
     psi_order = G.q * pmr
     statements = (
@@ -126,7 +128,7 @@ def prediction_report(G: MetacyclicParams, tau: Character | None = None) -> Pred
             "assuming": [HYP_BSD],
             "modulus": tower_modulus(G),
             "identity_modulus": identity_modulus,
-            "identity_coefficient": qi.coefficient,
+            "identity_coefficient": coefficient,
             "faithful_count": count,
             "statement": (
                 f"if L(E/K, 1) != 0 for all proper subfields K, then "
@@ -150,7 +152,7 @@ def prediction_report(G: MetacyclicParams, tau: Character | None = None) -> Pred
     )
     return PredictionReport(
         group=G,
-        character_id=tau.char_id,
+        character_id=rep.character_id,
         schur_modulus=m,
         forced=True,
         statements=statements,

@@ -18,6 +18,9 @@ The q-adic value is computed purely with integer arithmetic (orders and
 p-adic valuations); no local fields are ever constructed.  The exact index
 refines the general p | m bound and is cross-checked in the tests against
 the direct big-integer computation and all externally known values.
+
+Every check reads only the descriptor psi = (u, w) that tau is induced from,
+so no character value is computed and the cost does not grow with the table.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import InternalCheckError
-from .groups import MetacyclicParams, multiplicative_order
+from .groups import MetacyclicParams, multiplicative_order, vp
 from .characters import (
     Character,
-    _inverse_class_map,
+    PsiDescriptor,
+    _subgroup_H,
     inner_product,
-    is_faithful,
+    psi_is_faithful,
 )
 
 __all__ = [
@@ -97,14 +101,6 @@ def _place_label(G: MetacyclicParams, place) -> object:
     return place
 
 
-def _vp(m: int, p: int) -> int:
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
     """Order of zeta_{p^{n-r}} in k*/(k*)^{p^r} for the residue field k of Q_q(tau).
 
@@ -117,7 +113,7 @@ def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
     # v_p(q^f - 1) = v_p(q - 1) + v_p(f) for odd p once q = 1 mod p
     if q % p != 1:
         raise InternalCheckError("action of order p^r requires q = 1 mod p")
-    V = _vp(q - 1, p) + _vp(f, p)
+    V = vp(q - 1, p) + vp(f, p)
     e_val = min(r, V)  # e = gcd(p^r, q^f - 1) = p^e_val
     nd_val = V - (n - r)  # v_p((q^f - 1)/d)
     index_val = e_val - min(e_val, nd_val)
@@ -131,31 +127,29 @@ def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
     return p ** index_val, details
 
 
-def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
-    """Same quantity by explicit big-integer arithmetic; test oracle."""
-    d = p ** (n - r)
-    f = 1 if d == 1 else multiplicative_order(q % d, d)
-    N = q ** f - 1
-    e = gcd(p ** r, N)
-    assert N % d == 0
-    return e // gcd(e, N // d)
-
-
-def _require_faithful(tau: Character) -> None:
-    if not is_faithful(tau):
+def _faithful_psi(G: MetacyclicParams, tau: Character | PsiDescriptor) -> PsiDescriptor:
+    """The descriptor of a faithful irreducible tau = Ind_X psi; raises if tau is not one."""
+    psi = tau
+    if isinstance(tau, Character):
+        psi = PsiDescriptor(*tau.provenance[1:]) if tau.provenance[0] == "induced" else None
+    if psi is None or not psi_is_faithful(G, psi):
         raise ValueError(
             "character is not faithful: compute its Schur index in the quotient "
             "group where it becomes faithful"
         )
+    return psi
 
 
-def local_index(G: MetacyclicParams, tau: Character, place) -> LocalIndexReport:
+def local_index(
+    G: MetacyclicParams, tau: Character | PsiDescriptor, place
+) -> LocalIndexReport:
     """Local Schur index of a faithful irreducible at a place ("inf" or a prime)."""
-    _require_faithful(tau)
+    psi = _faithful_psi(G, tau)
     if place == "inf":
-        inv = _inverse_class_map(G)
-        conj_values = tuple(tau.values[i] for i in inv)
-        if conj_values == tau.values:
+        # the dual Ind psi-bar equals Ind psi iff psi-bar is a b-conjugate of psi
+        pmr = G.pn // G.pr
+        dual = (-psi.u % G.q, -psi.w % pmr)
+        if dual in {(psi.u * h % G.q, psi.w % pmr) for h in _subgroup_H(G)}:
             raise InternalCheckError("faithful character of an odd-order group is self-dual")
         return LocalIndexReport("inf", 1, REASON_INFINITY, {"self_dual": False})
     ell = int(place)
@@ -163,10 +157,7 @@ def local_index(G: MetacyclicParams, tau: Character, place) -> LocalIndexReport:
         order, details = qadic_class_order(G.q, G.p, G.n, G.r)
         return LocalIndexReport(ell, order, REASON_TAME, details)
     if ell == G.p:
-        if tau.provenance[0] != "induced":
-            raise ValueError("expected an induced faithful character")
-        _, u, _ = tau.provenance
-        eigs = {u * pow(G.j, k, G.q) % G.q for k in range(G.pr)}
+        eigs = {psi.u * pow(G.j, k, G.q) % G.q for k in range(G.pr)}
         if len(eigs) != G.pr:
             raise InternalCheckError("tau(a) does not have p^r distinct eigenvalues")
         return LocalIndexReport(ell, 1, REASON_MOD_P, {"distinct_eigenvalues": len(eigs)})
@@ -175,16 +166,16 @@ def local_index(G: MetacyclicParams, tau: Character, place) -> LocalIndexReport:
     return LocalIndexReport(ell, 1, REASON_COPRIME, {})
 
 
-def global_index(G: MetacyclicParams, tau: Character) -> GlobalIndexReport:
+def global_index(G: MetacyclicParams, tau: Character | PsiDescriptor) -> GlobalIndexReport:
     """Global Schur index as the lcm of the local ones, with consistency checks.
 
     The places inf, p, q and one representative coprime prime (2, since the
     group order is odd) are reported.  The lcm necessarily equals the q-adic
     index; the report additionally asserts the index-1 criterion p^n | q - 1.
     """
-    _require_faithful(tau)
+    psi = _faithful_psi(G, tau)
     locs = tuple(
-        local_index(G, tau, place) for place in ("inf", 2, G.p, G.q)
+        local_index(G, psi, place) for place in ("inf", 2, G.p, G.q)
     )
     g = 1
     for entry in locs:
@@ -193,23 +184,23 @@ def global_index(G: MetacyclicParams, tau: Character) -> GlobalIndexReport:
         raise InternalCheckError(
             f"index {g} contradicts the p^n | q-1 criterion for {G}"
         )
-    if tau.degree % g != 0:
+    if G.pr % g != 0:
         raise InternalCheckError("global Schur index does not divide the dimension")
     return GlobalIndexReport(
         group=G,
-        character_id=tau.char_id,
+        character_id=psi.char_id,
         local=locs,
         global_index=g,
         divides_dimension=True,
     )
 
 
-def norm_criterion(G: MetacyclicParams, tau: Character) -> bool:
+def norm_criterion(G: MetacyclicParams, tau: Character | PsiDescriptor) -> bool:
     """Whether zeta_{p^{n-r}} is a norm q-adically, i.e. the local index at q is 1.
 
     Must coincide with p^n | q - 1; disagreement raises.
     """
-    _require_faithful(tau)
+    _faithful_psi(G, tau)
     order, _ = qadic_class_order(G.q, G.p, G.n, G.r)
     is_norm = order == 1
     if is_norm != ((G.q - 1) % G.pn == 0):
@@ -236,7 +227,7 @@ def multiplicity_divisibility_check(
     always holds for rationally realizable characters; a False outcome
     signals an internal error upstream, not a mathematical finding.
     """
-    _require_faithful(tau)
+    _faithful_psi(G, tau)
     if not all(v.is_rational() for v in rho.values):
         raise ValueError("not a rational character")
     mult = inner_product(rho, tau)

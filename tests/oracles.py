@@ -1,0 +1,104 @@
+"""Brute-force oracles that the tests compare the closed forms against.
+
+Each one recomputes from the definitions, by enumerating G or with big
+integers, what the package derives in closed form; the group-level ones are
+gated to order <= BRUTE_FORCE_LIMIT.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from schurgate.cyclotomic import CyclotomicNumber
+from schurgate.groups import (
+    ConjClass,
+    GroupElement,
+    MetacyclicParams,
+    conjugacy_classes,
+    multiplicative_order,
+    subgroup_X,
+)
+from schurgate.characters import Character, PsiDescriptor, psi_value
+
+BRUTE_FORCE_LIMIT = 10 ** 4
+
+
+def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
+    """Independent class computation by orbit closure; test oracle only."""
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    gens = [GroupElement(1, 0), GroupElement(0, 1)]
+    seen: set[GroupElement] = set()
+    classes = []
+    for g in G.elements():
+        if g in seen:
+            continue
+        orbit = {g}
+        frontier = [g]
+        while frontier:
+            h = frontier.pop()
+            for s in gens:
+                c = G.conjugate(h, s)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        seen |= orbit
+        rep = min(orbit)
+        classes.append(ConjClass(GroupElement(*rep), len(orbit), G.element_order(g)))
+    classes.sort(key=lambda c: (c.rep.y, c.rep.x))
+    return classes
+
+
+def centralizer_of(G: MetacyclicParams, g: GroupElement) -> set[GroupElement]:
+    """Brute-force centralizer; test oracle only."""
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    return {h for h in G.elements() if G.mul(h, g) == G.mul(g, h)}
+
+
+def commutator_subgroup(G: MetacyclicParams) -> set[GroupElement]:
+    """Brute-force commutator subgroup; test oracle only."""
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    gens = set()
+    for g in G.elements():
+        for h in (GroupElement(1, 0), GroupElement(0, 1)):
+            gens.add(G.mul(G.mul(g, h), G.mul(G.inv(g), G.inv(h))))
+    # closure
+    closure = {GroupElement(0, 0)}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            c = G.mul(g, h)
+            if c not in closure:
+                closure.add(c)
+                frontier.append(c)
+    return closure
+
+
+def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
+    """Induction by the general formula, summing over all of G; test oracle."""
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    X = subgroup_X(G).elements
+    order_X = len(X)
+    vals = []
+    for c in conjugacy_classes(G):
+        acc = CyclotomicNumber.from_rational(0)
+        for g in G.elements():
+            t = G.mul(G.mul(G.inv(g), c.rep), g)
+            if t in X:
+                acc = acc + psi_value(G, PsiDescriptor(psi.u, psi.w), t)
+        acc = acc * Fraction(1, order_X)
+        vals.append(acc)
+    return Character(G, vals, ("induced_brute", psi.u, psi.w))
+
+
+def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
+    """schur.qadic_class_order's index by explicit big-integer arithmetic; test oracle."""
+    d = p ** (n - r)
+    f = 1 if d == 1 else multiplicative_order(q % d, d)
+    N = q ** f - 1
+    e = gcd(p ** r, N)
+    assert N % d == 0
+    return e // gcd(e, N // d)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import induce_brute
 from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
     GroupElement,
@@ -17,7 +18,6 @@ from schurgate.characters import (
     conjugate_psi,
     faithful_characters,
     formula_field,
-    induce_brute,
     induce_from_X,
     inner_product,
     irreducible_characters,

@@ -1,6 +1,8 @@
 import json
 
 from schurgate.cli import main
+from schurgate.characters import faithful_characters
+from schurgate.groups import iter_valid_groups
 
 
 def run(capsys, *argv):
@@ -114,7 +116,7 @@ def test_series_faithful_twist_needs_pick_first(capsys):
 
 
 def test_sweep_command(capsys):
-    code, payload, _ = run_json(capsys, "sweep", "--max", "500", "--threads", "2")
+    code, payload, _ = run_json(capsys, "sweep", "--max", "500")
     assert code == 0
     assert payload["all_consistent"] is True
     assert payload["groups"] > 50
@@ -144,5 +146,35 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
     import schurgate.cli as cli
 
     monkeypatch.setattr(cli, "qadic_class_order", lambda *a: (7, {}))  # impossible index
-    code, _, err = run(capsys, "sweep", "--max", "100", "--threads", "1")
+    code, _, err = run(capsys, "sweep", "--max", "100")
     assert code == 3 and "invariant" in err
+
+
+def test_predict_invariant_violation_exits_3(capsys, monkeypatch):
+    import schurgate.predictions as predictions
+
+    monkeypatch.setattr(predictions, "faithful_count", lambda G: -1)  # impossible count
+    code, _, err = run(capsys, "predict", "-q", "7", "-p", "3", "-n", "2")
+    assert code == 3 and "invariant" in err
+
+
+def test_schur_all_ids_follow_table_order(capsys):
+    for G in iter_valid_groups(300):
+        args = ("-q", str(G.q), "-p", str(G.p), "-n", str(G.n), "-j", str(G.j))
+        code, payload, _ = run_json(capsys, "schur", *args, "--all")
+        assert code == 0
+        assert [r["character"] for r in payload["reports"]] == [
+            chi.char_id for chi in faithful_characters(G)
+        ]
+
+
+def test_schur_and_predict_at_n12(capsys):
+    # C7:C3^12 has 236196 faithful characters of conductor 7 * 3^11: far too
+    # large for a table, so this only passes when no table is built
+    args = ("-q", "7", "-p", "3", "-n", "12")
+    code, payload, _ = run_json(capsys, "schur", *args)
+    assert code == 0 and payload["reports"][0]["global"] == 3
+    code, payload, _ = run_json(capsys, "predict", *args)
+    assert code == 0 and payload["schur_modulus"] == 3
+    tower = next(s for s in payload["statements"] if s["kind"] == "tower_rank_divisibility")
+    assert tower["modulus"] == 2125764

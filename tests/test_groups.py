@@ -2,11 +2,9 @@ import random
 
 import pytest
 
+from oracles import brute_force_classes, centralizer_of, commutator_subgroup
 from schurgate.groups import (
     GroupElement,
-    brute_force_classes,
-    centralizer_of,
-    commutator_subgroup,
     conjugacy_classes,
     iter_valid_groups,
     make_group,

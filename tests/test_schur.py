@@ -3,6 +3,7 @@ import pytest
 from schurgate.groups import iter_valid_groups, make_group, subgroup_X, tower_subgroups
 from schurgate.characters import (
     VirtualCharacter,
+    _inverse_class_map,
     faithful_characters,
     one_faithful_character,
     permutation_character,
@@ -19,8 +20,9 @@ from schurgate.schur import (
     multiplicity_divisibility_check,
     norm_criterion,
     qadic_class_order,
-    qadic_class_order_direct,
 )
+from oracles import qadic_class_order_direct
+from test_acceptance import _table_sweep_reps
 
 G21 = make_group(7, 3, 1, 2)
 G63 = make_group(7, 3, 2, 2)
@@ -108,6 +110,14 @@ def test_galois_orbit_constancy():
     for G in (G63, make_group(19, 3, 3, 4)):
         vals = {global_index(G, tau).global_index for tau in faithful_characters(G)}
         assert len(vals) == 1
+
+
+def test_faithful_characters_are_not_self_dual():
+    # global_index decides self-duality from psi alone; check it on values
+    for G in _table_sweep_reps() + [G1539]:
+        inv = _inverse_class_map(G)
+        for tau in faithful_characters(G):
+            assert tuple(tau.values[i] for i in inv) != tau.values
 
 
 def test_multiplicity_divisibility_regular():
