@@ -225,15 +225,12 @@ def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
 def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
     """gauss[t] = sum over the order-p^r subgroup H of zeta_q^{t s}."""
     H = _subgroup_H(G)
-    out = []
-    for t in range(G.q):
-        if t == 0:
-            out.append(CyclotomicNumber.from_rational(G.pr))
-        else:
-            acc = _ZERO
-            for s in H:
-                acc = acc + _zeta(G.q, t * s % G.q)
-            out.append(acc)
+    out = [CyclotomicNumber.from_rational(G.pr)]
+    for t in range(1, G.q):
+        buf = [0] * G.q
+        for s in H:
+            buf[t * s % G.q] += 1
+        out.append(CyclotomicNumber(G.q, _fold(G.q, buf)))
     return tuple(out)
 
 

@@ -1,10 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and their abelian subfields.
 
 A value is stored as a dense vector of rationals over the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m), reduced modulo the m-th cyclotomic
-polynomial.  Every public operation canonicalizes its result down to the
-smallest conductor m' | m whose field contains the value, so two values
-compare equal exactly when they are equal as algebraic numbers.
+1, z, ..., z^(phi(m)-1) of Q(zeta_m).  Integer buffers indexed by exponents
+are reduced into that basis by wrapping exponents mod m and dividing by the
+sparse monic Phi_m: Phi_m(x) = Phi_rad(x^(m/rad)) for the radical rad of m,
+so Phi_m has at most phi(rad) + 1 nonzero terms.
+
+Every public operation canonicalizes its result down to the smallest
+conductor m' | m whose field contains the value, so two values compare
+equal exactly when they are equal as algebraic numbers.  The descent goes
+one prime p | m at a time, and membership in Q(zeta_(m/p)) and the
+coordinates there come out of one step:
+
+* p^2 | m: Phi_m(x) = Phi_(m/p)(x^p), so the value lies in the subfield iff
+  every coordinate at an exponent not divisible by p is 0, and its
+  coordinates there are every p-th one;
+* p || m: by CRT, zeta_m^(a m/p + b p) = zeta_p^a zeta_(m/p)^b, so the value
+  is sum_a zeta_p^a Y_a with Y_a in Q(zeta_(m/p)).  Since 1, zeta_p, ...,
+  zeta_p^(p-2) is a basis over Q(zeta_(m/p)), the value lies there iff
+  Y_1 = ... = Y_(p-1), and then equals Y_0 - Y_(p-1).
+
+Inverses take the relative norm down the same prime layers: multiplying y
+by its conjugates over Q(zeta_(m/p)) lands in that subfield, and repeating
+until the norm is rational gives 1/y as (product of the factors) / norm.
 
 No floating point is used anywhere except ``CyclotomicNumber.to_complex``,
 which exists for display and numeric sanity checks only.
@@ -14,7 +32,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 
 __all__ = [
     "CyclotomicNumber",
@@ -38,8 +57,14 @@ class InternalCheckError(RuntimeError):
     """An identity that must hold by theory failed; indicates a bug, not a finding."""
 
 
+@lru_cache(maxsize=None)
 def max_conductor() -> int:
-    """Conductor cap; override with the SCHURGATE_MAX_CONDUCTOR environment variable."""
+    """Conductor cap; override with the SCHURGATE_MAX_CONDUCTOR environment variable.
+
+    The variable is read once per process (``max_conductor.cache_clear()``
+    reads it again).  An invalid value raises on every call, as a call that
+    raises is not cached.
+    """
     raw = os.environ.get("SCHURGATE_MAX_CONDUCTOR")
     if raw is None:
         return _DEFAULT_MAX_CONDUCTOR
@@ -85,26 +110,11 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def _proper_divisors(m: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            divs.append(d)
-            if d != m // d:
-                divs.append(m // d)
-        d += 1
-    divs.remove(m)
-    return sorted(divs)
-
-
 # ---------------------------------------------------------------------------
 # per-conductor tables, memoized
 
 _phi_cache: dict[int, int] = {}
-_cyclo_cache: dict[int, tuple[int, ...]] = {}
-_rows_cache: dict[int, list[tuple[int, ...]]] = {}
-_solver_cache: dict[tuple[int, int], "_SubfieldSolver"] = {}
+_cyclo_cache: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 def _phi(m: int) -> int:
@@ -114,63 +124,40 @@ def _phi(m: int) -> int:
     return val
 
 
-def _poly_div_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division of ascending integer polynomials, den monic
-    num = list(num)
-    dn = len(den) - 1
-    qn = len(num) - 1 - dn
-    quot = [0] * (qn + 1)
-    for k in range(qn, -1, -1):
-        c = num[k + dn]
-        quot[k] = c
-        if c:
-            for i in range(dn + 1):
-                num[k + i] -= c * den[i]
-    if any(num[:dn]):
-        raise InternalCheckError("inexact cyclotomic polynomial division")
-    return quot
+def _cyclo(m: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero terms (exponent, coefficient) of the m-th cyclotomic polynomial, ascending.
 
-
-def _cyclo(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending, monic."""
-    poly = _cyclo_cache.get(m)
-    if poly is not None:
-        return poly
+    The last term is the leading (phi(m), 1).  For squarefree n > 1,
+    Phi_n(x) = prod over d | n of (1 - x^d)^mu(n/d), which is evaluated as a
+    power series cut off above degree phi(n).  Then Phi_m(x) = Phi_rad(x^(m/rad))
+    for the radical rad of m, so Phi_m has at most phi(rad) + 1 terms.
+    """
+    terms = _cyclo_cache.get(m)
+    if terms is not None:
+        return terms
     if m == 1:
-        poly = (-1, 1)
+        terms = ((0, -1), (1, 1))
     else:
-        work = [0] * (m + 1)
-        work[0], work[m] = -1, 1
-        for d in _proper_divisors(m):
-            work = _poly_div_monic(work, _cyclo(d))
-        poly = tuple(work)
-    _cyclo_cache[m] = poly
-    return poly
-
-
-def _rows(m: int) -> list[tuple[int, ...]]:
-    """rows[e - phi] expresses z^e in the power basis, for phi <= e <= max(2*phi-2, m-1)."""
-    rows = _rows_cache.get(m)
-    if rows is not None:
-        return rows
-    phi = _phi(m)
-    poly = _cyclo(m)
-    top = max(2 * phi - 2, m - 1)
-    base = tuple(-c for c in poly[:phi])
-    rows = [base]
-    row = base
-    for _ in range(phi + 1, top + 1):
-        carry = row[phi - 1]
-        new = [0] * phi
-        for i in range(phi - 1, 0, -1):
-            new[i] = row[i - 1]
-        if carry:
-            for i in range(phi):
-                new[i] += carry * base[i]
-        row = tuple(new)
-        rows.append(row)
-    _rows_cache[m] = rows
-    return rows
+        ps = prime_factors(m)
+        divs = [(1, -1 if len(ps) % 2 else 1)]  # (d, mu(rad/d)) over d | rad
+        for pr in ps:
+            divs += [(d * pr, -mu) for d, mu in divs]
+        rad = divs[-1][0]
+        top = _phi(rad)
+        ser = [1] + [0] * top
+        for d, mu in divs:
+            if mu > 0:
+                for i in range(top, d - 1, -1):
+                    ser[i] -= ser[i - d]
+            else:
+                for i in range(d, top + 1):
+                    ser[i] += ser[i - d]
+        if ser[top] != 1:
+            raise InternalCheckError(f"cyclotomic polynomial {rad} is not monic of degree {top}")
+        step = m // rad
+        terms = tuple((i * step, c) for i, c in enumerate(ser) if c)
+    _cyclo_cache[m] = terms
+    return terms
 
 
 def _int_parts(coeffs) -> tuple[int, list[int]]:
@@ -186,19 +173,26 @@ def _int_parts(coeffs) -> tuple[int, list[int]]:
 
 
 def _fold(m: int, buf: list[int]) -> list[int]:
-    """Reduce an integer buffer indexed by exponents 0..len-1 into the power basis."""
+    """Reduce an integer buffer indexed by exponents into the power basis of Q(zeta_m).
+
+    Exponents wrap mod m (z^m = 1); then long division by the sparse monic
+    Phi_m clears the exponents phi(m) and up, from the top down.
+    """
     phi = _phi(m)
     if len(buf) <= phi:
         return buf + [0] * (phi - len(buf))
-    rows = _rows(m)
-    out = buf[:phi]
-    for e in range(phi, len(buf)):
-        c = buf[e]
+    work = buf[:m]
+    for e in range(m, len(buf)):
+        work[e % m] += buf[e]
+    low = _cyclo(m)[:-1]
+    for e in range(len(work) - 1, phi - 1, -1):
+        c = work[e]
         if c:
-            row = rows[e - phi]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+            base = e - phi
+            for i, a in low:
+                work[base + i] -= c * a
+    del work[phi:]
+    return work
 
 
 def _lift_int(m: int, den: int, vec: list[int], big: int) -> tuple[int, list[int]]:
@@ -221,87 +215,6 @@ def _apply_galois_int(m: int, vec: list[int], k: int) -> list[int]:
     return _fold(m, buf)
 
 
-class _SubfieldSolver:
-    """Coordinates of conductor-m values inside Q(zeta_mp), for a fixed mp | m."""
-
-    def __init__(self, m: int, mp: int):
-        phi, phip = _phi(m), _phi(mp)
-        cols = []
-        for i in range(phip):
-            unit = [0] * phip
-            unit[i] = 1
-            _, col = _lift_int(mp, 1, unit, m)
-            cols.append(col)
-        # greedily select phip rows of the tall basis matrix with full rank
-        reduced: list[list[Fraction]] = []
-        lead_cols: list[int] = []
-        select: list[int] = []
-        for i in range(phi):
-            row = [Fraction(cols[j][i]) for j in range(phip)]
-            for rvec, lc in zip(reduced, lead_cols):
-                f = row[lc]
-                if f:
-                    row = [a - f * b for a, b in zip(row, rvec)]
-            lead = next((t for t, a in enumerate(row) if a), None)
-            if lead is None:
-                continue
-            piv = row[lead]
-            row = [a / piv for a in row]
-            reduced.append(row)
-            lead_cols.append(lead)
-            select.append(i)
-            if len(select) == phip:
-                break
-        if len(select) != phip:
-            raise InternalCheckError("subfield basis matrix is rank deficient")
-        square = [[Fraction(cols[j][i]) for j in range(phip)] for i in select]
-        self.inv = _invert_matrix(square)
-        self.cols = cols
-        self.select = select
-        self.phi, self.phip = phi, phip
-
-    def solve(self, coeffs) -> tuple[Fraction, ...] | None:
-        """Solve basis_matrix * c = coeffs; None if coeffs is not in the subfield."""
-        rhs = [coeffs[i] for i in self.select]
-        sol = [
-            sum(row[t] * rhs[t] for t in range(self.phip)) for row in self.inv
-        ]
-        for i in range(self.phi):
-            acc = Fraction(0)
-            for j in range(self.phip):
-                if sol[j]:
-                    acc += sol[j] * self.cols[j][i]
-            if acc != coeffs[i]:
-                return None
-        return tuple(sol)
-
-
-def _invert_matrix(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    work = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise InternalCheckError("singular matrix in subfield solver")
-        work[col], work[piv] = work[piv], work[col]
-        f = work[col][col]
-        work[col] = [a / f for a in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                g = work[r][col]
-                work[r] = [a - g * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def _solver(m: int, mp: int) -> _SubfieldSolver:
-    key = (m, mp)
-    sol = _solver_cache.get(key)
-    if sol is None:
-        sol = _solver_cache[key] = _SubfieldSolver(m, mp)
-    return sol
-
-
 def _kernel_residues(m: int, mp: int) -> list[int]:
     """Units of Z/m congruent to 1 mod mp: Gal(Q(z_m)/Q(z_mp))."""
     if mp >= m:
@@ -309,35 +222,47 @@ def _kernel_residues(m: int, mp: int) -> list[int]:
     return [k for k in range(1, m, mp) if gcd(k, m) == 1]
 
 
-def _canonical(m: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    if all(c == 0 for c in coeffs[1:]):
-        return 1, (coeffs[0],)
-    den, vec = _int_parts(coeffs)
-    changed = True
-    while changed and m > 1:
-        changed = False
+def _descend(m: int, pr: int, vec: list[int]) -> list[int] | None:
+    """Coordinates at conductor m/pr of the value vec at conductor m; None if not in that field."""
+    mp = m // pr
+    if mp % pr == 0:
+        # Phi_m(x) = Phi_mp(x^pr): 1, z, ..., z^(pr-1) is a basis over Q(zeta_mp)
+        if any(any(vec[r::pr]) for r in range(1, pr)):
+            return None
+        return vec[::pr]
+    if mp == 1:
+        return None if any(vec[1:]) else vec[:1]
+    # pr || m: z_m^(a*mp + b*pr) = z_pr^a * z_mp^b by CRT, so the value is
+    # sum_a z_pr^a * Y_a with Y_a at conductor mp.  As 1, z_pr, ..., z_pr^(pr-2)
+    # is a basis over Q(zeta_mp), it lies there iff Y_1 = ... = Y_(pr-1), and
+    # then equals Y_0 - Y_(pr-1).
+    pinv = pow(pr, -1, mp)
+
+    def part(a: int) -> list[int]:
+        i0 = a * mp % pr  # exponents i0 + pr*t have b = i0*pinv + t mod mp
+        return _fold(mp, [0] * (i0 * pinv % mp) + vec[i0::pr])
+
+    last = part(pr - 1)
+    for a in range(1, pr - 1):
+        if part(a) != last:
+            return None
+    return [x - y for x, y in zip(part(0), last)]
+
+
+def _canonical(m: int, den: int, vec: list[int]) -> tuple[int, tuple[Fraction, ...]]:
+    """Minimal conductor and coordinates there of the value vec/den at conductor m."""
+    if any(vec[1:]):
+        # a prime that fails at m fails at every m'' | m, as Q(z_(m''/pr)) lies in
+        # Q(z_(m/pr)); so each prime is tried until its first failure
         for pr in prime_factors(m):
-            mp = m // pr
-            fixed = True
-            for k in _kernel_residues(m, mp):
-                if k != 1 and _apply_galois_int(m, vec, k) != vec:
-                    fixed = False
+            while m % pr == 0:
+                sub = _descend(m, pr, vec)
+                if sub is None:
                     break
-            if not fixed:
-                continue
-            frac = tuple(Fraction(v, den) for v in vec)
-            sol = _solver(m, mp).solve(frac)
-            if sol is None:
-                raise InternalCheckError(
-                    f"value fixed by Gal(Q(z_{m})/Q(z_{mp})) but not expressible there"
-                )
-            m = mp
-            if all(c == 0 for c in sol[1:]):
-                return 1, (sol[0],)
-            den, vec = _int_parts(sol)
-            changed = True
-            break
-    return m, tuple(Fraction(v, den) for v in vec)
+                m, vec = m // pr, sub
+    else:
+        m, vec = 1, vec[:1]
+    return m, tuple(Fraction(c, den) for c in vec)
 
 
 class CyclotomicNumber:
@@ -350,7 +275,7 @@ class CyclotomicNumber:
         vec = tuple(Fraction(c) for c in coeffs)
         if len(vec) != _phi(m):
             raise ValueError(f"need phi({m}) = {_phi(m)} coefficients, got {len(vec)}")
-        m, vec = _canonical(m, vec)
+        m, vec = _canonical(m, *_int_parts(vec))
         self.conductor = m
         self.coeffs = vec
         self._hash = None
@@ -387,14 +312,7 @@ class CyclotomicNumber:
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity zeta_m^k (k arbitrary; the result is canonicalized)."""
         _check_conductor(m)
-        k %= m
-        phi = _phi(m)
-        if k < phi:
-            vec = [Fraction(0)] * phi
-            vec[k] = Fraction(1)
-        else:
-            vec = [Fraction(c) for c in _rows(m)[k - phi]]
-        return cls._make(*_canonical(m, tuple(vec)))
+        return cls._make(*_canonical(m, 1, _fold(m, [0] * (k % m) + [1])))
 
     # -- queries ------------------------------------------------------------
 
@@ -424,8 +342,8 @@ class CyclotomicNumber:
         m = self._common(other)
         d1, v1 = _lift_int(self.conductor, *_int_parts(self.coeffs), m)
         d2, v2 = _lift_int(other.conductor, *_int_parts(other.coeffs), m)
-        vec = tuple(Fraction(a * d2 + b * d1, d1 * d2) for a, b in zip(v1, v2))
-        return CyclotomicNumber._make(*_canonical(m, vec))
+        vec = [a * d2 + b * d1 for a, b in zip(v1, v2)]
+        return CyclotomicNumber._make(*_canonical(m, d1 * d2, vec))
 
     __radd__ = __add__
 
@@ -458,36 +376,28 @@ class CyclotomicNumber:
                 for j, b in enumerate(v2):
                     if b:
                         buf[i + j] += a * b
-        out = _fold(m, buf)
-        den = d1 * d2
-        vec = tuple(Fraction(c, den) for c in out)
-        return CyclotomicNumber._make(*_canonical(m, vec))
+        return CyclotomicNumber._make(*_canonical(m, d1 * d2, _fold(m, buf)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """1/y as acc/N(y), taking the relative norm of y down one prime layer at a time."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.conductor == 1:
-            return CyclotomicNumber.from_rational(Fraction(1) / self.coeffs[0])
-        m = self.conductor
-        phi = _phi(m)
-        # extended Euclid against the (irreducible) cyclotomic polynomial:
-        # maintain r_i = u_i * self (mod Phi_m)
-        r0 = [Fraction(c) for c in _cyclo(m)]
-        r1 = _trim(list(self.coeffs))
-        u0: list[Fraction] = [Fraction(0)]
-        u1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, _trim(rem)
-            u0, u1 = u1, _trim(_poly_sub(u0, _poly_mul_q(q, u1)))
-            if not r1:
-                raise InternalCheckError("zero remainder while inverting a nonzero value")
-        c = r1[0]
-        inv = [x / c for x in u1]
-        vec = tuple(inv) + (Fraction(0),) * (phi - len(inv))
-        return CyclotomicNumber._make(*_canonical(m, vec))
+            return CyclotomicNumber.from_rational(1 / self.coeffs[0])
+        y = self
+        acc = CyclotomicNumber.from_rational(1)
+        while y.conductor != 1:
+            m = y.conductor
+            mp = m // prime_factors(m)[0]
+            c = prod(y.galois(k) for k in _kernel_residues(m, mp) if k != 1)
+            y, acc = y * c, acc * c
+            if mp % y.conductor:
+                raise InternalCheckError(
+                    f"norm of a value at conductor {m} down to Q(z_{mp}) has conductor {y.conductor}"
+                )
+        return acc * (1 / y.coeffs[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -525,9 +435,7 @@ class CyclotomicNumber:
         if gcd(k, m) != 1:
             raise ValueError(f"galois exponent {k} is not coprime to the conductor {m}")
         den, vec = _int_parts(self.coeffs)
-        out = _apply_galois_int(m, vec, k)
-        frac = tuple(Fraction(c, den) for c in out)
-        return CyclotomicNumber._make(*_canonical(m, frac))
+        return CyclotomicNumber._make(*_canonical(m, den, _apply_galois_int(m, vec, k)))
 
     def conjugate(self) -> "CyclotomicNumber":
         if self.conductor == 1:
@@ -606,47 +514,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CyclotomicNumber.from_rational(x)
     return NotImplemented
-
-
-def _trim(poly: list[Fraction]) -> list[Fraction]:
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] / lead
-        q[k] = c
-        if c:
-            for i in range(dn + 1):
-                num[k + i] -= c * den[i]
-    return q, num[:dn]
-
-
-def _poly_mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def galois_apply(x: CyclotomicNumber, k: int) -> CyclotomicNumber:

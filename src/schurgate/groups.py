@@ -229,7 +229,8 @@ def _sylow_generator(q: int, p: int, v: int) -> int:
             return h
 
 
-def conjugacy_classes(G: MetacyclicParams) -> list[ConjClass]:
+@lru_cache(maxsize=None)
+def conjugacy_classes(G: MetacyclicParams) -> tuple[ConjClass, ...]:
     """All conjugacy classes, ordered by (y, x) of the minimal representative.
 
     The class of (x, y) is {(j^v x + u(1 - j^y), y)}: all of (Z/q, y) when
@@ -251,7 +252,7 @@ def conjugacy_classes(G: MetacyclicParams) -> list[ConjClass]:
     total = sum(c.size for c in out)
     if total != G.order:
         raise InternalCheckError(f"class sizes sum to {total}, expected {G.order}")
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

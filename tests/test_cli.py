@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+
+import pytest
 
 from schurgate.cli import main
 from schurgate.characters import faithful_characters
@@ -178,3 +182,39 @@ def test_schur_and_predict_at_n12(capsys):
     assert code == 0 and payload["schur_modulus"] == 3
     tower = next(s for s in payload["statements"] if s["kind"] == "tower_rank_divisibility")
     assert tower["modulus"] == 2125764
+
+
+# sha256 of the JSON stdout of every README command, recorded before the
+# cyclotomic kernel moved to Galois descent over sparse Phi_m.  Left out for
+# its running time (about 30 s): `sweep --max 2000 --tables --table-max 300`.
+README_JSON_SHA256 = {
+    "table -q 7 -p 3 -n 1":
+        "15c77bf88a969aa7f71c076325ff95d83fbcf0e498b0d1dfb2381f6f37bb1b7f",
+    "schur -q 19 -p 3 -n 4":
+        "d4cf3edbea051e29059aff0e31a6324e07963b1b3780c88ff56cead7c0572ebb",
+    "schur -q 7 -p 3 -n 2 --all":
+        "a3f1f40ff1c644ca0f64a4a6cad88be6f2638b7caf49aebd37c3d431086876c8",
+    "predict -q 7 -p 3 -n 2":
+        "3b32f91de4808c2e3c79748322ec9b8d2a57e8456fb6344a6430903ff2af91d7",
+    "predict -q 7 -p 3 -n 1":
+        "1c431c23196db7d3dc79063410292c6b25c5f37f7f99f5119f717151455a4dc6",
+    "frobenius -q 7 -p 3 -n 2 -v 53":
+        "d8b3e1caced9e7abeb242bc55033f9e973669c32dee722b75a4a4f3784ab6adc",
+    "euler --curve 0,0,0,-1,0 -v 5 --trivial -n 1":
+        "4b2eaf4c140afbe1b8d90989058172d30af8a035021802f213d89a74ab2b9e24",
+    "euler --order7-class H -q 7 -p 3 -n 2 --symbolic":
+        "636af52a414d621a26aa2db493253b68e2a73ac5f4f19b62ef03514fa6ffff94",
+    "series --curve 0,0,0,-1,0 -n 1 -X 100":
+        "453bfc601376b16dfa256aa88d79e79cfd0d79645386e2e2ea000a0a5915a018",
+    "identity --curve 0,0,0,-1,0 --field example-F1 -n 1 -X 500":
+        "b607858a4452c3b9775f469080879dc7e9afc0f49c2fca578d313cc575019fd3",
+    "sweep --max 10000":
+        "93577b8a7f119352a66d9582c13319a54d0fe607b725d3a8866eee021229d4b0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_JSON_SHA256))
+def test_readme_command_json_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_JSON_SHA256[command]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from schurgate.cyclotomic import (
     AbelianField,
@@ -10,6 +12,8 @@ from schurgate.cyclotomic import (
     euler_phi,
     field_of_values,
     galois_apply,
+    max_conductor,
+    _cyclo,
 )
 
 
@@ -62,10 +66,14 @@ def test_inverse_of_zero_rejected():
 
 
 def test_conductor_overflow(monkeypatch):
+    # the cap is read once per process, so each environment change is followed
+    # by clearing the cached value
     monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", "100")
+    max_conductor.cache_clear()
     with pytest.raises(ConductorOverflowError):
         C.zeta(101)
     monkeypatch.delenv("SCHURGATE_MAX_CONDUCTOR")
+    max_conductor.cache_clear()
     assert C.zeta(101) * C.zeta(101, 100) == 1
 
 
@@ -171,3 +179,62 @@ def test_to_complex_embedding():
 
     z = C.zeta(5).to_complex()
     assert abs(z - cmath.exp(2j * cmath.pi / 5)) < 1e-12
+
+
+def test_cyclo_matches_sympy():
+    x = sympy.Symbol("x")
+    for m in range(1, 301):
+        dense = [0] * (euler_phi(m) + 1)
+        for e, c in _cyclo(m):
+            dense[e] = c
+        want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert dense == [int(c) for c in want], m
+
+
+@pytest.mark.parametrize("m", [171, 243])
+def test_inverse_at_large_conductors(m):
+    x = 1 + C.zeta(m) - 2 * C.zeta(m, 5) + Fraction(1, 3) * C.zeta(m, 40)
+    assert x.conductor == m
+    assert x * x.inverse() == 1
+
+
+# Conductors covering every descent branch: p^2 | m (9, 25, 27, 63, 12),
+# p || m with m/p > 1 (15, 21, 35, 63, 12), prime m (5, 7, 11) and
+# m = 2 * odd (6, 10, 30); multiplying by k in MULTIPLIERS reaches each
+# branch again from above.
+BRANCH_CONDUCTORS = (5, 6, 7, 9, 10, 11, 12, 15, 21, 25, 27, 30, 35, 63)
+MULTIPLIERS = (2, 3, 5, 7)
+SPARSE = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def conductor_and_coeffs(draw):
+    m = draw(st.sampled_from(BRANCH_CONDUCTORS))
+    phi = euler_phi(m)
+    return m, draw(st.lists(SPARSE, min_size=phi, max_size=phi))
+
+
+@PROPERTY
+@given(conductor_and_coeffs())
+def test_descent_conductor_matches_field_of_values(mc):
+    x = C(*mc)
+    if not x.is_rational():
+        assert field_of_values([x]).conductor == x.conductor
+
+
+@PROPERTY
+@given(conductor_and_coeffs())
+def test_descent_lifts_back_to_the_input(mc):
+    m, coeffs = mc
+    den, vec = C(m, coeffs)._lifted(m)
+    assert [Fraction(c, den) for c in vec] == coeffs
+
+
+@PROPERTY
+@given(conductor_and_coeffs(), st.sampled_from(MULTIPLIERS))
+def test_descent_is_independent_of_the_starting_conductor(mc, k):
+    m, coeffs = mc
+    x = C(m, coeffs)
+    y = sum((c * C.zeta(m * k, i * k) for i, c in enumerate(coeffs)), C.from_rational(0))
+    assert (y.conductor, y.coeffs) == (x.conductor, x.coeffs)
