@@ -5,7 +5,11 @@ polynomial 1 - a_v T + v T^2.  Eigenvalue pairs (alpha, beta) of A_v are
 never split: for each eigenvalue lambda of tau(g) the factor contributes
 (1 - lambda a_v T + lambda^2 v T^2), keeping every coefficient inside a
 cyclotomic field.  Eigenvalue multiplicities of tau(g) are recovered from
-character values by exact Fourier inversion on the cyclic group <g>.
+character values by Fourier inversion on the cyclic group <g>, in integers:
+each value is lifted once to a common conductor, the rotated vectors are
+summed into one integer buffer per eigenvalue and reduced by a single fold.
+An Euler factor depends on the class only through these multiplicities, so
+they are computed once per (character, class), not once per prime.
 
 Two independent local-factor routes exist and are cross-checked in tests:
 
@@ -16,7 +20,12 @@ Two independent local-factor routes exist and are cross-checked in tests:
 
 Frobenius-class ambiguity (order-q part) is respected: series are only
 assembled when every candidate class yields the same factor, unless the
-caller explicitly picks a candidate.
+caller explicitly picks a candidate.  Candidates with the same element
+order and multiplicities give the same factor, which is then built once.
+
+Coefficients are assembled multiplicatively over a smallest-prime-factor
+sieve: a_n = a_{v^k} a_t for v = spf(n), n = v^k t and v not dividing t, so
+the work is linear in X rather than one pass over 1..X per prime.
 
 Bad and ramified primes contribute the trivial factor 1; every identity
 statement in this package is about good-prime-supported coefficients only.
@@ -27,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, InternalCheckError, prime_factors
+from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold, prime_factors
 from .groups import ConjClass, GroupElement, MetacyclicParams, is_prime
 from .characters import Character, _class_index, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
@@ -134,27 +143,61 @@ def eigenvalue_multiplicities(chi, cls: ConjClass) -> dict[int, int]:
     Fourier inversion on <g>: m_k = (1/d) sum_i chi(g^i) zeta_d^{-ki}.
     Works for genuine and virtual characters (integer multiplicities).
     """
+    return dict(_multiplicities(chi, cls))
+
+
+@lru_cache(maxsize=None)
+def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
+    """Sorted (k, m_k) pairs with m_k != 0, by integer Fourier inversion.
+
+    Every nonzero chi(g^i) is lifted once to M = lcm(d, its conductors) as
+    den_i^-1 * vec_i.  Multiplying by zeta_d^{-ki} = zeta_M^{-ki M/d} rotates
+    the power-basis vector, so d * den * m_k is the constant term of one
+    folded integer buffer, den = lcm(den_i); every other coordinate is 0.
+    """
     G = chi.group
     d = cls.element_order
     idx = _class_index(G)
     values = [
         chi.values[idx[G.class_of(G.power(cls.rep, i))]] for i in range(d)
     ]
-    out: dict[int, int] = {}
+    M = d
+    for val in values:
+        if not val.is_zero():
+            M = M * val.conductor // gcd(M, val.conductor)
+    lifted = [(i, val._lifted(M)) for i, val in enumerate(values) if not val.is_zero()]
+    den = 1
+    for _, (di, _) in lifted:
+        den = den * di // gcd(den, di)
+    terms = [
+        (i * (M // d), [(e, c * (den // di)) for e, c in enumerate(vec) if c])
+        for i, (di, vec) in lifted
+    ]
+    out = []
     for k in range(d):
-        acc = _ZERO
-        for i, val in enumerate(values):
-            if not val.is_zero():
-                acc = acc + val * CyclotomicNumber.zeta(d, (-k * i) % d)
-        if acc.is_zero():
+        buf = [0] * M
+        for step, vec in terms:
+            shift = -k * step
+            for e, c in vec:
+                buf[(e + shift) % M] += c
+        red = _fold(M, buf)
+        if not any(red):
             continue
-        if not acc.is_rational():
-            raise InternalCheckError("eigenvalue multiplicity is not rational")
-        m = acc.rational_value() / d
-        if m.denominator != 1:
-            raise InternalCheckError("eigenvalue multiplicity is not an integer")
-        out[k] = int(m)
-    return out
+        if any(red[1:]):
+            raise InternalCheckError(f"eigenvalue multiplicity is not rational ({_where(chi, cls)})")
+        m, rem = divmod(red[0], d * den)
+        if rem:
+            raise InternalCheckError(f"eigenvalue multiplicity is not an integer ({_where(chi, cls)})")
+        out.append((k, m))
+    return tuple(out)
+
+
+def _where(chi, cls: ConjClass) -> str:
+    G = chi.group
+    return (
+        f"group (q, p, n, j) = ({G.q}, {G.p}, {G.n}, {G.j}), "
+        f"character {getattr(chi, 'char_id', 'virtual')}, class rep {tuple(cls.rep)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +503,38 @@ def _local_expansion(num: list, den: list, kmax: int) -> list:
 
 
 def _assemble(X: int, local: dict[int, list]) -> DirichletSeries:
+    """a_1..a_X of the product of the local series local[v] = [1, b_1, b_2, ...].
+
+    Multiplicative over a smallest-prime-factor sieve: a_n = local[v][k] * a_t
+    for v = spf(n), n = v^k t with v not dividing t.  a_n = 0 when a prime
+    factor of n has no local series or its series stops before the power.
+    """
+    spf = list(range(X + 1))
+    for v in range(2, isqrt(X) + 1):
+        if spf[v] == v:
+            for m in range(v * v, X + 1, v):
+                if spf[m] == m:
+                    spf[m] = v
     an = [_ZERO] * (X + 1)
     an[1] = _ONE
-    for v in sorted(local):
-        b = local[v]
-        new = [_ZERO] * (X + 1)
-        for m in range(1, X + 1):
-            if an[m].is_zero():
-                continue
-            t = m
-            k = 0
-            while t <= X:
-                if k < len(b) and not b[k].is_zero():
-                    new[t] = new[t] + an[m] * b[k]
-                k += 1
-                t *= v
-        an = new
+    for n in range(2, X + 1):
+        v = spf[n]
+        t, k = n // v, 1
+        while t % v == 0:
+            t, k = t // v, k + 1
+        b = local.get(v)
+        if b is None or k >= len(b) or b[k].is_zero() or an[t].is_zero():
+            continue
+        an[n] = b[k] if t == 1 else b[k] * an[t]
     return DirichletSeries(X, tuple(an))
+
+
+def _kmax(v: int, X: int) -> int:
+    """The largest k with v^k <= X."""
+    k, t = 0, v
+    while t <= X:
+        k, t = k + 1, t * v
+    return k
 
 
 @lru_cache(maxsize=64)
@@ -510,10 +568,11 @@ def _resolve_local_factor(
         )
     if datum.conj_class is None and on_ambiguous == "first":
         candidates = [candidates[0]]
+    data = [(cls.element_order, eigenvalue_multiplicities(chi, cls)) for cls in candidates]
+    if all(x == data[0] for x in data[1:]):
+        data = data[:1]  # every candidate gives the same factor
     factors = []
-    for cls in candidates:
-        mults = eigenvalue_multiplicities(chi, cls)
-        d = cls.element_order
+    for d, mults in data:
         num = [_ONE]
         den = [_ONE]
         for k, m in sorted(mults.items()):
@@ -558,11 +617,7 @@ def dirichlet_partial(
         raise ValueError("X capped at 10^5")
     local = {}
     for v in good_primes(E, field_coeffs, G, X):
-        kmax = 0
-        t = v
-        while t <= X:
-            kmax += 1
-            t *= v
+        kmax = _kmax(v, X)
         datum = frobenius_datum(field_coeffs, G, v)
         av = a_v(E, v)
         num, den = _resolve_local_factor(chi, datum, av, v, kmax, on_ambiguous)
@@ -654,11 +709,7 @@ def identity_series_check(
     rhs_local = {}
     primes = good_primes(E, field_coeffs, G, X)
     for v in primes:
-        kmax = 0
-        t = v
-        while t <= X:
-            kmax += 1
-            t *= v
+        kmax = _kmax(v, X)
         datum = frobenius_datum(field_coeffs, G, v)
         av = a_v(E, v)
         p_fn = field_local_factor(av, v, tower_residue_degrees(G, datum, "F", n), kmax)

@@ -2,13 +2,15 @@
 
 Each one recomputes from the definitions, by enumerating G or with big
 integers, what the package derives in closed form; the group-level ones are
-gated to order <= BRUTE_FORCE_LIMIT.
+gated to order <= BRUTE_FORCE_LIMIT.  The L-series ones are the package's
+earlier direct routes: Fourier inversion in CyclotomicNumber arithmetic and
+Dirichlet assembly by one convolution pass per prime.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from schurgate.cyclotomic import CyclotomicNumber
+from schurgate.cyclotomic import CyclotomicNumber, InternalCheckError
 from schurgate.groups import (
     ConjClass,
     GroupElement,
@@ -17,9 +19,13 @@ from schurgate.groups import (
     multiplicative_order,
     subgroup_X,
 )
-from schurgate.characters import Character, PsiDescriptor, psi_value
+from schurgate.characters import Character, PsiDescriptor, _class_index, psi_value
+from schurgate.lseries import DirichletSeries
 
 BRUTE_FORCE_LIMIT = 10 ** 4
+
+_ZERO = CyclotomicNumber.from_rational(0)
+_ONE = CyclotomicNumber.from_rational(1)
 
 
 def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
@@ -102,3 +108,53 @@ def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
     e = gcd(p ** r, N)
     assert N % d == 0
     return e // gcd(e, N // d)
+
+
+def eigenvalue_multiplicities_direct(chi, cls: ConjClass) -> dict[int, int]:
+    """Multiplicity of each eigenvalue zeta_d^k of chi at the class, d = element order.
+
+    Fourier inversion on <g>: m_k = (1/d) sum_i chi(g^i) zeta_d^{-ki}, summed
+    in CyclotomicNumber arithmetic; test oracle.
+    """
+    G = chi.group
+    d = cls.element_order
+    idx = _class_index(G)
+    values = [
+        chi.values[idx[G.class_of(G.power(cls.rep, i))]] for i in range(d)
+    ]
+    out: dict[int, int] = {}
+    for k in range(d):
+        acc = _ZERO
+        for i, val in enumerate(values):
+            if not val.is_zero():
+                acc = acc + val * CyclotomicNumber.zeta(d, (-k * i) % d)
+        if acc.is_zero():
+            continue
+        if not acc.is_rational():
+            raise InternalCheckError("eigenvalue multiplicity is not rational")
+        m = acc.rational_value() / d
+        if m.denominator != 1:
+            raise InternalCheckError("eigenvalue multiplicity is not an integer")
+        out[k] = int(m)
+    return out
+
+
+def assemble_by_convolution(X: int, local: dict[int, list]) -> DirichletSeries:
+    """Dirichlet coefficients to X from local expansions, one pass over 1..X per prime; test oracle."""
+    an = [_ZERO] * (X + 1)
+    an[1] = _ONE
+    for v in sorted(local):
+        b = local[v]
+        new = [_ZERO] * (X + 1)
+        for m in range(1, X + 1):
+            if an[m].is_zero():
+                continue
+            t = m
+            k = 0
+            while t <= X:
+                if k < len(b) and not b[k].is_zero():
+                    new[t] = new[t] + an[m] * b[k]
+                k += 1
+                t *= v
+        an = new
+    return DirichletSeries(X, tuple(an))

@@ -218,3 +218,25 @@ def test_readme_command_json_is_byte_identical(capsys, command):
     code, out, _ = run(capsys, *shlex.split(command), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_JSON_SHA256[command]
+
+
+# sha256 of the JSON stdout of L-series commands on y^2 = x^3 - x, recorded
+# before the local data moved to integer Fourier inversion and the
+# multiplicative sieve assembly.
+SERIES_JSON_SHA256 = {
+    "series -n 2 -X 200 --character ind:1,1 --pick-first":
+        "845ae6f500cd7bea76f0e3c88747273f27b81da40404226232fcbf41ed0a7f93",
+    "series -n 3 -X 60 --character lin:2":
+        "5af6eb9beccce8f64746a0308ca9798f5c2cba4d2ea9d60254f7f72153dfac6b",
+    "identity -n 2 -X 120":
+        "1e4aff87ac75c90d0f28c10a065e6625c167b1570b0f600e593c1a8b2886aca2",
+    "series -n 1 -X 8000":
+        "2f4d97f00311750a85baccb03285cc6b2ec2280f65ff8c440c7710cc38962ed2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERIES_JSON_SHA256))
+def test_series_command_json_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command), "--curve", "0,0,0,-1,0", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[command]

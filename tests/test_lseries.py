@@ -1,11 +1,22 @@
+import cmath
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
+from oracles import assemble_by_convolution, eigenvalue_multiplicities_direct
+from schurgate.cyclotomic import InternalCheckError
 from schurgate.cyclotomic import CyclotomicNumber as C
 from schurgate.groups import GroupElement, conjugacy_classes, make_group, tower_subgroups
 from schurgate.characters import (
+    VirtualCharacter,
+    _class_index,
     faithful_characters,
+    irreducible_characters,
     one_faithful_character,
     permutation_character,
+    quotient_identity_virtual_character,
     trivial_character,
 )
 from schurgate.elliptic import EllipticCurveQ, a_v
@@ -28,6 +39,8 @@ from schurgate.lseries import (
     tower_residue_degrees,
     twisted_euler_factor,
     untwisted_factor,
+    _assemble,
+    _kmax,
     _resolve_local_factor,
 )
 
@@ -245,3 +258,95 @@ def test_series_json_round_trip_shape():
     js = s.to_json()
     assert js["X"] == 10 and len(js["an"]) == 10
     assert js["an"][0] == {"conductor": 1, "coeffs": ["1"]}
+
+
+@pytest.mark.parametrize("q,n", [(7, 1), (7, 2), (13, 2), (19, 2)])
+def test_integer_multiplicities_match_direct_inversion(q, n):
+    G = make_group(q, 3, n)
+    idx = _class_index(G)
+    chars = list(irreducible_characters(G)) + [quotient_identity_virtual_character(G).rhs]
+    direct = {}  # the oracle sees only d and chi(g^i), 0 <= i < d: run it once per distinct input
+    for chi in chars:
+        for cls in conjugacy_classes(G):
+            d = cls.element_order
+            key = (d, tuple(chi.values[idx[G.class_of(G.power(cls.rep, i))]] for i in range(d)))
+            if key not in direct:
+                direct[key] = eigenvalue_multiplicities_direct(chi, cls)
+            assert eigenvalue_multiplicities(chi, cls) == direct[key]
+
+
+def test_multiplicities_are_a_fresh_dict():
+    tau = one_faithful_character(G63)
+    cls = order7_class(G63)
+    eigenvalue_multiplicities(tau, cls)[1] = 99
+    assert eigenvalue_multiplicities(tau, cls) == {1: 1, 2: 1, 4: 1}
+
+
+def test_multiplicities_match_numeric_eigenvalues():
+    """Independent route: complex eigenvalues of the monomial matrices, rounded to roots of unity."""
+    for G in (G21, G63):
+        for tau in faithful_characters(G):
+            model = monomial_model(G, tau)
+            for cls in conjugacy_classes(G):
+                d = cls.element_order
+                mat = element_matrix(G, model, cls.rep)
+                eig = np.linalg.eigvals(np.array([[c.to_complex() for c in row] for row in mat]))
+                counts: dict[int, int] = {}
+                for lam in eig:
+                    k = round(cmath.phase(lam) * d / (2 * cmath.pi)) % d
+                    assert abs(lam - cmath.exp(2j * cmath.pi * k / d)) < 1e-9
+                    counts[k] = counts.get(k, 0) + 1
+                assert counts == eigenvalue_multiplicities(tau, cls)
+
+
+def test_multiplicity_errors_name_group_character_and_class():
+    classes = conjugacy_classes(G21)
+    # 1 at the identity and 0 elsewhere: m_k = 1/7 at an element of order 7
+    delta = VirtualCharacter(G21, [C.from_rational(1)] + [C.from_rational(0)] * (len(classes) - 1))
+    with pytest.raises(InternalCheckError, match="not an integer") as err:
+        eigenvalue_multiplicities(delta, order7_class(G21))
+    assert "(7, 3, 1, 2)" in str(err.value) and "character virtual" in str(err.value)
+    assert "class rep (1, 0)" in str(err.value)
+    # 1/2 at the identity: a fractional value gives m_0 = 1/2
+    half = VirtualCharacter(G21, [C.from_rational(Fraction(1, 2))] + [C.from_rational(0)] * (len(classes) - 1))
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        eigenvalue_multiplicities(half, classes[0])
+    # zeta_7 at the identity: m_0 = zeta_7 is not rational
+    skew = VirtualCharacter(G21, [C.zeta(7)] + [C.from_rational(0)] * (len(classes) - 1))
+    with pytest.raises(InternalCheckError, match="not rational") as err:
+        eigenvalue_multiplicities(skew, classes[0])
+    assert "(7, 3, 1, 2)" in str(err.value) and "class rep (0, 0)" in str(err.value)
+
+
+def test_ambiguity_fast_path_matches_each_candidate():
+    rhs = quotient_identity_virtual_character(G63).rhs
+    datum = frobenius_datum(EXAMPLE_F1, G63, 53)
+    av = a_v(E_MINUS_X, 53)
+    assert len(datum.candidates) > 1
+    assert _resolve_local_factor(rhs, datum, av, 53, 2, "invariant") == _resolve_local_factor(
+        rhs, datum, av, 53, 2, "first"
+    )
+
+
+def test_kmax():
+    assert [_kmax(2, 8), _kmax(2, 7), _kmax(3, 8), _kmax(11, 10), _kmax(97, 97)] == [3, 2, 1, 0, 1]
+
+
+def _random_local(rng, X):
+    values = [C.from_rational(0), C.from_rational(1), C.from_rational(-2), C.from_rational(3),
+              C.zeta(3), C.zeta(7, 3), C.zeta(7) + C.zeta(3, 2)]
+    local = {}
+    for v in [t for t in range(2, X + 8) if all(t % s for s in range(2, t))]:
+        if rng.random() < 0.2:
+            continue  # a bad prime: no local series
+        length = rng.randint(1, _kmax(v, X) + 2)  # sometimes stops before the top power
+        local[v] = [C.from_rational(1)] + [rng.choice(values) for _ in range(length - 1)]
+    return local
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 97, 243, 1000])
+def test_sieve_assembly_matches_convolution(X):
+    rng = random.Random(X)
+    for _ in range(2):
+        local = _random_local(rng, X)
+        assert _assemble(X, local) == assemble_by_convolution(X, local)
