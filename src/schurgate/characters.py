@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .cyclotomic import (
@@ -27,8 +27,8 @@ from .cyclotomic import (
     InternalCheckError,
     field_of_values,
     _check_conductor,
-    _fold,
-    _phi,
+    _from_buffer,
+    _mul_into,
 )
 from .groups import (
     GroupElement,
@@ -201,7 +201,10 @@ class VirtualCharacter:
             m = inner_product(self, chi)
             if m:
                 if m.denominator != 1:
-                    raise InternalCheckError("non-integral multiplicity in decomposition")
+                    raise InternalCheckError(
+                        f"non-integral multiplicity {m} of {chi.char_id} in decomposition "
+                        f"({self.group.spec})"
+                    )
                 out[chi.char_id] = int(m)
         return out
 
@@ -230,7 +233,7 @@ def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
         buf = [0] * G.q
         for s in H:
             buf[t * s % G.q] += 1
-        out.append(CyclotomicNumber(G.q, _fold(G.q, buf)))
+        out.append(_from_buffer(G.q, 1, buf))
     return tuple(out)
 
 
@@ -284,10 +287,13 @@ def irreducible_characters(G: MetacyclicParams) -> tuple[Character, ...]:
     ncls = len(conjugacy_classes(G))
     if len(table) != ncls:
         raise InternalCheckError(
-            f"table size {len(table)} does not match class count {ncls}"
+            f"table size {len(table)} does not match class count {ncls} ({G.spec})"
         )
-    if sum(chi.degree ** 2 for chi in table) != G.order:
-        raise InternalCheckError("degree squares do not sum to the group order")
+    squares = sum(chi.degree ** 2 for chi in table)
+    if squares != G.order:
+        raise InternalCheckError(
+            f"degree squares sum to {squares}, not the group order {G.order} ({G.spec})"
+        )
     return tuple(table)
 
 
@@ -387,35 +393,20 @@ def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
 # inner products
 
 def _weighted_dot(terms: Iterable[tuple[int, CyclotomicNumber, CyclotomicNumber]]) -> CyclotomicNumber:
-    """Sum of w * a * b over terms, reduced and canonicalized once."""
+    """Sum of w * a * b over terms, reduced and canonicalized once.
+
+    Each product goes into one exponent buffer at the common conductor, its
+    numerators scaled to the common denominator of all the terms.
+    """
     live = [(w, a, b) for w, a, b in terms if w and not a.is_zero() and not b.is_zero()]
     if not live:
         return _ZERO
-    M = 1
-    for _, a, b in live:
-        M = M * a.conductor // gcd(M, a.conductor)
-        M = M * b.conductor // gcd(M, b.conductor)
-    _check_conductor(M)
-    phi = _phi(M)
-    buf = [0] * (2 * phi - 1)
-    extra = _ZERO
+    M = _check_conductor(lcm(*(x.conductor for _, a, b in live for x in (a, b))))
+    D = lcm(*(a.den * b.den for _, a, b in live))
+    buf = [0] * M
     for w, a, b in live:
-        da, va = a._lifted(M)
-        db, vb = b._lifted(M)
-        if da != 1 or db != 1:
-            extra = extra + w * a * b  # rare non-integral values: exact slow path
-            continue
-        for i, x in enumerate(va):
-            if x:
-                wx = w * x
-                for jj, yv in enumerate(vb):
-                    if yv:
-                        buf[i + jj] += wx * yv
-    out = _fold(M, buf)
-    total = CyclotomicNumber(M, [Fraction(c) for c in out])
-    if not extra.is_zero():
-        total = total + extra
-    return total
+        _mul_into(buf, M, w * (D // (a.den * b.den)), a, b)
+    return _from_buffer(M, D, buf)
 
 
 def inner_product(chi1, chi2) -> Fraction:
@@ -471,7 +462,10 @@ def tensor_decompose(tau: Character) -> tuple[Character, Character]:
     chi = _linear_character(G, e)
     prod = tuple(a * b for a, b in zip(tau_r.values, chi.values))
     if prod != tau.values:
-        raise InternalCheckError("tensor factorization failed value-wise")
+        raise InternalCheckError(
+            f"tensor factorization {tau.char_id} = {tau_r.char_id} (x) {chi.char_id} "
+            f"failed value-wise ({G.spec})"
+        )
     return tau_r, chi
 
 

@@ -98,13 +98,19 @@ def cmd_table(args) -> int:
         "faithful_count": sum(1 for r in rows if r["faithful"]),
         "formula_field": formula_field(G).to_json(),
     }
+    text = _table_text(G, classes, table, payload) if args.format == "text" else ""
+    _emit(args, payload, text)
+    return 0
+
+
+def _table_text(G, classes, table, payload: dict) -> str:
     lines = [
         f"group {G} of order {G.order}: {len(classes)} classes, "
         f"{len(table)} irreducible characters, {payload['faithful_count']} faithful",
         "classes (rep, size, element order): "
         + ", ".join(f"(a^{c.rep.x} b^{c.rep.y}, {c.size}, {c.element_order})" for c in classes),
     ]
-    for r, chi in zip(rows, table):
+    for r, chi in zip(payload["characters"], table):
         extra = ""
         if "tensor_decomposition" in r:
             td = r["tensor_decomposition"]
@@ -115,8 +121,7 @@ def cmd_table(args) -> int:
             f"field degree {r['field_degree']} (conductor {r['field']['conductor']})" + extra
         )
         lines.append("    values: " + ", ".join(str(v) for v in chi.values))
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 def cmd_schur(args) -> int:
@@ -325,16 +330,27 @@ def cmd_sweep(args) -> int:
             for i, a in enumerate(table):
                 for jj in range(i, len(table)):
                     expected = 1 if i == jj else 0
-                    if inner_product(a, table[jj]) != expected:
-                        raise InternalCheckError(f"orthogonality failed for {G}")
+                    ip = inner_product(a, table[jj])
+                    if ip != expected:
+                        raise InternalCheckError(
+                            f"orthogonality failed: <{a.char_id}, {table[jj].char_id}> = {ip}, "
+                            f"expected {expected} ({G.spec})"
+                        )
             perms = [permutation_character(G, sub) for sub in tower_subgroups(G)]
             for tau in faithful_characters(G):
                 if character_field(tau) != formula_field(G):
-                    raise InternalCheckError(f"character field formula failed for {G}")
+                    raise InternalCheckError(
+                        f"character field of {tau.char_id} differs from the formula field "
+                        f"({G.spec})"
+                    )
                 for rho in perms:
                     chk = multiplicity_divisibility_check(G, tau, rho)
                     if not chk.divisible:
-                        raise InternalCheckError(f"divisibility failed for {G}")
+                        raise InternalCheckError(
+                            f"divisibility failed: {tau.char_id} has multiplicity "
+                            f"{chk.multiplicity} in the permutation character of "
+                            f"{rho.provenance[1]}, not a multiple of {chk.modulus} ({G.spec})"
+                        )
             table_checked += 1
     payload = {
         "max_order": args.max,

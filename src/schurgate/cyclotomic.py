@@ -1,16 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and their abelian subfields.
 
-A value is stored as a dense vector of rationals over the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m).  Integer buffers indexed by exponents
-are reduced into that basis by wrapping exponents mod m and dividing by the
-sparse monic Phi_m: Phi_m(x) = Phi_rad(x^(m/rad)) for the radical rad of m,
-so Phi_m has at most phi(rad) + 1 nonzero terms.
+A value is (conductor m, den > 0, integer numerators over the power basis
+1, z, ..., z^(phi(m)-1)) with gcd(den, numerators) = 1; ``coeffs`` builds
+the rationals on request.  Sums, products, Galois images and inner products
+put each operand's nonzero terms (i, c) at its own conductor m at exponent
+i * (M/m) mod M of one integer buffer at the common conductor M (a rational
+or a root of unity is one term), then reduce it once: wrap exponents mod M
+and divide by the sparse monic Phi_M = Phi_rad(x^(M/rad)), rad = rad(M).
 
-Every public operation canonicalizes its result down to the smallest
-conductor m' | m whose field contains the value, so two values compare
-equal exactly when they are equal as algebraic numbers.  The descent goes
-one prime p | m at a time, and membership in Q(zeta_(m/p)) and the
-coordinates there come out of one step:
+Every value is canonicalized when it is built, down to the smallest
+conductor m' | m whose field contains it, so equal values compare equal.
+The descent goes one prime p | m at a time:
 
 * p^2 | m: Phi_m(x) = Phi_(m/p)(x^p), so the value lies in the subfield iff
   every coordinate at an exponent not divisible by p is 0, and its
@@ -24,16 +24,22 @@ Inverses take the relative norm down the same prime layers: multiplying y
 by its conjugates over Q(zeta_(m/p)) lands in that subfield, and repeating
 until the norm is rational gives 1/y as (product of the factors) / norm.
 
+``field_of_values`` finds the units fixing every value by orbit-stabilizer:
+each value's orbit under generators of the units fixing the values before it
+gives Schreier generators of its stabilizer, for |orbit| * |generators|
+Galois images per value rather than phi(m).
+
 No floating point is used anywhere except ``CyclotomicNumber.to_complex``,
 which exists for display and numeric sanity checks only.
 """
 
 from __future__ import annotations
 
+import cmath
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 __all__ = [
     "CyclotomicNumber",
@@ -113,17 +119,10 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 # per-conductor tables, memoized
 
-_phi_cache: dict[int, int] = {}
-_cyclo_cache: dict[int, tuple[tuple[int, int], ...]] = {}
+_phi = lru_cache(maxsize=None)(euler_phi)
 
 
-def _phi(m: int) -> int:
-    val = _phi_cache.get(m)
-    if val is None:
-        val = _phi_cache[m] = euler_phi(m)
-    return val
-
-
+@lru_cache(maxsize=None)
 def _cyclo(m: int) -> tuple[tuple[int, int], ...]:
     """Nonzero terms (exponent, coefficient) of the m-th cyclotomic polynomial, ascending.
 
@@ -132,44 +131,26 @@ def _cyclo(m: int) -> tuple[tuple[int, int], ...]:
     power series cut off above degree phi(n).  Then Phi_m(x) = Phi_rad(x^(m/rad))
     for the radical rad of m, so Phi_m has at most phi(rad) + 1 terms.
     """
-    terms = _cyclo_cache.get(m)
-    if terms is not None:
-        return terms
     if m == 1:
-        terms = ((0, -1), (1, 1))
-    else:
-        ps = prime_factors(m)
-        divs = [(1, -1 if len(ps) % 2 else 1)]  # (d, mu(rad/d)) over d | rad
-        for pr in ps:
-            divs += [(d * pr, -mu) for d, mu in divs]
-        rad = divs[-1][0]
-        top = _phi(rad)
-        ser = [1] + [0] * top
-        for d, mu in divs:
-            if mu > 0:
-                for i in range(top, d - 1, -1):
-                    ser[i] -= ser[i - d]
-            else:
-                for i in range(d, top + 1):
-                    ser[i] += ser[i - d]
-        if ser[top] != 1:
-            raise InternalCheckError(f"cyclotomic polynomial {rad} is not monic of degree {top}")
-        step = m // rad
-        terms = tuple((i * step, c) for i, c in enumerate(ser) if c)
-    _cyclo_cache[m] = terms
-    return terms
-
-
-def _int_parts(coeffs) -> tuple[int, list[int]]:
-    """Common denominator and integer numerators of a rational coefficient vector."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
-        return 1, [c.numerator for c in coeffs]
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+        return ((0, -1), (1, 1))
+    ps = prime_factors(m)
+    divs = [(1, -1 if len(ps) % 2 else 1)]  # (d, mu(rad/d)) over d | rad
+    for pr in ps:
+        divs += [(d * pr, -mu) for d, mu in divs]
+    rad = divs[-1][0]
+    top = _phi(rad)
+    ser = [1] + [0] * top
+    for d, mu in divs:
+        if mu > 0:
+            for i in range(top, d - 1, -1):
+                ser[i] -= ser[i - d]
+        else:
+            for i in range(d, top + 1):
+                ser[i] += ser[i - d]
+    if ser[top] != 1:
+        raise InternalCheckError(f"cyclotomic polynomial {rad} is not monic of degree {top}")
+    step = m // rad
+    return tuple((i * step, c) for i, c in enumerate(ser) if c)
 
 
 def _fold(m: int, buf: list[int]) -> list[int]:
@@ -195,30 +176,26 @@ def _fold(m: int, buf: list[int]) -> list[int]:
     return work
 
 
-def _lift_int(m: int, den: int, vec: list[int], big: int) -> tuple[int, list[int]]:
-    """Re-express an integer vector at conductor m in conductor big (m | big)."""
-    if m == big:
-        return den, vec
-    scale = big // m
-    buf = [0] * ((len(vec) - 1) * scale + 1)
-    for i, c in enumerate(vec):
-        if c:
-            buf[i * scale] = c
-    return den, _fold(big, buf)
-
-
-def _apply_galois_int(m: int, vec: list[int], k: int) -> list[int]:
+def _image(m: int, terms, k: int) -> list[int]:
+    """Coordinates at conductor m of the sum of c * z_m^(i*k) over the terms (i, c)."""
     buf = [0] * m
-    for i, c in enumerate(vec):
-        if c:
-            buf[(i * k) % m] += c
+    for i, c in terms:
+        buf[i * k % m] += c
     return _fold(m, buf)
 
 
+def _mul_into(buf: list[int], M: int, w: int, a, b) -> None:
+    """Add w times the product of the numerators of values a, b to an exponent buffer at M."""
+    sa, sb = M // a.conductor, M // b.conductor
+    bt = [(j * sb, y) for j, y in b._nz()]
+    for i, x in a._nz():
+        e, wx = i * sa, w * x
+        for f, y in bt:
+            buf[(e + f) % M] += wx * y
+
+
 def _kernel_residues(m: int, mp: int) -> list[int]:
-    """Units of Z/m congruent to 1 mod mp: Gal(Q(z_m)/Q(z_mp))."""
-    if mp >= m:
-        return [1]
+    """Units of Z/m congruent to 1 mod mp: Gal(Q(z_m)/Q(z_mp)), for mp | m, mp < m."""
     return [k for k in range(1, m, mp) if gcd(k, m) == 1]
 
 
@@ -249,8 +226,8 @@ def _descend(m: int, pr: int, vec: list[int]) -> list[int] | None:
     return [x - y for x, y in zip(part(0), last)]
 
 
-def _canonical(m: int, den: int, vec: list[int]) -> tuple[int, tuple[Fraction, ...]]:
-    """Minimal conductor and coordinates there of the value vec/den at conductor m."""
+def _canonical(m: int, den: int, vec: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(minimal conductor, den, numerators) of vec/den at conductor m, in lowest terms."""
     if any(vec[1:]):
         # a prime that fails at m fails at every m'' | m, as Q(z_(m''/pr)) lies in
         # Q(z_(m/pr)); so each prime is tried until its first failure
@@ -262,62 +239,84 @@ def _canonical(m: int, den: int, vec: list[int]) -> tuple[int, tuple[Fraction, .
                 m, vec = m // pr, sub
     else:
         m, vec = 1, vec[:1]
-    return m, tuple(Fraction(c, den) for c in vec)
+    g = gcd(den, *vec)
+    if g != 1:
+        den //= g
+        vec = [c // g for c in vec]
+    return m, den, tuple(vec)
+
+
+def _from_buffer(M: int, den: int, buf: list[int]) -> "CyclotomicNumber":
+    """The value (exponent buffer at conductor M) / den, reduced and canonicalized."""
+    return CyclotomicNumber._make(*_canonical(M, den, _fold(M, buf)))
+
+
+def _fmt(c: int, den: int) -> str:
+    """The rational c/den as Fraction renders it."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 class CyclotomicNumber:
     """An exact element of Q(zeta_m), canonicalized to its minimal conductor."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_lifts")
+    __slots__ = ("conductor", "den", "num", "_terms", "_hash", "_lifts")
 
     def __init__(self, conductor: int, coeffs):
         m = _check_conductor(int(conductor))
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = [Fraction(c) for c in coeffs]
         if len(vec) != _phi(m):
             raise ValueError(f"need phi({m}) = {_phi(m)} coefficients, got {len(vec)}")
-        m, vec = _canonical(m, *_int_parts(vec))
-        self.conductor = m
-        self.coeffs = vec
-        self._hash = None
-        self._lifts = None
+        den = lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        self.conductor, self.den, self.num = _canonical(m, den, num)
+        self._terms = self._hash = self._lifts = None
 
     @classmethod
-    def _make(cls, m: int, vec: tuple[Fraction, ...]) -> "CyclotomicNumber":
+    def _make(cls, m: int, den: int, num: tuple[int, ...]) -> "CyclotomicNumber":
         obj = object.__new__(cls)
-        obj.conductor = m
-        obj.coeffs = vec
-        obj._hash = None
-        obj._lifts = None
+        obj.conductor, obj.den, obj.num = m, den, num
+        obj._terms = obj._hash = obj._lifts = None
         return obj
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coordinates over the power basis of Q(zeta_conductor)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _nz(self) -> tuple[tuple[int, int], ...]:
+        """Nonzero (exponent, numerator) terms; memoized."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = tuple((i, c) for i, c in enumerate(self.num) if c)
+        return terms
 
     def _lifted(self, M: int) -> tuple[int, tuple[int, ...]]:
         """(denominator, integer vector) of this value at conductor M; memoized."""
-        cache = self._lifts
-        if cache is None:
-            cache = {}
-            self._lifts = cache
-        hit = cache.get(M)
+        if self._lifts is None:
+            self._lifts = {}
+        hit = self._lifts.get(M)
         if hit is None:
-            den, vec = _int_parts(self.coeffs)
-            den, out = _lift_int(self.conductor, den, vec, M)
-            hit = (den, tuple(out))
-            cache[M] = hit
+            hit = self._lifts[M] = (self.den, tuple(_image(M, self._nz(), M // self.conductor)))
         return hit
 
     @classmethod
     def from_rational(cls, x) -> "CyclotomicNumber":
-        return cls._make(1, (Fraction(x),))
+        x = x if type(x) is int else Fraction(x)  # an int is its own numerator
+        return cls._make(1, x.denominator, (x.numerator,))
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity zeta_m^k (k arbitrary; the result is canonicalized)."""
         _check_conductor(m)
-        return cls._make(*_canonical(m, 1, _fold(m, [0] * (k % m) + [1])))
+        buf = [0] * m
+        buf[k % m] = 1
+        return _from_buffer(m, 1, buf)
 
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and self.num[0] == 0
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -325,58 +324,44 @@ class CyclotomicNumber:
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"value {self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _common(self, other: "CyclotomicNumber") -> int:
-        m1, m2 = self.conductor, other.conductor
-        m = m1 * m2 // gcd(m1, m2)
-        _check_conductor(m)
-        return m
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._common(other)
-        d1, v1 = _lift_int(self.conductor, *_int_parts(self.coeffs), m)
-        d2, v2 = _lift_int(other.conductor, *_int_parts(other.coeffs), m)
-        vec = [a * d2 + b * d1 for a, b in zip(v1, v2)]
-        return CyclotomicNumber._make(*_canonical(m, d1 * d2, vec))
+        M = _check_conductor(lcm(self.conductor, other.conductor))
+        g = gcd(self.den, other.den)
+        buf = [0] * M
+        for x, scale in ((self, other.den // g), (other, self.den // g)):
+            s = M // x.conductor
+            for i, c in x._nz():
+                buf[i * s] += c * scale
+        return _from_buffer(M, self.den // g * other.den, buf)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber._make(self.conductor, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber._make(self.conductor, self.den, tuple(-c for c in self.num))
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._common(other)
-        d1, v1 = _lift_int(self.conductor, *_int_parts(self.coeffs), m)
-        d2, v2 = _lift_int(other.conductor, *_int_parts(other.coeffs), m)
-        phi = _phi(m)
-        buf = [0] * (2 * phi - 1)
-        for i, a in enumerate(v1):
-            if a:
-                for j, b in enumerate(v2):
-                    if b:
-                        buf[i + j] += a * b
-        return CyclotomicNumber._make(*_canonical(m, d1 * d2, _fold(m, buf)))
+        M = _check_conductor(lcm(self.conductor, other.conductor))
+        buf = [0] * M
+        _mul_into(buf, M, 1, self, other)
+        return _from_buffer(M, self.den * other.den, buf)
 
     __rmul__ = __mul__
 
@@ -385,7 +370,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.conductor == 1:
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0])
+            return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]))
         y = self
         acc = CyclotomicNumber.from_rational(1)
         while y.conductor != 1:
@@ -397,19 +382,15 @@ class CyclotomicNumber:
                 raise InternalCheckError(
                     f"norm of a value at conductor {m} down to Q(z_{mp}) has conductor {y.conductor}"
                 )
-        return acc * (1 / y.coeffs[0])
+        return acc * Fraction(y.den, y.num[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return NotImplemented if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -434,37 +415,29 @@ class CyclotomicNumber:
             return self
         if gcd(k, m) != 1:
             raise ValueError(f"galois exponent {k} is not coprime to the conductor {m}")
-        den, vec = _int_parts(self.coeffs)
-        return CyclotomicNumber._make(*_canonical(m, den, _apply_galois_int(m, vec, k)))
+        # an automorphism of Z[zeta_m] keeps the minimal conductor and the content
+        return CyclotomicNumber._make(m, self.den, tuple(_image(m, self._nz(), k)))
 
     def conjugate(self) -> "CyclotomicNumber":
-        if self.conductor == 1:
-            return self
-        return self.galois(self.conductor - 1)
+        return self.galois(-1)
 
     # -- misc -----------------------------------------------------------------
 
     def to_complex(self) -> complex:
         """Float embedding with zeta_m = exp(2*pi*i/m); display and diagnostics only."""
-        import cmath
-
         z = cmath.exp(2j * cmath.pi / self.conductor)
         acc = 0j
         pw = 1 + 0j
-        for c in self.coeffs:
+        for c in self.num:
             if c:
-                acc += float(c) * pw
+                acc += (c / self.den) * pw
             pw *= z
         return acc
 
     def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [
-                str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                for c in self.coeffs
-            ],
-        }
+        den = self.den
+        coeffs = [str(c) for c in self.num] if den == 1 else [_fmt(c, den) for c in self.num]
+        return {"conductor": self.conductor, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CyclotomicNumber":
@@ -474,37 +447,33 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.conductor, self.den, self.num) == (other.conductor, other.den, other.num)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.conductor, self.coeffs))
+            h = self._hash = hash((self.conductor, self.den, self.num))
         return h
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        return f"CyclotomicNumber({self.conductor}, {[str(c) for c in self.coeffs]})"
+        return f"CyclotomicNumber({self.conductor}, {[_fmt(c, self.den) for c in self.num]})"
 
     def __str__(self):
+        den = self.den
         if self.conductor == 1:
-            return str(self.coeffs[0])
+            return _fmt(self.num[0], den)
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for i, c in self._nz():
+            mono = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
             if i == 0:
-                terms.append(str(c))
+                terms.append(_fmt(c, den))
+            elif abs(c) == den:
+                terms.append(mono if c > 0 else f"-{mono}")
             else:
-                mono = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
+                terms.append(f"{_fmt(c, den)}*{mono}")
         return " + ".join(terms).replace("+ -", "- ")
 
 
@@ -535,37 +504,29 @@ class AbelianField:
         m = _check_conductor(int(conductor))
         stab = sorted({k % m for k in stabilizer}) if m > 1 else [1]
         if m > 1:
-            sset = set(stab)
-            if 1 not in sset:
+            if 1 not in stab:
                 raise ValueError("stabilizer must contain 1")
             for a in stab:
                 if gcd(a, m) != 1:
                     raise ValueError(f"stabilizer element {a} is not a unit mod {m}")
-                for b in stab:
-                    if (a * b) % m not in sset:
-                        raise ValueError("stabilizer is not closed under multiplication")
+            if _span(m, stab)[1] != set(stab):
+                raise ValueError("stabilizer is not closed under multiplication")
         m, stab = self._reduce(m, stab)
         self.conductor = m
         self.stabilizer = tuple(stab)
 
     @staticmethod
     def _reduce(m: int, stab: list[int]) -> tuple[int, list[int]]:
-        changed = True
-        while changed and m > 1:
-            changed = False
-            sset = set(stab)
-            for pr in prime_factors(m):
-                mp = m // pr
-                if all(k in sset for k in _kernel_residues(m, mp)):
-                    if mp == 1:
-                        return 1, [1]
-                    stab = sorted({k % mp for k in stab})
-                    m = mp
-                    changed = True
-                    break
-        if m == 1:
-            stab = [1]
-        return m, stab
+        """Conductor of the fixed field and the stabilizer there, one prime at a time.
+
+        The field lies in Q(zeta_(m/p)) iff every unit that is 1 mod m/p fixes
+        it; a prime that fails at m fails at every divisor of m, as in _canonical.
+        """
+        for pr in prime_factors(m):
+            while m % pr == 0 and set(_kernel_residues(m, m // pr)) <= set(stab):
+                m //= pr
+                stab = sorted({k % m for k in stab})
+        return (m, stab) if m > 1 else (1, [1])
 
     @property
     def degree(self) -> int:
@@ -575,10 +536,10 @@ class AbelianField:
         m = self.conductor
         if m % x.conductor != 0:
             return False
-        _, vec = _lift_int(x.conductor, *_int_parts(x.coeffs), m)
-        return all(
-            k == 1 or _apply_galois_int(m, vec, k) == vec for k in self.stabilizer
-        )
+        s = m // x.conductor
+        terms = [(i * s, c) for i, c in x._nz()]
+        vec = _image(m, terms, 1)
+        return all(k == 1 or _image(m, terms, k) == vec for k in self.stabilizer)
 
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "stabilizer": list(self.stabilizer)}
@@ -603,26 +564,64 @@ class AbelianField:
         return f"AbelianField(conductor={self.conductor}, degree={self.degree})"
 
 
+def _span(m: int, candidates) -> tuple[list[int], set[int]]:
+    """Greedy generators and the elements of the subgroup of (Z/m)^x the candidates span.
+
+    A candidate outside the span so far becomes a generator g, and the span H
+    grows by the cosets g^t H until g^t falls in H; no Galois image is needed.
+    """
+    gens, group = [], {1}
+    for g in candidates:
+        if g not in group:
+            gens.append(g)
+            out, x = set(group), g
+            while x not in group:
+                out.update(h * x % m for h in group)
+                x = x * g % m
+            group = out
+    return gens, group
+
+
+def _stabilizer(m: int, gens, order: int, x: CyclotomicNumber):
+    """Generators and elements of the subgroup of <gens> (of the given order) fixing x.
+
+    Walks the orbit of x, recording for each image a unit u of <gens> that
+    maps x to it; each generator g then gives the Schreier generator
+    g * u / u' of the stabilizer, where u' is the unit recorded for g(u(x)).
+    """
+    mx, terms = x.conductor, x._nz()
+    reps = {x.num: 1}
+    frontier = [1]
+    schreier = set()
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            gu = g * u % m
+            img = tuple(_image(mx, terms, gu % mx))
+            r = reps.get(img)
+            if r is None:
+                reps[img] = gu
+                frontier.append(gu)
+            elif r != gu:
+                schreier.add(gu * pow(r, -1, m) % m)
+    sub_gens, group = _span(m, sorted(schreier))
+    if len(group) * len(reps) != order:
+        raise InternalCheckError(
+            f"orbit-stabilizer at conductor {m}: |orbit| {len(reps)} * |stabilizer| "
+            f"{len(group)} != {order}"
+        )
+    return sub_gens, group
+
+
 def field_of_values(values) -> AbelianField:
     """Smallest abelian field containing every value in the list."""
     vals = list(values)
     if not vals:
         raise ValueError("need at least one value")
-    m = 1
-    for v in vals:
-        m = m * v.conductor // gcd(m, v.conductor)
-    _check_conductor(m)
+    m = _check_conductor(lcm(*(v.conductor for v in vals)))
     if m == 1:
         return AbelianField.rationals()
-    lifted = []
-    for v in vals:
-        if not v.is_rational():
-            _, vec = _lift_int(v.conductor, *_int_parts(v.coeffs), m)
-            lifted.append(vec)
-    stab = [
-        k
-        for k in range(1, m)
-        if gcd(k, m) == 1
-        and all(_apply_galois_int(m, vec, k) == vec for vec in lifted)
-    ]
-    return AbelianField(m, stab)
+    gens, group = _span(m, (k for k in range(2, m) if gcd(k, m) == 1))
+    for x in dict.fromkeys(v for v in vals if v.conductor > 1):
+        gens, group = _stabilizer(m, gens, len(group), x)
+    return AbelianField(m, group)

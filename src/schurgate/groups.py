@@ -158,6 +158,11 @@ class MetacyclicParams:
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p, "n": self.n, "j": self.j, "r": self.r}
 
+    @property
+    def spec(self) -> str:
+        """The group as error messages name it, by the parameters that rebuild it."""
+        return f"group (q, p, n, j) = ({self.q}, {self.p}, {self.n}, {self.j})"
+
     def __str__(self):
         return f"C{self.q}:C{self.pn}(j={self.j})"
 

@@ -193,9 +193,8 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
 
 
 def _where(chi, cls: ConjClass) -> str:
-    G = chi.group
     return (
-        f"group (q, p, n, j) = ({G.q}, {G.p}, {G.n}, {G.j}), "
+        f"{chi.group.spec}, "
         f"character {getattr(chi, 'char_id', 'virtual')}, class rep {tuple(cls.rep)}"
     )
 

@@ -4,13 +4,18 @@ Each one recomputes from the definitions, by enumerating G or with big
 integers, what the package derives in closed form; the group-level ones are
 gated to order <= BRUTE_FORCE_LIMIT.  The L-series ones are the package's
 earlier direct routes: Fourier inversion in CyclotomicNumber arithmetic and
-Dirichlet assembly by one convolution pass per prime.
+Dirichlet assembly by one convolution pass per prime.  The cyclotomic ones
+lift values densely, multiply them schoolbook and reduce by sympy's Phi_M,
+and find a field of values by applying every unit.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
-from schurgate.cyclotomic import CyclotomicNumber, InternalCheckError
+import sympy
+
+from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError
 from schurgate.groups import (
     ConjClass,
     GroupElement,
@@ -158,3 +163,77 @@ def assemble_by_convolution(X: int, local: dict[int, list]) -> DirichletSeries:
                 t *= v
         an = new
     return DirichletSeries(X, tuple(an))
+
+
+@lru_cache(maxsize=None)
+def _dense_cyclo(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Degree of Phi_M and its nonzero terms below the leading one, from sympy."""
+    x = sympy.Symbol("x")
+    coeffs = sympy.Poly(sympy.cyclotomic_poly(M, x), x).all_coeffs()[::-1]
+    return len(coeffs) - 1, tuple((i, int(c)) for i, c in enumerate(coeffs[:-1]) if c)
+
+
+def dense_reduce(M: int, buf: list) -> list:
+    """Coordinates in the power basis of Q(zeta_M) of sum buf[e] * zeta_M^e."""
+    phi, low = _dense_cyclo(M)
+    work = [0] * max(M, len(buf))
+    for e, c in enumerate(buf):
+        work[e % M] += c
+    for e in range(M - 1, phi - 1, -1):
+        c = work[e]
+        if c:
+            for i, a in low:
+                work[e - phi + i] -= c * a
+    return work[:phi]
+
+
+def dense_lift(x: CyclotomicNumber, M: int) -> list:
+    """Rational coordinates of x at conductor M (a multiple of its conductor)."""
+    buf = [0] * M
+    for i, c in enumerate(x.coeffs):
+        buf[i * (M // x.conductor)] = c
+    return dense_reduce(M, buf)
+
+
+def dense_add(x: CyclotomicNumber, y: CyclotomicNumber) -> tuple[int, list]:
+    M = lcm(x.conductor, y.conductor)
+    return M, [a + b for a, b in zip(dense_lift(x, M), dense_lift(y, M))]
+
+
+def dense_mul(x: CyclotomicNumber, y: CyclotomicNumber) -> tuple[int, list]:
+    M = lcm(x.conductor, y.conductor)
+    u, v = dense_lift(x, M), dense_lift(y, M)
+    buf = [0] * (2 * len(u) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            buf[i + j] += a * b
+    return M, dense_reduce(M, buf)
+
+
+def dense_galois(M: int, vec: list, k: int) -> list:
+    """zeta_M -> zeta_M^k applied to coordinates at conductor M."""
+    buf = [0] * M
+    for i, c in enumerate(vec):
+        buf[i * k % M] += c
+    return dense_reduce(M, buf)
+
+
+def field_of_values_all_units(values) -> AbelianField:
+    """Smallest abelian field containing the values: every unit k < m is tried on every value."""
+    vals = list(values)
+    m = lcm(*(v.conductor for v in vals))
+    if m == 1:
+        return AbelianField.rationals()
+    lifted = []
+    for mv, coeffs in {(v.conductor, v.coeffs) for v in vals if v.conductor > 1}:
+        den = lcm(*(c.denominator for c in coeffs))  # integers: the same fixed units
+        buf = [0] * m
+        for i, c in enumerate(coeffs):
+            buf[i * (m // mv)] = int(c * den)
+        lifted.append(dense_reduce(m, buf))
+    stab = [
+        k
+        for k in range(1, m)
+        if gcd(k, m) == 1 and all(dense_galois(m, vec, k) == vec for vec in lifted)
+    ]
+    return AbelianField(m, stab)

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import induce_brute
+from oracles import field_of_values_all_units, induce_brute
 from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
     GroupElement,
     conjugacy_classes,
+    iter_valid_groups,
     make_group,
     subgroup_X,
     tower_subgroups,
@@ -202,6 +203,20 @@ def test_character_field_c7_c9():
 def test_character_field_linear():
     chi = irreducible_characters(G63)[1]
     assert character_field(chi) == field_of_values([C.zeta(9)])
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        pytest.param(lambda: list(iter_valid_groups(300)), id="order<=300"),
+        pytest.param(lambda: [make_group(19, 3, 4), make_group(31, 5, 2), make_group(73, 3, 2)],
+                     id="C19:C81,C31:C25,C73:C9"),
+    ],
+)
+def test_character_field_matches_all_units_oracle(groups):
+    for G in groups():
+        for chi in irreducible_characters(G):
+            assert character_field(chi) == field_of_values_all_units(chi.values), (G, chi)
 
 
 def test_formula_field_matches_on_sweep():

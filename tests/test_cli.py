@@ -6,7 +6,7 @@ import pytest
 
 from schurgate.cli import main
 from schurgate.characters import faithful_characters
-from schurgate.groups import iter_valid_groups
+from schurgate.groups import iter_valid_groups, make_group
 
 
 def run(capsys, *argv):
@@ -240,3 +240,104 @@ def test_series_command_json_is_byte_identical(capsys, command):
     code, out, _ = run(capsys, *shlex.split(command), "--curve", "0,0,0,-1,0", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[command]
+
+
+# sha256 of the stdout of `table` on the two largest benchmark groups,
+# recorded before values moved to (den, ints) storage with exponent-space
+# products and an orbit-stabilizer field_of_values.
+TABLE_SHA256 = {
+    "table -q 31 -p 5 -n 2 -j 16 --format json":
+        "34592e2ec1383742a645f21df5411fed138321d8b94cfb300dadff9e7694f86f",
+    "table -q 31 -p 5 -n 2 -j 16 --format text":
+        "d6078531a4e31a04fed32a6c8f9b0d0ce431fc306185adf1da628ebdbf8631c6",
+    "table -q 73 -p 3 -n 2 -j 8 --format json":
+        "b404297ab3460977f9890972783a30390ed8bcaea0a1223ff42c23f3d3dd293b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_SHA256))
+def test_table_command_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command]
+
+
+# every invariant error names the group by (q, p, n, j) and the characters involved
+C7_C3 = "group (q, p, n, j) = (7, 3, 1, 2)"
+
+
+def test_sweep_orthogonality_error_names_group_and_characters(capsys, monkeypatch):
+    import schurgate.cli as cli
+
+    monkeypatch.setattr(cli, "inner_product", lambda a, b: 2)
+    code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
+    assert code == 3
+    assert C7_C3 in err and "<lin[0], lin[0]> = 2, expected 1" in err
+
+
+def test_sweep_field_error_names_group_and_character(capsys, monkeypatch):
+    import schurgate.cli as cli
+    from schurgate.cyclotomic import AbelianField
+
+    monkeypatch.setattr(cli, "formula_field", lambda G: AbelianField.rationals())
+    code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
+    assert code == 3
+    assert C7_C3 in err and "character field of ind[u=1,w=0]" in err
+
+
+def test_sweep_divisibility_error_names_group_character_and_subgroup(capsys, monkeypatch):
+    import schurgate.cli as cli
+    from schurgate.schur import DivisibilityCheck
+
+    monkeypatch.setattr(
+        cli, "multiplicity_divisibility_check", lambda G, tau, rho: DivisibilityCheck(1, 3, False)
+    )
+    code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
+    assert code == 3
+    assert C7_C3 in err and "ind[u=1,w=0] has multiplicity 1" in err and "of K0" in err
+
+
+def test_table_size_error_names_group(capsys, monkeypatch):
+    import schurgate.characters as characters
+
+    monkeypatch.setattr(characters, "_induced_descriptors", lambda G: iter(()))
+    characters.irreducible_characters.cache_clear()
+    code, _, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert C7_C3 in err and "table size 3 does not match class count 5" in err
+
+
+def test_degree_squares_error_names_group(capsys, monkeypatch):
+    import schurgate.characters as characters
+
+    linear = characters._linear_character
+    monkeypatch.setattr(characters, "_induced_character", lambda G, level, u, w: linear(G, 0))
+    characters.irreducible_characters.cache_clear()
+    code, _, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert C7_C3 in err and "degree squares sum to 5, not the group order 21" in err
+
+
+def test_tensor_error_names_group_and_characters(capsys, monkeypatch):
+    import schurgate.characters as characters
+
+    characters.irreducible_characters(make_group(7, 3, 2, 2))  # the table itself stays intact
+    linear = characters._linear_character
+    monkeypatch.setattr(characters, "_linear_character", lambda G, e: linear(G, e + 1))
+    code, _, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "2", "-j", "2")
+    assert code == 3
+    assert "group (q, p, n, j) = (7, 3, 2, 2)" in err
+    assert "ind[u=1,w=1] = lift1[u=1,w=0] (x) lin[2]" in err
+
+
+def test_decompose_error_names_group_and_character(monkeypatch):
+    from fractions import Fraction
+
+    import schurgate.characters as characters
+    from schurgate.cyclotomic import InternalCheckError
+
+    G = make_group(7, 3, 1, 2)
+    v = characters.VirtualCharacter.of(characters.trivial_character(G))
+    monkeypatch.setattr(characters, "inner_product", lambda a, b: Fraction(1, 2))
+    with pytest.raises(InternalCheckError, match=r"1/2 of lin\[0\].*\(q, p, n, j\) = \(7, 3, 1, 2\)"):
+        v.decompose()

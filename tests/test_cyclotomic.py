@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -15,6 +16,8 @@ from schurgate.cyclotomic import (
     max_conductor,
     _cyclo,
 )
+from schurgate.characters import _weighted_dot
+from oracles import dense_add, dense_galois, dense_lift, dense_mul, field_of_values_all_units
 
 
 def rand_value(rng, m):
@@ -166,6 +169,18 @@ def test_abelian_field_validation():
     assert full == AbelianField.rationals()
 
 
+def test_abelian_field_reduces_to_the_true_conductor():
+    def units(m, keep):
+        return [k for k in range(1, m) if gcd(k, m) == 1 and keep(k)]
+
+    assert AbelianField(27, units(27, lambda k: True)) == AbelianField.rationals()
+    assert AbelianField(63, units(63, lambda k: k % 7 == 1)) == field_of_values([C.zeta(7)])
+    assert AbelianField(225, units(225, lambda k: k % 9 == 1)) == field_of_values([C.zeta(9)])
+    eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)
+    fld = AbelianField(189, units(189, lambda k: k % 7 in (1, 2, 4)))
+    assert fld == field_of_values([eta]) and fld.conductor == 7
+
+
 def test_abelian_field_contains_value():
     eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)
     fld = field_of_values([eta])
@@ -238,3 +253,95 @@ def test_descent_is_independent_of_the_starting_conductor(mc, k):
     x = C(m, coeffs)
     y = sum((c * C.zeta(m * k, i * k) for i, c in enumerate(coeffs)), C.from_rational(0))
     assert (y.conductor, y.coeffs) == (x.conductor, x.coeffs)
+
+
+# -- (den, ints) storage against the dense lift-and-schoolbook oracle -----------
+
+@st.composite
+def value(draw):
+    return C(*draw(conductor_and_coeffs()))
+
+
+@PROPERTY
+@given(value())
+def test_canonical_form_invariants(x):
+    assert x.den >= 1 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+    assert x.conductor == field_of_values([x]).conductor
+
+
+@PROPERTY
+@given(value(), value())
+def test_add_and_mul_match_dense_oracle(x, y):
+    for got, (M, want) in ((x + y, dense_add(x, y)), (x * y, dense_mul(x, y))):
+        assert M % got.conductor == 0
+        assert dense_lift(got, M) == want
+
+
+@PROPERTY
+@given(value(), st.integers(min_value=1, max_value=10 ** 6))
+def test_galois_matches_dense_oracle(x, r):
+    m = x.conductor
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    k = units[r % len(units)]
+    got = x.galois(k)
+    assert got.conductor == m
+    assert list(got.coeffs) == dense_galois(m, list(x.coeffs), k)
+
+
+@PROPERTY
+@given(value())
+def test_to_json_matches_fraction_rendering(x):
+    assert x.to_json() == {"conductor": x.conductor, "coeffs": [str(c) for c in x.coeffs]}
+
+
+@PROPERTY
+@given(value())
+def test_inverse_property(x):
+    if not x.is_zero():
+        assert x * x.inverse() == 1
+
+
+@PROPERTY
+@given(value(), value())
+def test_arithmetic_agrees_with_to_complex(x, y):
+    a, b = x.to_complex(), y.to_complex()
+    assert abs((x + y).to_complex() - (a + b)) < 1e-9
+    assert abs((x * y).to_complex() - a * b) < 1e-9
+    assert abs(x.conjugate().to_complex() - a.conjugate()) < 1e-9
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-3, 3), value(), value()), max_size=3))
+def test_weighted_dot_matches_term_by_term_sum(terms):
+    want = sum((w * x * y for w, x, y in terms), C.from_rational(0))
+    assert _weighted_dot(terms) == want
+
+
+# conductors with p^2 | m (9, 27, 25, 63), p || m (15, 21, 35, 63), m = 2 * odd
+# (6, 10, 30, 42) and primes, in lists of one or two conductors whose lcm
+# keeps the all-units oracle cheap, plus rational-only and mixed lists
+FIELD_CONDUCTORS = (5, 6, 7, 9, 10, 15, 21, 25, 27, 30, 35, 42, 63)
+
+
+def test_field_of_values_matches_all_units_on_random_lists():
+    rng = random.Random(11)
+    lists = [[C.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)]]
+    while len(lists) < 120:
+        ms = rng.sample(FIELD_CONDUCTORS, rng.randint(1, 2))
+        if lcm(*ms) > 210:
+            continue
+        vals = [rand_value(rng, m) for m in ms]
+        vals += [C.zeta(m, rng.randrange(m)) for m in ms if rng.random() < 0.5]
+        if rng.random() < 0.5:  # mixed: rational entries and repeats
+            vals += [C.from_rational(rng.randint(-3, 3)), vals[0]]
+        # the trace over <k> lies in a proper subfield when k is not 1
+        m = ms[0]
+        k = rng.choice([k for k in range(1, m) if gcd(k, m) == 1])
+        trace, u = vals[0], k
+        while u != 1:
+            trace, u = trace + vals[0].galois(u), u * k % m
+        vals.append(trace)
+        lists += [vals, [trace]]
+    for vals in lists:
+        assert field_of_values(vals) == field_of_values_all_units(vals), vals
