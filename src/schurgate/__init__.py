@@ -56,7 +56,6 @@ from .lseries import (
     EulerFactor,
     dirichlet_partial,
     identity_series_check,
-    monomial_model,
     symbolic_twisted_euler_factor,
     twisted_euler_factor,
 )

@@ -491,20 +491,20 @@ def formula_field(G: MetacyclicParams) -> AbelianField:
 
 
 def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
-    """The character of G acting on the cosets G/H (values are rational integers)."""
-    els = H.elements
-    coset_reps = []
-    seen: set[GroupElement] = set()
-    for g in G.elements():
-        if g not in seen:
-            coset_reps.append(g)
-            seen.update(G.mul(g, h) for h in els)
+    """The character of G acting on the cosets G/H (values are rational integers).
+
+    pi(g) = |G| |g^G meet H| / (|g^G| |H|): one pass sorts H into classes.
+    """
+    classes = conjugacy_classes(G)
+    idx = _class_index(G)
+    meet = [0] * len(classes)
+    for h in H.elements:
+        meet[idx[G.class_of(h)]] += 1
     vals = []
-    for c in conjugacy_classes(G):
-        fixed = 0
-        for rep in coset_reps:
-            if G.mul(G.mul(G.inv(rep), c.rep), rep) in els:
-                fixed += 1
+    for c, k in zip(classes, meet):
+        fixed, rem = divmod(G.order * k, c.size * H.order)
+        if rem:
+            raise InternalCheckError(f"permutation character of {H.label} is not an integer ({G.spec})")
         vals.append(CyclotomicNumber.from_rational(fixed))
     return Character(G, vals, ("permutation", H.label))
 

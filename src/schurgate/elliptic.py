@@ -87,7 +87,7 @@ def a_v(E: EllipticCurveQ, v: int) -> int:
         total += 1 if is_sq[rhs] else -1
     trace = -total
     if trace * trace > 4 * v:
-        raise InternalCheckError(f"Hasse bound violated at v = {v}")
+        raise InternalCheckError(f"Hasse bound violated at v = {v} on the curve {E}")
     return trace
 
 

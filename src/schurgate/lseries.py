@@ -1,27 +1,26 @@
 """Twisted Euler factors and truncated Dirichlet series, exactly.
 
-Local factors are det(1 - (A_v (x) tau(g)) T) for A_v with characteristic
-polynomial 1 - a_v T + v T^2.  Eigenvalue pairs (alpha, beta) of A_v are
-never split: for each eigenvalue lambda of tau(g) the factor contributes
-(1 - lambda a_v T + lambda^2 v T^2), keeping every coefficient inside a
-cyclotomic field.  Eigenvalue multiplicities of tau(g) are recovered from
-character values by Fourier inversion on the cyclic group <g>, in integers:
-each value is lifted once to a common conductor, the rotated vectors are
-summed into one integer buffer per eigenvalue and reduced by a single fold.
-An Euler factor depends on the class only through these multiplicities, so
-they are computed once per (character, class), not once per prime.
+Every local factor comes from one trace recursion.  For a matrix M,
+det(1 - M T) = exp(-sum_s tr(M^s) T^s / s) and the local L-series is its
+inverse exp(+sum_s tr(M^s) T^s / s); Newton's identities (``_newton``)
+expand either from the traces, in whatever ring they live in.  Two
+independent trace sources feed it, and the tower identity compares them:
 
-Two independent local-factor routes exist and are cross-checked in tests:
+  * characters: for M = A_v (x) tau(g), tr(M^s) = (alpha^s + beta^s) chi(g^s),
+    with alpha, beta the roots of T^2 - a_v T + v.  Their power sums are
+    integers (or polynomials in formal symbols a, v), so every coefficient
+    stays in Q(zeta); chi(g^s) is read once per (character, class).
+  * residue degrees: a prime of residue degree f over v contributes
+    f (alpha^s + beta^s) to tr_s whenever f | s.  The degrees come from
+    factorization patterns and the compositum splitting formula, with no
+    character theory, and everything stays in the integers.
 
-  * the character route above, driven by conjugacy-class data; and
-  * a pattern route for permutation twists, building L(E/field) locally out
-    of residue degrees obtained from factorization patterns and the
-    compositum splitting formula, with no character theory involved.
-
-Frobenius-class ambiguity (order-q part) is respected: series are only
-assembled when every candidate class yields the same factor, unless the
-caller explicitly picks a candidate.  Candidates with the same element
-order and multiplicities give the same factor, which is then built once.
+Eigenvalue multiplicities of tau(g) come from the same values by integer
+Fourier inversion on <g>, one fold per eigenvalue.  They validate chi at a
+class and key the Frobenius-ambiguity check (order-q part): a series is only
+assembled when every candidate class gives the same one, unless the caller
+picks a candidate.  Candidates with equal element order and multiplicities
+have equal traces and share one series.
 
 Coefficients are assembled multiplicatively over a smallest-prime-factor
 sieve: a_n = a_{v^k} a_t for v = spf(n), n = v^k t and v not dividing t, so
@@ -40,8 +39,8 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold, prime_factors
-from .groups import ConjClass, GroupElement, MetacyclicParams, is_prime
-from .characters import Character, _class_index, quotient_identity_virtual_character
+from .groups import ConjClass, MetacyclicParams, is_prime
+from .characters import _class_index, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
 from .frobenius import FrobeniusDatum, frobenius_datum, poly_discriminant
 
@@ -49,16 +48,10 @@ __all__ = [
     "EulerFactor",
     "DirichletSeries",
     "SymbolicPoly",
-    "monomial_model",
-    "element_matrix",
-    "mat_mul",
-    "mat_pow",
-    "mat_trace",
     "eigenvalue_multiplicities",
     "twisted_euler_factor",
     "symbolic_twisted_euler_factor",
     "cube_of_quadratic_defect",
-    "reciprocal_root_magnitudes",
     "dirichlet_partial",
     "good_primes",
     "identity_series_check",
@@ -67,71 +60,6 @@ __all__ = [
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
-
-
-# ---------------------------------------------------------------------------
-# monomial matrices
-
-def monomial_model(G: MetacyclicParams, tau: Character):
-    """Explicit p^r x p^r matrices for a and b realizing a faithful tau.
-
-    a acts diagonally through zeta_q^{u j^k} over the coset line e_k; b
-    shifts the lines cyclically, picking up the scalar zeta_{p^{n-r}}^w once
-    per full cycle, so b^{p^r} is that scalar times the identity.
-    """
-    if tau.provenance[0] != "induced":
-        raise ValueError("monomial model requires a faithful induced character")
-    _, u, w = tau.provenance
-    pr = G.pr
-    pmr = G.pn // pr
-    Ma = [[_ZERO] * pr for _ in range(pr)]
-    for k in range(pr):
-        Ma[k][k] = CyclotomicNumber.zeta(G.q, u * pow(G.j, k, G.q) % G.q)
-    Mb = [[_ZERO] * pr for _ in range(pr)]
-    for k in range(1, pr):
-        Mb[k - 1][k] = _ONE
-    Mb[pr - 1][0] = CyclotomicNumber.zeta(pmr, w % pmr) if pmr > 1 else _ONE
-    return Ma, Mb
-
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[_ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a.is_zero():
-                continue
-            for j in range(m):
-                b = B[t][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
-
-
-def mat_pow(A, k: int):
-    n = len(A)
-    out = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    base = A
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return out
-
-
-def element_matrix(G: MetacyclicParams, model, g: GroupElement):
-    Ma, Mb = model
-    return mat_mul(mat_pow(Ma, g.x), mat_pow(Mb, g.y))
-
-
-def mat_trace(A) -> CyclotomicNumber:
-    acc = _ZERO
-    for i in range(len(A)):
-        acc = acc + A[i][i]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +83,8 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
     the power-basis vector, so d * den * m_k is the constant term of one
     folded integer buffer, den = lcm(den_i); every other coordinate is 0.
     """
-    G = chi.group
     d = cls.element_order
-    idx = _class_index(G)
-    values = [
-        chi.values[idx[G.class_of(G.power(cls.rep, i))]] for i in range(d)
-    ]
+    values = _powers(chi, cls)
     M = d
     for val in values:
         if not val.is_zero():
@@ -190,6 +114,16 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
             raise InternalCheckError(f"eigenvalue multiplicity is not an integer ({_where(chi, cls)})")
         out.append((k, m))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _powers(chi, cls: ConjClass) -> tuple[CyclotomicNumber, ...]:
+    """chi(g^s) for 0 <= s < d, with g the class representative and d its order."""
+    G = chi.group
+    idx = _class_index(G)
+    return tuple(
+        chi.values[idx[G.class_of(G.power(cls.rep, s))]] for s in range(cls.element_order)
+    )
 
 
 def _where(chi, cls: ConjClass) -> str:
@@ -236,71 +170,69 @@ def _tpoly_str(poly) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _tpoly_mul(a: list, b: list, trunc: int | None = None) -> list:
-    n = len(a) + len(b) - 1 if trunc is None else min(len(a) + len(b) - 1, trunc + 1)
-    out = [_scalar_zero_like(a[0])] * n
+def _tpoly_mul(a: list, b: list) -> list:
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if _is_zero(x):
+        if x.is_zero():
             continue
         for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            if not _is_zero(y):
+            if not y.is_zero():
                 out[i + j] = out[i + j] + x * y
     return out
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero()
+def _newton(traces, kmax: int, sign: int, one) -> list:
+    """c_0..c_kmax of exp(sign * sum_s traces[s] T^s / s), by Newton's identities:
+    c_0 = one and k c_k = sign * sum_{s=1..k} traces[s] c_{k-s}.
 
-
-def _scalar_zero_like(x):
-    if isinstance(x, SymbolicPoly):
-        return SymbolicPoly.zero()
-    return _ZERO
-
-
-def _quadratic_block(zeta_k: CyclotomicNumber, a, v) -> list:
-    """1 - zeta a T + zeta^2 v T^2 with a, v scalars or symbols."""
-    lin = -(zeta_k * a)
-    quad = (zeta_k * zeta_k) * v
-    one = a * 0 + 1 if isinstance(a, SymbolicPoly) else _ONE
-    return [one, lin, quad]
-
-
-def twisted_euler_factor(
-    av: int, v: int, chi, cls: ConjClass, trunc: int | None = None
-) -> EulerFactor:
-    """det(1 - (A_v (x) chi(g)) T) at a good unramified v, exactly.
-
-    A_v is determined only through its symmetric functions a_v and v, so the
-    coefficients stay in Q(zeta).  For a genuine character the degree is
-    2 * chi(1); constant term is 1.
+    With traces[s] = tr(M^s), sign -1 gives det(1 - M T) and sign +1 the
+    L-series 1 / det(1 - M T).  Integer traces give Fractions.
     """
+    c = [one]
+    for k in range(1, kmax + 1):
+        acc = traces[1] * c[k - 1]
+        for s in range(2, k + 1):
+            acc = acc + traces[s] * c[k - s]
+        c.append(acc * Fraction(sign, k))
+    return c
+
+
+def _power_sums(a, v, kmax: int) -> list:
+    """alpha^k + beta^k for 0 <= k <= kmax, alpha + beta = a and alpha beta = v (numbers or symbols)."""
+    s = [2, a]
+    for _ in range(2, kmax + 1):
+        s.append(a * s[-1] - v * s[-2])
+    return s
+
+
+def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
+    """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 0 <= s <= kmax."""
+    pw = _powers(chi, cls)
+    return [sums[s] * pw[s % len(pw)] for s in range(kmax + 1)]
+
+
+def _determinant(chi, cls: ConjClass, a, v, one, refusal: str) -> list:
+    """det(1 - (A_v (x) chi(g)) T) in full, degree 2 chi(1); refused for negative multiplicities."""
     mults = eigenvalue_multiplicities(chi, cls)
     if any(m < 0 for m in mults.values()):
-        raise ValueError("twisted Euler factor of a virtual character with negative parts; "
-                         "use the series machinery instead")
-    d = cls.element_order
-    poly = [_ONE]
-    for k, m in sorted(mults.items()):
-        block = _quadratic_block(CyclotomicNumber.zeta(d, k), CyclotomicNumber.from_rational(av), CyclotomicNumber.from_rational(v))
-        for _ in range(m):
-            poly = _tpoly_mul(poly, block, trunc)
-    return EulerFactor(v, tuple(poly))
+        raise ValueError(refusal)
+    D = 2 * sum(mults.values())
+    return _newton(_traces(_power_sums(a, v, D), chi, cls, D), D, -1, one)
+
+
+def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
+    """det(1 - (A_v (x) chi(g)) T) at a good unramified v, exactly.
+
+    A_v enters only through the power sums of its eigenvalues, integers
+    determined by a_v and v, so the coefficients stay in Q(zeta).  For a
+    genuine character the degree is 2 * chi(1); constant term is 1.
+    """
+    refusal = "twisted Euler factor of a virtual character with negative parts; use the series machinery instead"
+    return EulerFactor(v, tuple(_determinant(chi, cls, av, v, _ONE, refusal)))
 
 
 def untwisted_factor(av: int, v: int) -> EulerFactor:
     return EulerFactor(v, (_ONE, CyclotomicNumber.from_rational(-av), CyclotomicNumber.from_rational(v)))
-
-
-def reciprocal_root_magnitudes(factor: EulerFactor) -> list[float]:
-    """|lambda| for the reciprocal roots of the factor; the one floating utility."""
-    import numpy as np
-
-    coeffs = [c.to_complex() for c in factor.poly]
-    roots = np.roots(list(reversed(coeffs)))
-    return sorted(abs(1.0 / r) for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +350,8 @@ class SymbolicPoly:
 
 def symbolic_twisted_euler_factor(chi, cls: ConjClass) -> list[SymbolicPoly]:
     """The twisted factor with a_v and v left as formal symbols."""
-    mults = eigenvalue_multiplicities(chi, cls)
-    if any(m < 0 for m in mults.values()):
-        raise ValueError("symbolic factor needs a genuine character")
-    d = cls.element_order
     a, v = SymbolicPoly.var_a(), SymbolicPoly.var_v()
-    poly: list[SymbolicPoly] = [SymbolicPoly.scalar(1)]
-    for k, m in sorted(mults.items()):
-        block = _quadratic_block(CyclotomicNumber.zeta(d, k), a, v)
-        for _ in range(m):
-            poly = _tpoly_mul(poly, block)
-    return poly
+    return _determinant(chi, cls, a, v, SymbolicPoly.scalar(1), "symbolic factor needs a genuine character")
 
 
 def cube_of_quadratic_defect(poly: list) -> dict:
@@ -442,18 +365,16 @@ def cube_of_quadratic_defect(poly: list) -> dict:
     """
     if len(poly) != 7:
         raise ValueError("expected a degree-6 polynomial")
-    symbolic = isinstance(poly[1], SymbolicPoly)
     mismatches = {}
     for name, e in (("1", _ONE), ("zeta3", CyclotomicNumber.zeta(3)), ("zeta3^2", CyclotomicNumber.zeta(3, 2))):
         inv3e2 = (CyclotomicNumber.from_rational(3) * e * e).inverse()
         c = poly[1] * inv3e2
         d = (poly[2] - 3 * e * (c * c)) * inv3e2
-        q_poly = [SymbolicPoly.scalar(e) if symbolic else e, c, d]
+        q_poly = [e, c, d]
         cube = _tpoly_mul(_tpoly_mul(q_poly, q_poly), q_poly)
         bad = None
         for i in range(7):
-            lhs = cube[i] if i < len(cube) else _scalar_zero_like(poly[0])
-            if not (lhs - poly[i]).is_zero():
+            if not (cube[i] - poly[i]).is_zero():
                 bad = i
                 break
         if bad is None:
@@ -477,28 +398,6 @@ class DirichletSeries:
 
     def to_json(self) -> dict:
         return {"X": self.X, "an": [c.to_json() for c in self.an[1:]]}
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
-        return self.X == other.X and self.an == other.an
-
-
-def _series_inverse(poly: list, kmax: int) -> list:
-    """Coefficients of 1/poly(T) to order kmax; poly has constant term 1."""
-    out = [_ONE] + [_ZERO] * kmax
-    for k in range(1, kmax + 1):
-        acc = _ZERO
-        for i in range(1, min(k, len(poly) - 1) + 1):
-            if not poly[i].is_zero() and not out[k - i].is_zero():
-                acc = acc + poly[i] * out[k - i]
-        out[k] = -acc
-    return out
-
-
-def _local_expansion(num: list, den: list, kmax: int) -> list:
-    inv = _series_inverse(den, kmax)
-    return _tpoly_mul(num, inv, kmax)
 
 
 def _assemble(X: int, local: dict[int, list]) -> DirichletSeries:
@@ -557,8 +456,8 @@ def good_primes(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int) ->
 
 def _resolve_local_factor(
     chi, datum: FrobeniusDatum, av: int, v: int, kmax: int, on_ambiguous: str
-) -> tuple[list, list]:
-    """(num, den) of the local L-factor of a (virtual) character twist."""
+) -> list:
+    """b_0..b_kmax of the local L-series of a (virtual) character twist at v."""
     candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
     if datum.conj_class is None and on_ambiguous == "error":
         raise ValueError(
@@ -567,32 +466,18 @@ def _resolve_local_factor(
         )
     if datum.conj_class is None and on_ambiguous == "first":
         candidates = [candidates[0]]
-    data = [(cls.element_order, eigenvalue_multiplicities(chi, cls)) for cls in candidates]
-    if all(x == data[0] for x in data[1:]):
-        data = data[:1]  # every candidate gives the same factor
-    factors = []
-    for d, mults in data:
-        num = [_ONE]
-        den = [_ONE]
-        for k, m in sorted(mults.items()):
-            block = _quadratic_block(
-                CyclotomicNumber.zeta(d, k),
-                CyclotomicNumber.from_rational(av),
-                CyclotomicNumber.from_rational(v),
-            )
-            for _ in range(abs(m)):
-                if m > 0:
-                    den = _tpoly_mul(den, block, kmax)
-                else:
-                    num = _tpoly_mul(num, block, kmax)
-        factors.append((tuple(c for c in num), tuple(c for c in den)))
-    first = factors[0]
-    if any(f != first for f in factors[1:]):
+    # the multiplicities validate chi at every candidate; equal ones give equal traces
+    distinct: dict = {}
+    for cls in candidates:
+        distinct.setdefault((cls.element_order, _multiplicities(chi, cls)), cls)
+    sums = _power_sums(av, v, kmax)
+    series = [_newton(_traces(sums, chi, cls, kmax), kmax, 1, _ONE) for cls in distinct.values()]
+    if any(b != series[0] for b in series[1:]):
         raise ValueError(
             f"Frobenius ambiguity at v={v} changes the factor; pass an explicit "
             f"class choice (candidates {[list(c.rep) for c in datum.candidates]})"
         )
-    return list(first[0]), list(first[1])
+    return series[0]
 
 
 def dirichlet_partial(
@@ -616,39 +501,13 @@ def dirichlet_partial(
         raise ValueError("X capped at 10^5")
     local = {}
     for v in good_primes(E, field_coeffs, G, X):
-        kmax = _kmax(v, X)
         datum = frobenius_datum(field_coeffs, G, v)
-        av = a_v(E, v)
-        num, den = _resolve_local_factor(chi, datum, av, v, kmax, on_ambiguous)
-        local[v] = _local_expansion(num, den, kmax)
+        local[v] = _resolve_local_factor(chi, datum, a_v(E, v), v, _kmax(v, X), on_ambiguous)
     return _assemble(X, local)
 
 
 # ---------------------------------------------------------------------------
 # the tower identity, coefficient by coefficient
-
-def _sym_power_sums(av: int, v: int, fmax: int) -> list[int]:
-    """s_f = alpha^f + beta^f for the Frobenius eigenvalue pair, integer recursion."""
-    s = [2, av]
-    for _ in range(2, fmax + 1):
-        s.append(av * s[-1] - v * s[-2])
-    return s
-
-
-def field_local_factor(av: int, v: int, degrees: list[tuple[int, int]], kmax: int) -> list:
-    """Local factor of L(E/field) from residue degrees [(f, count), ...]."""
-    fmax = max((f for f, _ in degrees), default=1)
-    s = _sym_power_sums(av, v, fmax)
-    poly = [_ONE]
-    for f, count in degrees:
-        block = [_ZERO] * (2 * f + 1)
-        block[0] = _ONE
-        block[f] = CyclotomicNumber.from_rational(-s[f])
-        block[2 * f] = CyclotomicNumber.from_rational(pow(v, f))
-        for _ in range(count):
-            poly = _tpoly_mul(poly, block, kmax)
-    return poly
-
 
 def tower_residue_degrees(G: MetacyclicParams, datum: FrobeniusDatum, kind: str, level: int) -> list[tuple[int, int]]:
     """Residue degrees over v in a tower field, from pattern + cyclotomic data.
@@ -669,6 +528,26 @@ def tower_residue_degrees(G: MetacyclicParams, datum: FrobeniusDatum, kind: str,
         f = d * fk // gcd(d, fk)
         out[f] = out.get(f, 0) + gcd(d, fk) * (pk // fk)
     return sorted(out.items())
+
+
+def _tower_series(G: MetacyclicParams, datum: FrobeniusDatum, av: int, v: int, kmax: int) -> list:
+    """b_0..b_kmax of L(E/F_n) L(E/K_{n-1}) / (L(E/K_n) L(E/F_{n-1})) at v, from residue degrees.
+
+    Each prime of residue degree f over v contributes f (alpha^s + beta^s) to
+    tr_s for f | s, with sign +1 in the numerator fields and -1 in the
+    denominator ones.  The traces are integers, and so is the series.
+    """
+    n = G.n
+    sums = _power_sums(av, v, kmax)
+    traces = [0] * (kmax + 1)
+    for kind, level, sign in (("F", n, 1), ("K", n - 1, 1), ("K", n, -1), ("F", n - 1, -1)):
+        for f, count in tower_residue_degrees(G, datum, kind, level):
+            for s in range(f, kmax + 1, f):
+                traces[s] += sign * count * f * sums[s]
+    series = _newton(traces, kmax, 1, 1)
+    if any(b.denominator != 1 for b in series):
+        raise InternalCheckError(f"tower local series is not integral at v = {v} ({G.spec})")
+    return [CyclotomicNumber.from_rational(b) for b in series]
 
 
 @dataclass(frozen=True)
@@ -703,7 +582,6 @@ def identity_series_check(
     class ambiguity, which is verified, not assumed.
     """
     qi = quotient_identity_virtual_character(G)
-    n = G.n
     lhs_local = {}
     rhs_local = {}
     primes = good_primes(E, field_coeffs, G, X)
@@ -711,15 +589,8 @@ def identity_series_check(
         kmax = _kmax(v, X)
         datum = frobenius_datum(field_coeffs, G, v)
         av = a_v(E, v)
-        p_fn = field_local_factor(av, v, tower_residue_degrees(G, datum, "F", n), kmax)
-        p_kn1 = field_local_factor(av, v, tower_residue_degrees(G, datum, "K", n - 1), kmax)
-        p_kn = field_local_factor(av, v, tower_residue_degrees(G, datum, "K", n), kmax)
-        p_fn1 = field_local_factor(av, v, tower_residue_degrees(G, datum, "F", n - 1), kmax)
-        lhs_local[v] = _local_expansion(
-            _tpoly_mul(p_kn, p_fn1, kmax), _tpoly_mul(p_fn, p_kn1, kmax), kmax
-        )
-        num, den = _resolve_local_factor(qi.rhs, datum, av, v, kmax, "invariant")
-        rhs_local[v] = _local_expansion(num, den, kmax)
+        lhs_local[v] = _tower_series(G, datum, av, v, kmax)
+        rhs_local[v] = _resolve_local_factor(qi.rhs, datum, av, v, kmax, "invariant")
     lhs = _assemble(X, lhs_local)
     rhs = _assemble(X, rhs_local)
     mismatch = next((i for i in range(1, X + 1) if lhs.an[i] != rhs.an[i]), None)

@@ -82,7 +82,7 @@ def prediction_report(
     m = rep.global_index
     count = faithful_count(G)
     if len(faithful_descriptors(G)) != count:
-        raise InternalCheckError("faithful character count formula disagrees with the enumeration")
+        raise InternalCheckError(f"faithful character count formula disagrees with the enumeration ({G.spec})")
     if m == 1:
         return PredictionReport(
             group=G,

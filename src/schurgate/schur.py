@@ -112,7 +112,9 @@ def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
     f = 1 if d == 1 else multiplicative_order(q % d, d)
     # v_p(q^f - 1) = v_p(q - 1) + v_p(f) for odd p once q = 1 mod p
     if q % p != 1:
-        raise InternalCheckError("action of order p^r requires q = 1 mod p")
+        raise InternalCheckError(
+            f"action of order p^r requires q = 1 mod p ((q, p, n, r) = {(q, p, n, r)})"
+        )
     V = vp(q - 1, p) + vp(f, p)
     e_val = min(r, V)  # e = gcd(p^r, q^f - 1) = p^e_val
     nd_val = V - (n - r)  # v_p((q^f - 1)/d)
@@ -125,6 +127,11 @@ def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
         "class_order": p ** index_val,
     }
     return p ** index_val, details
+
+
+def _violation(G: MetacyclicParams, psi: PsiDescriptor, what: str) -> InternalCheckError:
+    """An invariant violation that names the character and the group reproducing it."""
+    return InternalCheckError(f"{what} ({psi.char_id}, {G.spec})")
 
 
 def _faithful_psi(G: MetacyclicParams, tau: Character | PsiDescriptor) -> PsiDescriptor:
@@ -150,7 +157,7 @@ def local_index(
         pmr = G.pn // G.pr
         dual = (-psi.u % G.q, -psi.w % pmr)
         if dual in {(psi.u * h % G.q, psi.w % pmr) for h in _subgroup_H(G)}:
-            raise InternalCheckError("faithful character of an odd-order group is self-dual")
+            raise _violation(G, psi, "faithful character of an odd-order group is self-dual")
         return LocalIndexReport("inf", 1, REASON_INFINITY, {"self_dual": False})
     ell = int(place)
     if ell == G.q:
@@ -159,10 +166,10 @@ def local_index(
     if ell == G.p:
         eigs = {psi.u * pow(G.j, k, G.q) % G.q for k in range(G.pr)}
         if len(eigs) != G.pr:
-            raise InternalCheckError("tau(a) does not have p^r distinct eigenvalues")
+            raise _violation(G, psi, "tau(a) does not have p^r distinct eigenvalues")
         return LocalIndexReport(ell, 1, REASON_MOD_P, {"distinct_eigenvalues": len(eigs)})
     if G.order % ell == 0:
-        raise InternalCheckError("|G| = q * p^n has no prime factors besides p and q")
+        raise _violation(G, psi, f"{ell} divides |G| = q * p^n but is neither p nor q")
     return LocalIndexReport(ell, 1, REASON_COPRIME, {})
 
 
@@ -181,11 +188,9 @@ def global_index(G: MetacyclicParams, tau: Character | PsiDescriptor) -> GlobalI
     for entry in locs:
         g = g * entry.index // gcd(g, entry.index)
     if (g == 1) != ((G.q - 1) % G.pn == 0):
-        raise InternalCheckError(
-            f"index {g} contradicts the p^n | q-1 criterion for {G}"
-        )
+        raise _violation(G, psi, f"index {g} contradicts the p^n | q-1 criterion")
     if G.pr % g != 0:
-        raise InternalCheckError("global Schur index does not divide the dimension")
+        raise _violation(G, psi, f"global Schur index {g} does not divide the dimension {G.pr}")
     return GlobalIndexReport(
         group=G,
         character_id=psi.char_id,
@@ -200,11 +205,11 @@ def norm_criterion(G: MetacyclicParams, tau: Character | PsiDescriptor) -> bool:
 
     Must coincide with p^n | q - 1; disagreement raises.
     """
-    _faithful_psi(G, tau)
+    psi = _faithful_psi(G, tau)
     order, _ = qadic_class_order(G.q, G.p, G.n, G.r)
     is_norm = order == 1
     if is_norm != ((G.q - 1) % G.pn == 0):
-        raise InternalCheckError("norm criterion disagrees with the p^n | q-1 test")
+        raise _violation(G, psi, "norm criterion disagrees with the p^n | q-1 test")
     return is_norm
 
 
@@ -227,12 +232,13 @@ def multiplicity_divisibility_check(
     always holds for rationally realizable characters; a False outcome
     signals an internal error upstream, not a mathematical finding.
     """
-    _faithful_psi(G, tau)
+    psi = _faithful_psi(G, tau)
     if not all(v.is_rational() for v in rho.values):
         raise ValueError("not a rational character")
     mult = inner_product(rho, tau)
     if mult.denominator != 1:
-        raise InternalCheckError("multiplicity of an irreducible must be an integer")
+        where = getattr(rho, "provenance", "a virtual character")
+        raise _violation(G, psi, f"multiplicity {mult} in {where} must be an integer")
     modulus = global_index(G, tau).global_index
     m = int(mult)
     return DivisibilityCheck(m, modulus, m % modulus == 0)

@@ -3,10 +3,13 @@
 Each one recomputes from the definitions, by enumerating G or with big
 integers, what the package derives in closed form; the group-level ones are
 gated to order <= BRUTE_FORCE_LIMIT.  The L-series ones are the package's
-earlier direct routes: Fourier inversion in CyclotomicNumber arithmetic and
-Dirichlet assembly by one convolution pass per prime.  The cyclotomic ones
-lift values densely, multiply them schoolbook and reduce by sympy's Phi_M,
-and find a field of values by applying every unit.
+earlier direct routes: Fourier inversion in CyclotomicNumber arithmetic,
+Dirichlet assembly by one convolution pass per prime, local factors as
+products of quadratic blocks (one per eigenvalue, or one per residue degree)
+expanded by power-series inversion, and explicit monomial matrices for a
+faithful character.  The cyclotomic ones lift values densely, multiply them
+schoolbook and reduce by sympy's Phi_M, and find a field of values by
+applying every unit.
 """
 
 from fractions import Fraction
@@ -25,7 +28,7 @@ from schurgate.groups import (
     subgroup_X,
 )
 from schurgate.characters import Character, PsiDescriptor, _class_index, psi_value
-from schurgate.lseries import DirichletSeries
+from schurgate.lseries import DirichletSeries, EulerFactor
 
 BRUTE_FORCE_LIMIT = 10 ** 4
 
@@ -113,6 +116,30 @@ def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
     e = gcd(p ** r, N)
     assert N % d == 0
     return e // gcd(e, N // d)
+
+
+def permutation_character_brute(G: MetacyclicParams, H) -> Character:
+    """The character of G on the cosets G/H, by enumerating the cosets; test oracle.
+
+    g fixes the coset xH iff g lies in its stabilizer x H x^-1, so each class
+    representative is counted once per coset stabilizer it lies in.
+    """
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    els = H.elements
+    index = {c.rep: i for i, c in enumerate(conjugacy_classes(G))}
+    fixed = [0] * len(index)
+    seen: set[GroupElement] = set()
+    for x in G.elements():
+        if x in seen:
+            continue
+        seen.update(G.mul(x, h) for h in els)
+        x_inv = G.inv(x)
+        for h in els:
+            i = index.get(G.mul(G.mul(x, h), x_inv))
+            if i is not None:
+                fixed[i] += 1
+    return Character(G, [CyclotomicNumber.from_rational(f) for f in fixed], ("permutation", H.label))
 
 
 def eigenvalue_multiplicities_direct(chi, cls: ConjClass) -> dict[int, int]:
@@ -237,3 +264,150 @@ def field_of_values_all_units(values) -> AbelianField:
         if gcd(k, m) == 1 and all(dense_galois(m, vec, k) == vec for vec in lifted)
     ]
     return AbelianField(m, stab)
+
+
+# -- local factors as block products ------------------------------------------
+
+def tpoly_mul(a: list, b: list, trunc: int | None = None) -> list:
+    """Product of two T-polynomials, cut off above T^trunc when trunc is given."""
+    n = len(a) + len(b) - 1 if trunc is None else min(len(a) + len(b) - 1, trunc + 1)
+    out = [a[0] * 0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def quadratic_block(zeta_k: CyclotomicNumber, av: int, v: int) -> list:
+    """1 - zeta a_v T + zeta^2 v T^2: the factor of one eigenvalue zeta of tau(g)."""
+    return [_ONE, -(zeta_k * av), zeta_k * zeta_k * v]
+
+
+def block_euler_factor(av: int, v: int, d: int, mults: dict[int, int]) -> EulerFactor:
+    """det(1 - (A_v (x) tau(g)) T) as the product of m_k blocks per eigenvalue zeta_d^k."""
+    poly = [_ONE]
+    for k, m in sorted(mults.items()):
+        for _ in range(m):
+            poly = tpoly_mul(poly, quadratic_block(CyclotomicNumber.zeta(d, k), av, v))
+    return EulerFactor(v, tuple(poly))
+
+
+def block_local_factor(av: int, v: int, d: int, mults: dict[int, int], kmax: int) -> tuple:
+    """(num, den) mod T^(kmax+1) of the local factor of a virtual character: blocks with
+    positive multiplicity go to the denominator, negative ones to the numerator."""
+    num, den = [_ONE], [_ONE]
+    for k, m in sorted(mults.items()):
+        block = quadratic_block(CyclotomicNumber.zeta(d, k), av, v)
+        for _ in range(abs(m)):
+            if m > 0:
+                den = tpoly_mul(den, block, kmax)
+            else:
+                num = tpoly_mul(num, block, kmax)
+    return tuple(num), tuple(den)
+
+
+def series_inverse(poly: list, kmax: int) -> list:
+    """Coefficients of 1/poly(T) to order kmax; poly has constant term 1."""
+    out = [_ONE] + [_ZERO] * kmax
+    for k in range(1, kmax + 1):
+        acc = _ZERO
+        for i in range(1, min(k, len(poly) - 1) + 1):
+            acc = acc + poly[i] * out[k - i]
+        out[k] = -acc
+    return out
+
+
+def local_expansion(num: list, den: list, kmax: int) -> list:
+    """num / den as a power series to order kmax."""
+    return tpoly_mul(list(num), series_inverse(list(den), kmax), kmax)
+
+
+def field_local_factor(av: int, v: int, degrees: list[tuple[int, int]], kmax: int) -> list:
+    """Local factor of L(E/field)^-1 from residue degrees [(f, count), ...], mod T^(kmax+1)."""
+    fmax = max((f for f, _ in degrees), default=1)
+    s = [2, av]
+    for _ in range(2, fmax + 1):
+        s.append(av * s[-1] - v * s[-2])
+    poly = [_ONE]
+    for f, count in degrees:
+        block = [_ZERO] * (2 * f + 1)
+        block[0] = _ONE
+        block[f] = CyclotomicNumber.from_rational(-s[f])
+        block[2 * f] = CyclotomicNumber.from_rational(pow(v, f))
+        for _ in range(count):
+            poly = tpoly_mul(poly, block, kmax)
+    return poly
+
+
+# -- monomial matrices for a faithful character -------------------------------
+
+def monomial_model(G: MetacyclicParams, tau: Character):
+    """Explicit p^r x p^r matrices for a and b realizing a faithful tau.
+
+    a acts diagonally through zeta_q^{u j^k} over the coset line e_k; b
+    shifts the lines cyclically, picking up the scalar zeta_{p^{n-r}}^w once
+    per full cycle, so b^{p^r} is that scalar times the identity.
+    """
+    if tau.provenance[0] != "induced":
+        raise ValueError("monomial model requires a faithful induced character")
+    _, u, w = tau.provenance
+    pr = G.pr
+    pmr = G.pn // pr
+    Ma = [[_ZERO] * pr for _ in range(pr)]
+    for k in range(pr):
+        Ma[k][k] = CyclotomicNumber.zeta(G.q, u * pow(G.j, k, G.q) % G.q)
+    Mb = [[_ZERO] * pr for _ in range(pr)]
+    for k in range(1, pr):
+        Mb[k - 1][k] = _ONE
+    Mb[pr - 1][0] = CyclotomicNumber.zeta(pmr, w % pmr) if pmr > 1 else _ONE
+    return Ma, Mb
+
+
+def mat_mul(A, B):
+    n, m, k = len(A), len(B[0]), len(B)
+    out = [[_ZERO] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            a = A[i][t]
+            if a.is_zero():
+                continue
+            for j in range(m):
+                b = B[t][j]
+                if not b.is_zero():
+                    out[i][j] = out[i][j] + a * b
+    return out
+
+
+def mat_pow(A, k: int):
+    n = len(A)
+    out = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    base = A
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
+    return out
+
+
+def element_matrix(G: MetacyclicParams, model, g: GroupElement):
+    Ma, Mb = model
+    return mat_mul(mat_pow(Ma, g.x), mat_pow(Mb, g.y))
+
+
+def mat_trace(A) -> CyclotomicNumber:
+    acc = _ZERO
+    for i in range(len(A)):
+        acc = acc + A[i][i]
+    return acc
+
+
+def reciprocal_root_magnitudes(factor: EulerFactor) -> list[float]:
+    """|lambda| for the reciprocal roots of the factor, in floating point."""
+    import numpy as np
+
+    coeffs = [c.to_complex() for c in factor.poly]
+    roots = np.roots(list(reversed(coeffs)))
+    return sorted(abs(1.0 / r) for r in roots)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import field_of_values_all_units, induce_brute
-from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
+from oracles import field_of_values_all_units, induce_brute, permutation_character_brute
+from schurgate.cyclotomic import CyclotomicNumber as C, InternalCheckError, field_of_values
 from schurgate.groups import (
     GroupElement,
+    Subgroup,
     conjugacy_classes,
     iter_valid_groups,
     make_group,
@@ -236,6 +237,20 @@ def test_permutation_character_rationality_and_tower():
         for tau in irreducible_characters(G):
             m = inner_product(perm, tau)
             assert m.denominator == 1 and m >= 0
+
+
+def test_permutation_character_matches_coset_enumeration():
+    for G in iter_valid_groups(700):
+        for sub in tower_subgroups(G) + [subgroup_X(G)]:
+            assert permutation_character(G, sub) == permutation_character_brute(G, sub)
+
+
+def test_permutation_character_error_names_group_and_subgroup():
+    # {1, b} is not a subgroup: the identity would fix 21/2 cosets
+    bogus = Subgroup("bogus", (), frozenset({GroupElement(0, 0), GroupElement(0, 1)}))
+    with pytest.raises(InternalCheckError, match="bogus is not an integer") as err:
+        permutation_character(G21, bogus)
+    assert "(7, 3, 1, 2)" in str(err.value)
 
 
 def test_quotient_identity_holds_both_towers():

@@ -160,6 +160,7 @@ def test_predict_invariant_violation_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(predictions, "faithful_count", lambda G: -1)  # impossible count
     code, _, err = run(capsys, "predict", "-q", "7", "-p", "3", "-n", "2")
     assert code == 3 and "invariant" in err
+    assert "disagrees with the enumeration (group (q, p, n, j) = (7, 3, 2, 2))" in err
 
 
 def test_schur_all_ids_follow_table_order(capsys):
@@ -341,3 +342,100 @@ def test_decompose_error_names_group_and_character(monkeypatch):
     monkeypatch.setattr(characters, "inner_product", lambda a, b: Fraction(1, 2))
     with pytest.raises(InternalCheckError, match=r"1/2 of lin\[0\].*\(q, p, n, j\) = \(7, 3, 1, 2\)"):
         v.decompose()
+
+
+def test_import_cli_leaves_numpy_out():
+    import subprocess
+    import sys
+
+    probe = "import sys, schurgate.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_qadic_class_order_error_names_parameters():
+    from schurgate.cyclotomic import InternalCheckError
+    from schurgate.schur import qadic_class_order
+
+    with pytest.raises(InternalCheckError, match=r"\(q, p, n, r\) = \(11, 3, 1, 1\)"):
+        qadic_class_order(11, 3, 1, 1)  # 11 = 2 mod 3: no action of order 3
+
+
+def test_self_dual_error_names_group_and_character(capsys, monkeypatch):
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "_subgroup_H", lambda G: [1, G.q - 1])  # -1 in H makes tau self-dual
+    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert "faithful character of an odd-order group is self-dual (ind[u=1,w=0], " + C7_C3 in err
+
+
+def test_mod_p_eigenvalue_error_names_group_and_character(capsys, monkeypatch):
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "pow", lambda b, e, m: 1, raising=False)  # j^k = 1: one eigenvalue
+    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert "p^r distinct eigenvalues (ind[u=1,w=0], " + C7_C3 in err
+
+
+def test_place_error_names_group_character_and_place():
+    from schurgate.characters import one_faithful_descriptor
+    from schurgate.cyclotomic import InternalCheckError
+    from schurgate.schur import local_index
+
+    G = make_group(7, 3, 1, 2)
+    with pytest.raises(InternalCheckError, match="21 divides") as err:
+        local_index(G, one_faithful_descriptor(G), 21)  # not a prime: it divides |G| = 21
+    assert C7_C3 in str(err.value) and "ind[u=1,w=0]" in str(err.value)
+
+
+def test_index_criterion_error_names_group_and_character(capsys, monkeypatch):
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "qadic_class_order", lambda *a: (3, {}))  # 3 | 7 - 1: the index is 1
+    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert "index 3 contradicts the p^n | q-1 criterion (ind[u=1,w=0], " + C7_C3 in err
+
+
+def test_index_dimension_error_names_group_and_character(capsys, monkeypatch):
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "qadic_class_order", lambda *a: (9, {}))  # tau has dimension 3
+    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "2")
+    assert code == 3
+    assert "index 9 does not divide the dimension 3 (ind[u=1,w=1], group (q, p, n, j) = (7, 3, 2, 2))" in err
+
+
+def test_norm_criterion_error_names_group_and_character(monkeypatch):
+    import schurgate.schur as schur
+    from schurgate.characters import one_faithful_descriptor
+    from schurgate.cyclotomic import InternalCheckError
+
+    G = make_group(7, 3, 1, 2)
+    monkeypatch.setattr(schur, "qadic_class_order", lambda *a: (3, {}))
+    with pytest.raises(InternalCheckError, match="norm criterion disagrees") as err:
+        schur.norm_criterion(G, one_faithful_descriptor(G))
+    assert "(ind[u=1,w=0], " + C7_C3 in str(err.value)
+
+
+def test_divisibility_multiplicity_error_names_group_and_characters(capsys, monkeypatch):
+    from fractions import Fraction
+
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "inner_product", lambda a, b: Fraction(1, 2))
+    code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
+    assert code == 3
+    assert "multiplicity 1/2 in ('permutation', 'K0') must be an integer (ind[u=1,w=0], " + C7_C3 in err
+
+
+def test_hasse_bound_error_names_curve_and_prime(capsys, monkeypatch):
+    import schurgate.elliptic as elliptic
+
+    # every residue a square: the count comes out far above the Hasse bound
+    monkeypatch.setattr(elliptic, "bytearray", lambda n: bytearray(b"\x01" * n), raising=False)
+    code, _, err = run(capsys, "euler", "--curve", "0,0,0,-1,0", "-v", "101", "--trivial", "-n", "1")
+    assert code == 3
+    assert "Hasse bound violated at v = 101 on the curve [0,0,0,-1,0]" in err

@@ -5,7 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import assemble_by_convolution, eigenvalue_multiplicities_direct
+from oracles import (
+    assemble_by_convolution,
+    block_euler_factor,
+    block_local_factor,
+    eigenvalue_multiplicities_direct,
+    element_matrix,
+    field_local_factor,
+    local_expansion,
+    mat_mul,
+    mat_pow,
+    mat_trace,
+    monomial_model,
+    reciprocal_root_magnitudes,
+    tpoly_mul,
+)
 from schurgate.cyclotomic import InternalCheckError
 from schurgate.cyclotomic import CyclotomicNumber as C
 from schurgate.groups import GroupElement, conjugacy_classes, make_group, tower_subgroups
@@ -26,22 +40,19 @@ from schurgate.lseries import (
     cube_of_quadratic_defect,
     dirichlet_partial,
     eigenvalue_multiplicities,
-    element_matrix,
-    field_local_factor,
     good_primes,
     identity_series_check,
-    mat_mul,
-    mat_pow,
-    mat_trace,
-    monomial_model,
-    reciprocal_root_magnitudes,
     symbolic_twisted_euler_factor,
     tower_residue_degrees,
     twisted_euler_factor,
     untwisted_factor,
     _assemble,
     _kmax,
+    _newton,
+    _power_sums,
     _resolve_local_factor,
+    _tower_series,
+    _traces,
 )
 
 E_MINUS_X = EllipticCurveQ.from_list([0, 0, 0, -1, 0])
@@ -214,11 +225,7 @@ def test_perm_character_series_matches_pattern_route():
             datum = frobenius_datum(EXAMPLE_F1, G63, v)
             degs = tower_residue_degrees(G63, datum, kind, level)
             poly = field_local_factor(a_v(E_MINUS_X, v), v, degs, kmax)
-            from schurgate.lseries import _local_expansion
-
-            local[v] = _local_expansion([C.from_rational(1)], poly, kmax)
-        from schurgate.lseries import _assemble
-
+            local[v] = local_expansion([C.from_rational(1)], poly, kmax)
         via_pattern = _assemble(X, local)
         assert via_char == via_pattern
 
@@ -236,8 +243,8 @@ def test_ambiguous_class_handling():
     from schurgate.characters import quotient_identity_virtual_character
 
     rhs = quotient_identity_virtual_character(G63).rhs
-    num, den = _resolve_local_factor(rhs, datum, a_v(E_MINUS_X, 53), 53, 2, "invariant")
-    assert den[0] == C.from_rational(1)
+    series = _resolve_local_factor(rhs, datum, a_v(E_MINUS_X, 53), 53, 2, "invariant")
+    assert series[0] == C.from_rational(1)
 
 
 def test_identity_series_both_towers():
@@ -350,3 +357,117 @@ def test_sieve_assembly_matches_convolution(X):
     for _ in range(2):
         local = _random_local(rng, X)
         assert _assemble(X, local) == assemble_by_convolution(X, local)
+
+
+# -- the trace recursion against the block-product route ------------------------
+
+NEWTON_GROUPS = [make_group(7, 3, 1), make_group(7, 3, 2), make_group(13, 3, 2), make_group(19, 3, 2)]
+# (a_v, v) on y^2 = x^3 - x, including the supersingular a_v = 0 at v = 3 mod 4
+FROBENIUS_PAIRS = [(a_v(E_MINUS_X, v), v) for v in (5, 11, 13, 19)]
+
+
+def _characters_and_rhs(G):
+    return list(irreducible_characters(G)) + [quotient_identity_virtual_character(G).rhs]
+
+
+def test_frobenius_pairs_include_supersingular():
+    assert [av for av, v in FROBENIUS_PAIRS if v % 4 == 3] == [0, 0]
+
+
+@pytest.mark.parametrize("G", NEWTON_GROUPS, ids=str)
+def test_newton_series_matches_block_products(G):
+    expected = {}  # the blocks see only (d, multiplicities): expand each distinct input once
+    for chi in _characters_and_rhs(G):
+        for cls in conjugacy_classes(G):
+            mults = eigenvalue_multiplicities(chi, cls)
+            for av, v in FROBENIUS_PAIRS:
+                key = (cls.element_order, tuple(sorted(mults.items())), v)
+                if key not in expected:
+                    num, den = block_local_factor(av, v, cls.element_order, mults, 4)
+                    expected[key] = local_expansion(num, den, 4)
+                for kmax in range(1, 5):
+                    series = _newton(_traces(_power_sums(av, v, kmax), chi, cls, kmax), kmax, 1, C.from_rational(1))
+                    assert series == expected[key][: kmax + 1]
+
+
+@pytest.mark.parametrize("G", NEWTON_GROUPS, ids=str)
+def test_twisted_euler_factor_matches_block_product(G):
+    for chi in irreducible_characters(G):
+        for cls in conjugacy_classes(G):
+            mults = eigenvalue_multiplicities(chi, cls)
+            for av, v in FROBENIUS_PAIRS:
+                assert twisted_euler_factor(av, v, chi, cls) == block_euler_factor(av, v, cls.element_order, mults)
+
+
+def test_symbolic_factor_matches_block_product_at_every_class():
+    a, v = SymbolicPoly.var_a(), SymbolicPoly.var_v()
+    for G in NEWTON_GROUPS[:3]:
+        tau = one_faithful_character(G)
+        for cls in conjugacy_classes(G):
+            block = block_euler_factor(a, v, cls.element_order, eigenvalue_multiplicities(tau, cls))
+            assert symbolic_twisted_euler_factor(tau, cls) == list(block.poly)
+
+
+def test_negative_multiplicities_are_refused_by_the_factors():
+    rhs = VirtualCharacter(G21, [-c for c in trivial_character(G21).values])
+    cls = conjugacy_classes(G21)[0]
+    with pytest.raises(ValueError, match="negative parts"):
+        twisted_euler_factor(-2, 5, rhs, cls)
+    with pytest.raises(ValueError, match="genuine character"):
+        symbolic_twisted_euler_factor(rhs, cls)
+
+
+@pytest.mark.parametrize("G", [G21, G63, make_group(7, 3, 3)], ids=str)
+def test_integer_tower_series_matches_field_factors(G):
+    n = G.n
+    for v in good_primes(E_MINUS_X, EXAMPLE_F1, G, 300):
+        datum = frobenius_datum(EXAMPLE_F1, G, v)
+        av = a_v(E_MINUS_X, v)
+        for kmax in range(1, 5):
+            p_fn, p_kn1, p_kn, p_fn1 = (
+                field_local_factor(av, v, tower_residue_degrees(G, datum, kind, level), kmax)
+                for kind, level in (("F", n), ("K", n - 1), ("K", n), ("F", n - 1))
+            )
+            want = local_expansion(tpoly_mul(p_kn, p_fn1, kmax), tpoly_mul(p_fn, p_kn1, kmax), kmax)
+            assert _tower_series(G, datum, av, v, kmax) == want
+
+
+def test_tower_series_integrality_error_names_group_and_prime(monkeypatch):
+    import schurgate.lseries as lseries
+
+    # one split prime with power sums 1, 0, ...: no Frobenius pair has them, and
+    # exp(T + 0 T^2 / 2 + ...) has c_2 = 1/2
+    monkeypatch.setattr(lseries, "_power_sums", lambda a, v, kmax: [2, 1] + [0] * kmax)
+    monkeypatch.setattr(
+        lseries, "tower_residue_degrees", lambda G, datum, kind, level: [(1, 1)] if kind == "F" and level == G.n else []
+    )
+    datum = frobenius_datum(EXAMPLE_F1, G21, 5)
+    with pytest.raises(InternalCheckError, match="not integral") as err:
+        _tower_series(G21, datum, -2, 5, 2)
+    assert "v = 5" in str(err.value) and "(7, 3, 1, 2)" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ambiguity_check_raises_exactly_when_block_factors_differ(n):
+    G = make_group(7, 3, n)
+    chars = list(faithful_characters(G)) + [quotient_identity_virtual_character(G).rhs]
+    ambiguous = 0
+    for v in good_primes(E_MINUS_X, EXAMPLE_F1, G, 2000):
+        datum = frobenius_datum(EXAMPLE_F1, G, v)
+        if datum.conj_class is not None:
+            continue
+        ambiguous += 1
+        av = a_v(E_MINUS_X, v)
+        kmax = _kmax(v, 2000)
+        for chi in chars:
+            factors = {
+                block_local_factor(av, v, c.element_order, eigenvalue_multiplicities(chi, c), kmax)
+                for c in datum.candidates
+            }
+            if len(factors) > 1:
+                with pytest.raises(ValueError, match="ambiguity"):
+                    _resolve_local_factor(chi, datum, av, v, kmax, "invariant")
+            else:
+                num, den = factors.pop()
+                assert _resolve_local_factor(chi, datum, av, v, kmax, "invariant") == local_expansion(num, den, kmax)
+    assert ambiguous > 10
