@@ -34,9 +34,10 @@ from .groups import (
     GroupElement,
     MetacyclicParams,
     Subgroup,
+    _class_index,
     _psi_orbit_reps,
+    _subgroup_H,
     conjugacy_classes,
-    subgroup_X,
     tower_subgroups,
 )
 
@@ -213,11 +214,6 @@ class VirtualCharacter:
 # table construction
 
 @lru_cache(maxsize=None)
-def _class_index(G: MetacyclicParams) -> dict[GroupElement, int]:
-    return {c.rep: i for i, c in enumerate(conjugacy_classes(G))}
-
-
-@lru_cache(maxsize=None)
 def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
     cls = conjugacy_classes(G)
     idx = _class_index(G)
@@ -235,17 +231,6 @@ def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
             buf[t * s % G.q] += 1
         out.append(_from_buffer(G.q, 1, buf))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _subgroup_H(G: MetacyclicParams) -> tuple[int, ...]:
-    """The unique subgroup of order p^r in (Z/q)^x, sorted."""
-    H = {1}
-    t = G.canonical_j
-    while t != 1:
-        H.add(t)
-        t = t * G.canonical_j % G.q
-    return tuple(sorted(H))
 
 
 def _linear_character(G: MetacyclicParams, e: int) -> Character:
@@ -355,22 +340,6 @@ def psi_is_faithful(G: MetacyclicParams, psi: PsiDescriptor) -> bool:
     return gcd(psi.w, G.p) == 1
 
 
-def psi_value(G: MetacyclicParams, psi: PsiDescriptor, g: GroupElement) -> CyclotomicNumber:
-    """psi evaluated at an element of X; raises if g is outside X."""
-    if g.y % G.pr != 0:
-        raise ValueError(f"{g} is not in X")
-    pmr = G.pn // G.pr
-    val = _zeta(G.q, psi.u * g.x % G.q)
-    if pmr > 1:
-        val = val * _zeta(pmr, psi.w * (g.y // G.pr) % pmr)
-    return val
-
-
-def conjugate_psi(G: MetacyclicParams, psi: PsiDescriptor, k: int) -> PsiDescriptor:
-    """The b^k-conjugate: (b^k psi)(h) = psi(b^k h b^-k)."""
-    return PsiDescriptor(psi.u * pow(G.j, k, G.q) % G.q, psi.w)
-
-
 def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     """Induction of psi from X to G via the coset sum over b^0, ..., b^{p^r - 1}.
 
@@ -381,12 +350,6 @@ def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     u = psi.u % G.q
     w = psi.w % pmr if pmr > 1 else 0
     return _induced_character(G, G.n, u, w)
-
-
-def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
-    """Values of chi on the elements of X."""
-    G = chi.group
-    return {g: chi.value_at(g) for g in sorted(subgroup_X(G).elements)}
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +454,24 @@ def formula_field(G: MetacyclicParams) -> AbelianField:
 
 
 def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
-    """The character of G acting on the cosets G/H (values are rational integers).
+    """The character of G acting on the cosets G/H, in closed form from (kind, level).
 
-    pi(g) = |G| |g^G meet H| / (|g^G| |H|): one pass sorts H into classes.
+    K_k is normal with cyclic quotient of order p^k, so pi(g) = p^k on K_k
+    (p^k | y) and 0 off it.  F_k = <b^{p^k}> meets the class of g at most in
+    b^y: when p^k | y and the class holds b^y (its minimal representative
+    has x = 0), pi(g) = |C_G(g)| / |F_k| = q p^k / |g^G|, and 0 otherwise.
     """
-    classes = conjugacy_classes(G)
-    idx = _class_index(G)
-    meet = [0] * len(classes)
-    for h in H.elements:
-        meet[idx[G.class_of(h)]] += 1
+    if H.kind not in ("K", "F"):
+        raise ValueError(f"unknown subgroup kind {H.kind!r} of {H.label} ({G.spec})")
+    pk = G.p ** H.level
     vals = []
-    for c, k in zip(classes, meet):
-        fixed, rem = divmod(G.order * k, c.size * H.order)
-        if rem:
-            raise InternalCheckError(f"permutation character of {H.label} is not an integer ({G.spec})")
+    for c in conjugacy_classes(G):
+        if c.rep.y % pk:
+            fixed = 0
+        elif H.kind == "K":
+            fixed = pk
+        else:
+            fixed = G.q * pk // c.size if c.rep.x == 0 else 0
         vals.append(CyclotomicNumber.from_rational(fixed))
     return Character(G, vals, ("permutation", H.label))
 
@@ -553,10 +520,7 @@ def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity
     )
     faith = faithful_characters(G)
     coeff = tower_coefficient(G)
-    rhs = VirtualCharacter.zero(G)
-    for chi in faith:
-        rhs = rhs + chi
-    rhs = coeff * rhs
+    rhs = coeff * sum(faith, VirtualCharacter.zero(G))
     return QuotientIdentity(
         group=G,
         lhs=lhs,

@@ -15,17 +15,19 @@ import sys
 from .cyclotomic import InternalCheckError
 from .groups import conjugacy_classes, iter_valid_groups, make_group, tower_subgroups
 from .characters import (
+    PsiDescriptor,
+    _linear_character,
     character_field,
     faithful_characters,
     faithful_descriptors,
     formula_field,
+    induce_from_X,
     inner_product,
     irreducible_characters,
     is_faithful,
     one_faithful_character,
     one_faithful_descriptor,
     permutation_character,
-    quotient_identity_virtual_character,
     tensor_decompose,
 )
 from .schur import global_index, multiplicity_divisibility_check, qadic_class_order
@@ -242,13 +244,11 @@ def cmd_euler(args) -> int:
 
 def _parse_character(G, spec: str):
     if spec == "trivial":
-        return irreducible_characters(G)[0]
+        return _linear_character(G, 0)
     if spec.startswith("lin:"):
-        return irreducible_characters(G)[int(spec[4:]) % G.pn]
+        return _linear_character(G, int(spec[4:]) % G.pn)
     if spec.startswith("ind:"):
         u, w = (int(t) for t in spec[4:].split(","))
-        from .characters import PsiDescriptor, induce_from_X
-
         return induce_from_X(G, PsiDescriptor(u, w))
     raise ValueError(f"bad character spec {spec!r}: use trivial, lin:e or ind:u,w")
 
@@ -278,23 +278,22 @@ def cmd_identity(args) -> int:
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
-    qi = quotient_identity_virtual_character(G)
     chk = identity_series_check(E, poly, G, args.X)
+    qi = chk.quotient
+    where = f"{G.spec}, curve {args.curve}, field {args.field}, X = {args.X}"
+    if not qi.equal:
+        raise InternalCheckError(f"virtual-character identity failed ({where})")
+    if not chk.holds:
+        raise InternalCheckError(f"identity FAILS first at n={chk.first_mismatch} ({where})")
     payload = {
         "virtual_character_identity": qi.to_json(),
         "series_identity": chk.to_json(),
     }
-    if not qi.equal:
-        raise InternalCheckError("virtual-character identity failed")
-    if chk.holds:
-        text = (
-            f"identity holds to X={args.X} (good primes); "
-            f"character identity holds with coefficient {qi.coefficient} "
-            f"over {qi.faithful_count} faithful characters"
-        )
-    else:
-        text = f"identity FAILS first at n={chk.first_mismatch}"
-        raise InternalCheckError(text)
+    text = (
+        f"identity holds to X={args.X} (good primes); "
+        f"character identity holds with coefficient {qi.coefficient} "
+        f"over {qi.faithful_count} faithful characters"
+    )
     _emit(args, payload, text)
     return 0
 

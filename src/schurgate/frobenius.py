@@ -24,6 +24,7 @@ from .groups import (
     ConjClass,
     GroupElement,
     MetacyclicParams,
+    _class_index,
     _psi_orbit_reps,
     conjugacy_classes,
     is_prime,
@@ -275,21 +276,17 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
         raise ValueError(f"{v} is a ramified structural prime for this group")
     pattern = factor_pattern(coeffs, v)
     y = cyclotomic_exponent(v, G.p, G.n)
-    classes = conjugacy_classes(G)
-    by_rep = {c.rep: c for c in classes}
+    classes, idx = conjugacy_classes(G), _class_index(G)
     q, pr = G.q, G.pr
     if pattern == (1,) * q:
         if y % pr != 0:
             raise _pattern_error(coeffs, v, pattern, y)
-        cls = by_rep[GroupElement(0, y)]
+        cls = classes[idx[GroupElement(0, y)]]
         return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
     if pattern == (q,):
         if y % pr != 0:
             raise _pattern_error(coeffs, v, pattern, y)
-        cands = tuple(
-            by_rep[GroupElement(x0, y)]
-            for x0 in _psi_orbit_reps(G)
-        )
+        cands = tuple(classes[idx[GroupElement(x0, y)]] for x0 in _psi_orbit_reps(G))
         order = cands[0].element_order
         if any(c.element_order != order for c in cands):
             raise _pattern_error(coeffs, v, pattern, y)
@@ -306,7 +303,7 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
         i = vp(o, G.p)
         if i > G.r or y % pr == 0 or vp(y, G.p) != G.r - i:
             raise _pattern_error(coeffs, v, pattern, y)
-        cls = by_rep[GroupElement(0, y)]
+        cls = classes[idx[GroupElement(0, y)]]
         return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
     raise _pattern_error(coeffs, v, pattern, y)
 

@@ -5,12 +5,18 @@ Elements are residue pairs (x, y) standing for a^x b^y, with the product
     (x1, y1) * (x2, y2) = (x1 + j^y1 * x2 mod q, y1 + y2 mod p^n).
 
 Everything downstream (conjugacy classes, the distinguished subgroup X, the
-tower subgroups) is computed from closed forms in (q, p, n, r).
+tower subgroups) is computed from closed forms in (q, p, n, r).  A subgroup
+is a descriptor (label, kind, level, order, generators), never a set of
+elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  The one
+walk the package makes is over H = <j> in (Z/q)^x, cached once per group
+as the orbit-minimum table that class representatives are read from.  The
+group law (mul, inv, elements) is kept as the reference that the test
+oracles close subgroups under.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -135,25 +141,11 @@ class MetacyclicParams:
             for x in range(self.q):
                 yield GroupElement(x, y)
 
-    # -- conjugacy structure -------------------------------------------------
-
-    def orbit_min(self, x: int) -> int:
-        """Smallest member of the orbit H*x of x under H = <j> of order p^r."""
-        if x % self.q == 0:
-            return 0
-        best = x % self.q
-        t = self.canonical_j * x % self.q
-        while t != x % self.q:
-            if t < best:
-                best = t
-            t = self.canonical_j * t % self.q
-        return best
-
     def class_of(self, g: GroupElement) -> GroupElement:
         """Representative (lexicographically minimal element) of the class of g."""
         if g.y % self.pr != 0:
             return GroupElement(0, g.y)
-        return GroupElement(self.orbit_min(g.x), g.y)
+        return GroupElement(_orbit_mins(self)[g.x % self.q], g.y)
 
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p, "n": self.n, "j": self.j, "r": self.r}
@@ -235,6 +227,30 @@ def _sylow_generator(q: int, p: int, v: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _subgroup_H(G: MetacyclicParams) -> tuple[int, ...]:
+    """The unique subgroup H = <j> of order p^r in (Z/q)^x, sorted."""
+    return tuple(sorted(pow(G.canonical_j, k, G.q) for k in range(G.pr)))
+
+
+@lru_cache(maxsize=None)
+def _orbit_mins(G: MetacyclicParams) -> tuple[int, ...]:
+    """mins[x] = min(x h mod q for h in H): the smallest member of the H-orbit of x."""
+    mins = [0] * G.q
+    H = _subgroup_H(G)
+    for x in range(1, G.q):
+        if not mins[x]:  # x is the first of its orbit, hence the smallest
+            for h in H:
+                mins[x * h % G.q] = x
+    return tuple(mins)
+
+
+@lru_cache(maxsize=None)
+def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
+    """Minimal representatives of the H-orbits on units mod q, sorted."""
+    return tuple(x for x, m in enumerate(_orbit_mins(G)) if x and m == x)
+
+
+@lru_cache(maxsize=None)
 def conjugacy_classes(G: MetacyclicParams) -> tuple[ConjClass, ...]:
     """All conjugacy classes, ordered by (y, x) of the minimal representative.
 
@@ -242,78 +258,48 @@ def conjugacy_classes(G: MetacyclicParams) -> tuple[ConjClass, ...]:
     p^r does not divide y, and the H-orbit {(Hx, y)} otherwise.
     """
     out = []
-    pr, pn, q = G.pr, G.pn, G.q
-    orbit_reps = _psi_orbit_reps(G)
-    for y in range(pn):
-        if y % pr == 0:
-            e = GroupElement(0, y)
-            out.append(ConjClass(e, 1, G.element_order(e)))
-            for x0 in orbit_reps:
-                e = GroupElement(x0, y)
-                out.append(ConjClass(e, pr, G.element_order(e)))
-        else:
-            e = GroupElement(0, y)
-            out.append(ConjClass(e, q, G.element_order(e)))
+    for y in range(G.pn):
+        central = y % G.pr == 0
+        for x in (0, *_psi_orbit_reps(G)) if central else (0,):
+            e = GroupElement(x, y)
+            size = (G.pr if x else 1) if central else G.q
+            out.append(ConjClass(e, size, G.element_order(e)))
     total = sum(c.size for c in out)
     if total != G.order:
-        raise InternalCheckError(f"class sizes sum to {total}, expected {G.order}")
+        raise InternalCheckError(f"class sizes sum to {total}, expected {G.order} ({G.spec})")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
-    """Minimal representatives of the H-orbits on units mod q, sorted."""
-    reps = []
-    seen = [False] * G.q
-    for u in range(1, G.q):
-        if seen[u]:
-            continue
-        reps.append(u)
-        t = u
-        while True:
-            seen[t] = True
-            t = t * G.canonical_j % G.q
-            if t == u:
-                break
-    return tuple(reps)
+def _class_index(G: MetacyclicParams) -> dict[GroupElement, int]:
+    """Position of each class representative in conjugacy_classes(G)."""
+    return {c.rep: i for i, c in enumerate(conjugacy_classes(G))}
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
+    """K_k = <a, b^{p^k}> (kind "K") or F_k = <b^{p^k}> (kind "F") at level k."""
+
     label: str
+    kind: str
+    level: int
+    order: int
     generators: tuple[GroupElement, ...]
-    elements: frozenset = field(repr=False)
-    kind: str = ""
-    level: int = 0
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def index_in(self, G: MetacyclicParams) -> int:
         return G.order // self.order
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "generators": [list(g) for g in self.generators],
-            "order": self.order,
-        }
+
+def _tower_subgroup(G: MetacyclicParams, kind: str, k: int) -> Subgroup:
+    pk = G.p ** k
+    b = GroupElement(0, pk % G.pn)
+    if kind == "K":
+        return Subgroup(f"K{k}", "K", k, G.q * G.pn // pk, (GroupElement(1, 0), b))
+    return Subgroup(f"F{k}", "F", k, G.pn // pk, (b,))
 
 
 def subgroup_X(G: MetacyclicParams) -> Subgroup:
-    """X = <a, b^{p^r}>, cyclic of order q * p^{n-r}, normal and self-centralizing."""
-    pr = G.pr
-    els = frozenset(
-        GroupElement(x, pr * t) for x in range(G.q) for t in range(G.pn // pr)
-    )
-    return Subgroup(
-        label="X",
-        generators=(GroupElement(1, 0), GroupElement(0, pr % G.pn)),
-        elements=els,
-        kind="X",
-        level=G.r,
-    )
+    """X = K_r = <a, b^{p^r}>, cyclic of order q * p^{n-r}, normal and self-centralizing."""
+    return _tower_subgroup(G, "K", G.r)._replace(label="X")
 
 
 def tower_subgroups(G: MetacyclicParams) -> list[Subgroup]:
@@ -322,34 +308,7 @@ def tower_subgroups(G: MetacyclicParams) -> list[Subgroup]:
     K_k has index p^k (fixed field: the degree-p^k cyclotomic layer) and
     F_k has index q*p^k (fixed field: the k-th layer over the degree-q field).
     """
-    out = []
-    for k in range(G.n + 1):
-        pk = G.p ** k
-        els_K = frozenset(
-            GroupElement(x, pk * t % G.pn) for x in range(G.q) for t in range(G.pn // pk)
-        )
-        out.append(
-            Subgroup(
-                label=f"K{k}",
-                generators=(GroupElement(1, 0), GroupElement(0, pk % G.pn)),
-                elements=els_K,
-                kind="K",
-                level=k,
-            )
-        )
-    for k in range(G.n + 1):
-        pk = G.p ** k
-        els_F = frozenset(GroupElement(0, pk * t % G.pn) for t in range(G.pn // pk))
-        out.append(
-            Subgroup(
-                label=f"F{k}",
-                generators=(GroupElement(0, pk % G.pn),),
-                elements=els_F,
-                kind="F",
-                level=k,
-            )
-        )
-    return out
+    return [_tower_subgroup(G, kind, k) for kind in "KF" for k in range(G.n + 1)]
 
 
 def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[MetacyclicParams]:

@@ -39,8 +39,8 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold, prime_factors
-from .groups import ConjClass, MetacyclicParams, is_prime
-from .characters import _class_index, quotient_identity_virtual_character
+from .groups import ConjClass, MetacyclicParams, _class_index, is_prime
+from .characters import QuotientIdentity, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
 from .frobenius import FrobeniusDatum, frobenius_datum, poly_discriminant
 
@@ -311,19 +311,6 @@ class SymbolicPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, a_val, v_val) -> CyclotomicNumber:
-        if not isinstance(a_val, CyclotomicNumber):
-            a_val = CyclotomicNumber.from_rational(a_val)
-        if not isinstance(v_val, CyclotomicNumber):
-            v_val = CyclotomicNumber.from_rational(v_val)
-        acc = _ZERO
-        for (i, j), c in self.terms.items():
-            acc = acc + c * a_val ** i * v_val ** j
-        return acc
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -558,6 +545,7 @@ class IdentityCheck:
     holds: bool
     primes_used: int
     first_mismatch: int | None
+    quotient: QuotientIdentity  # the virtual-character side; not part of the JSON
 
     def to_json(self) -> dict:
         return {
@@ -601,4 +589,5 @@ def identity_series_check(
         holds=mismatch is None,
         primes_used=len(primes),
         first_mismatch=mismatch,
+        quotient=qi,
     )

@@ -30,14 +30,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import InternalCheckError
-from .groups import MetacyclicParams, multiplicative_order, vp
-from .characters import (
-    Character,
-    PsiDescriptor,
-    _subgroup_H,
-    inner_product,
-    psi_is_faithful,
-)
+from .groups import MetacyclicParams, _subgroup_H, multiplicative_order, vp
+from .characters import Character, PsiDescriptor, inner_product, psi_is_faithful
 
 __all__ = [
     "LocalIndexReport",

@@ -2,14 +2,17 @@
 
 Each one recomputes from the definitions, by enumerating G or with big
 integers, what the package derives in closed form; the group-level ones are
-gated to order <= BRUTE_FORCE_LIMIT.  The L-series ones are the package's
-earlier direct routes: Fourier inversion in CyclotomicNumber arithmetic,
-Dirichlet assembly by one convolution pass per prime, local factors as
-products of quadratic blocks (one per eigenvalue, or one per residue degree)
-expanded by power-series inversion, and explicit monomial matrices for a
-faithful character.  The cyclotomic ones lift values densely, multiply them
-schoolbook and reduce by sympy's Phi_M, and find a field of values by
-applying every unit.
+gated to order <= BRUTE_FORCE_LIMIT.  The package describes a subgroup only
+by its generators, so its elements are found here by closing them under
+G.mul, and psi and the restriction to X are evaluated element by element.
+The L-series ones are the package's earlier direct routes: Fourier
+inversion in CyclotomicNumber arithmetic, Dirichlet assembly by one
+convolution pass per prime, local factors as products of quadratic blocks
+(one per eigenvalue, or one per residue degree) expanded by power-series
+inversion, evaluation of symbolic factors, and explicit monomial matrices
+for a faithful character.  The cyclotomic ones lift values densely,
+multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
+values by applying every unit.
 """
 
 from fractions import Fraction
@@ -23,17 +26,67 @@ from schurgate.groups import (
     ConjClass,
     GroupElement,
     MetacyclicParams,
+    Subgroup,
+    _class_index,
     conjugacy_classes,
     multiplicative_order,
     subgroup_X,
 )
-from schurgate.characters import Character, PsiDescriptor, _class_index, psi_value
+from schurgate.characters import Character, PsiDescriptor
 from schurgate.lseries import DirichletSeries, EulerFactor
 
 BRUTE_FORCE_LIMIT = 10 ** 4
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
+
+
+def subgroup_elements(G: MetacyclicParams, H: Subgroup) -> frozenset[GroupElement]:
+    """The elements of H, by closing its generators under G.mul; test oracle."""
+    if G.order > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
+    closure = {G.identity()}
+    frontier = [G.identity()]
+    while frontier:
+        g = frontier.pop()
+        for s in H.generators:
+            c = G.mul(g, s)
+            if c not in closure:
+                closure.add(c)
+                frontier.append(c)
+    return frozenset(closure)
+
+
+def psi_value(G: MetacyclicParams, psi: PsiDescriptor, g: GroupElement) -> CyclotomicNumber:
+    """psi evaluated at an element of X; raises if g is outside X."""
+    if g.y % G.pr != 0:
+        raise ValueError(f"{g} is not in X")
+    pmr = G.pn // G.pr
+    val = CyclotomicNumber.zeta(G.q, psi.u * g.x % G.q)
+    if pmr > 1:
+        val = val * CyclotomicNumber.zeta(pmr, psi.w * (g.y // G.pr) % pmr)
+    return val
+
+
+def conjugate_psi(G: MetacyclicParams, psi: PsiDescriptor, k: int) -> PsiDescriptor:
+    """The b^k-conjugate: (b^k psi)(h) = psi(b^k h b^-k)."""
+    return PsiDescriptor(psi.u * pow(G.j, k, G.q) % G.q, psi.w)
+
+
+def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
+    """Values of chi on the elements of X."""
+    G = chi.group
+    return {g: chi.value_at(g) for g in sorted(subgroup_elements(G, subgroup_X(G)))}
+
+
+def evaluate_symbolic(poly, a_val, v_val) -> CyclotomicNumber:
+    """A SymbolicPoly in the formal symbols (a, v) at a = a_val, v = v_val."""
+    a_val = CyclotomicNumber.from_rational(a_val)
+    v_val = CyclotomicNumber.from_rational(v_val)
+    acc = _ZERO
+    for (i, j), c in poly.terms.items():
+        acc = acc + c * a_val ** i * v_val ** j
+    return acc
 
 
 def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
@@ -94,7 +147,7 @@ def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     """Induction by the general formula, summing over all of G; test oracle."""
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    X = subgroup_X(G).elements
+    X = subgroup_elements(G, subgroup_X(G))
     order_X = len(X)
     vals = []
     for c in conjugacy_classes(G):
@@ -126,7 +179,7 @@ def permutation_character_brute(G: MetacyclicParams, H) -> Character:
     """
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    els = H.elements
+    els = subgroup_elements(G, H)
     index = {c.rep: i for i, c in enumerate(conjugacy_classes(G))}
     fixed = [0] * len(index)
     seen: set[GroupElement] = set()

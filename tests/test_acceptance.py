@@ -15,6 +15,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import conjugate_psi, psi_value, subgroup_elements
 from schurgate.cyclotomic import CyclotomicNumber as C
 from schurgate.groups import (
     GroupElement,
@@ -30,7 +31,6 @@ from schurgate.characters import (
     _psi_orbit_reps,
     _weighted_dot,
     character_field,
-    conjugate_psi,
     faithful_characters,
     formula_field,
     induce_from_X,
@@ -38,7 +38,6 @@ from schurgate.characters import (
     irreducible_characters,
     one_faithful_character,
     permutation_character,
-    psi_value,
     quotient_identity_virtual_character,
     tensor_decompose,
 )
@@ -168,7 +167,7 @@ def test_criterion_03_character_table_properties():
     for G in reps + [G1539]:
         pmr = G.pn // G.pr
         ws = [w for w in range(pmr) if w % G.p != 0] if pmr > 1 else [0]
-        X_elements = sorted(subgroup_X(G).elements)
+        X_elements = sorted(subgroup_elements(G, subgroup_X(G)))
         for u in _psi_orbit_reps(G):
             for w in ws:
                 psi = PsiDescriptor(u, w)

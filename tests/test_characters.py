@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import field_of_values_all_units, induce_brute, permutation_character_brute
-from schurgate.cyclotomic import CyclotomicNumber as C, InternalCheckError, field_of_values
+from oracles import (
+    conjugate_psi,
+    field_of_values_all_units,
+    induce_brute,
+    permutation_character_brute,
+    psi_value,
+    restriction_to_X,
+)
+from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
     GroupElement,
     Subgroup,
@@ -17,7 +24,6 @@ from schurgate.characters import (
     PsiDescriptor,
     VirtualCharacter,
     character_field,
-    conjugate_psi,
     faithful_characters,
     formula_field,
     induce_from_X,
@@ -27,10 +33,8 @@ from schurgate.characters import (
     one_faithful_character,
     permutation_character,
     psi_is_faithful,
-    psi_value,
     quotient_identity_virtual_character,
     regular_character,
-    restriction_to_X,
     tensor_decompose,
     trivial_character,
 )
@@ -246,9 +250,8 @@ def test_permutation_character_matches_coset_enumeration():
 
 
 def test_permutation_character_error_names_group_and_subgroup():
-    # {1, b} is not a subgroup: the identity would fix 21/2 cosets
-    bogus = Subgroup("bogus", (), frozenset({GroupElement(0, 0), GroupElement(0, 1)}))
-    with pytest.raises(InternalCheckError, match="bogus is not an integer") as err:
+    bogus = Subgroup("bogus", "Z", 1, 3, (GroupElement(0, 1),))
+    with pytest.raises(ValueError, match="unknown subgroup kind 'Z' of bogus") as err:
         permutation_character(G21, bogus)
     assert "(7, 3, 1, 2)" in str(err.value)
 

@@ -439,3 +439,48 @@ def test_hasse_bound_error_names_curve_and_prime(capsys, monkeypatch):
     code, _, err = run(capsys, "euler", "--curve", "0,0,0,-1,0", "-v", "101", "--trivial", "-n", "1")
     assert code == 3
     assert "Hasse bound violated at v = 101 on the curve [0,0,0,-1,0]" in err
+
+
+def test_class_size_error_names_group(capsys, monkeypatch):
+    import schurgate.groups as groups
+
+    monkeypatch.setattr(groups, "_psi_orbit_reps", lambda G: ())  # drop the order-q classes
+    groups.conjugacy_classes.cache_clear()
+    code, _, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 3
+    assert "class sizes sum to 15, expected 21 (" + C7_C3 + ")" in err
+
+
+IDENTITY_WHERE = C7_C3 + ", curve 0,0,0,-1,0, field example-F1, X = 30"
+
+
+def test_identity_series_error_names_group_curve_field_and_X(capsys, monkeypatch):
+    import dataclasses
+
+    import schurgate.cli as cli
+
+    check = cli.identity_series_check
+    monkeypatch.setattr(
+        cli, "identity_series_check",
+        lambda *a: dataclasses.replace(check(*a), holds=False, first_mismatch=5),
+    )
+    code, _, err = run(capsys, "identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30")
+    assert code == 3
+    assert "identity FAILS first at n=5 (" + IDENTITY_WHERE + ")" in err
+
+
+def test_virtual_character_identity_error_names_group_curve_field_and_X(capsys, monkeypatch):
+    import dataclasses
+
+    import schurgate.cli as cli
+
+    check = cli.identity_series_check
+
+    def broken(*a):
+        chk = check(*a)
+        return dataclasses.replace(chk, quotient=dataclasses.replace(chk.quotient, equal=False))
+
+    monkeypatch.setattr(cli, "identity_series_check", broken)
+    code, _, err = run(capsys, "identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30")
+    assert code == 3
+    assert "virtual-character identity failed (" + IDENTITY_WHERE + ")" in err

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from oracles import brute_force_classes, centralizer_of, commutator_subgroup
+from oracles import brute_force_classes, centralizer_of, commutator_subgroup, subgroup_elements
 from schurgate.groups import (
     GroupElement,
     conjugacy_classes,
@@ -116,7 +117,7 @@ def test_class_of_agrees_with_membership():
 def test_subgroup_X_examples():
     G1 = make_group(7, 3, 1, 2)
     X1 = subgroup_X(G1)
-    assert X1.order == 7 and X1.elements == frozenset(GroupElement(x, 0) for x in range(7))
+    assert X1.order == 7 and subgroup_elements(G1, X1) == frozenset(GroupElement(x, 0) for x in range(7))
 
     G2 = make_group(7, 3, 2, 2)
     X2 = subgroup_X(G2)
@@ -130,7 +131,7 @@ def test_subgroup_X_examples():
 def test_X_is_centralizer_of_a():
     for args in ((7, 3, 1, 2), (7, 3, 2, 2), (13, 3, 2, 3)):
         G = make_group(*args)
-        assert set(subgroup_X(G).elements) == centralizer_of(G, GroupElement(1, 0))
+        assert set(subgroup_elements(G, subgroup_X(G))) == centralizer_of(G, GroupElement(1, 0))
 
 
 def test_X_is_cyclic_and_self_centralizing():
@@ -139,9 +140,9 @@ def test_X_is_cyclic_and_self_centralizing():
         X = subgroup_X(G)
         gen = GroupElement(1, G.pr % G.pn)
         assert G.element_order(gen) == X.order  # cyclic
-        cent = set(X.elements)
+        cent = set(subgroup_elements(G, X))
         for g in G.elements():
-            if all(G.mul(g, h) == G.mul(h, g) for h in X.elements):
+            if all(G.mul(g, h) == G.mul(h, g) for h in cent):
                 assert g in cent  # X = C_G(X)
 
 
@@ -162,11 +163,26 @@ def test_tower_subgroups_indices():
     assert towers["F2"].index_in(G) == 63  # trivial subgroup
     for s in towers.values():
         # closure under the group law
-        els = s.elements
+        els = subgroup_elements(G, s)
         sample = list(els)[:20]
         for g in sample:
             for h in sample:
                 assert G.mul(g, h) in els
+
+
+def test_subgroup_orders_match_closure():
+    for G in iter_valid_groups(700):
+        for sub in tower_subgroups(G) + [subgroup_X(G)]:
+            assert sub.order == len(subgroup_elements(G, sub)), (G, sub.label)
+
+
+def test_tower_subgroups_of_a_large_group_hold_no_elements():
+    G = make_group(7, 3, 12)  # order 7 * 3^12 = 3,720,087
+    start = time.perf_counter()
+    towers = {s.label: s for s in tower_subgroups(G)}
+    assert time.perf_counter() - start < 1.0
+    assert towers["K0"].order == G.order and towers["F12"].order == 1
+    assert subgroup_X(G).order == 7 * 3 ** 11
 
 
 def test_iter_valid_groups_small():

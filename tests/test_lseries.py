@@ -11,6 +11,7 @@ from oracles import (
     block_local_factor,
     eigenvalue_multiplicities_direct,
     element_matrix,
+    evaluate_symbolic,
     field_local_factor,
     local_expansion,
     mat_mul,
@@ -22,10 +23,9 @@ from oracles import (
 )
 from schurgate.cyclotomic import InternalCheckError
 from schurgate.cyclotomic import CyclotomicNumber as C
-from schurgate.groups import GroupElement, conjugacy_classes, make_group, tower_subgroups
+from schurgate.groups import GroupElement, _class_index, conjugacy_classes, make_group, tower_subgroups
 from schurgate.characters import (
     VirtualCharacter,
-    _class_index,
     faithful_characters,
     irreducible_characters,
     one_faithful_character,
@@ -152,7 +152,7 @@ def test_symbolic_factor_specializes_to_numeric():
     cls = order7_class(G63)
     sym = symbolic_twisted_euler_factor(tau, cls)
     num = twisted_euler_factor(-2, 5, tau, cls)
-    assert tuple(c.evaluate(-2, 5) for c in sym) == num.poly
+    assert tuple(evaluate_symbolic(c, -2, 5) for c in sym) == num.poly
 
 
 def test_factor_is_not_a_cube():
@@ -162,7 +162,7 @@ def test_factor_is_not_a_cube():
     assert out["is_cube"] is False
     assert set(out["witness"]["first_mismatch_by_root"]) == {"1", "zeta3", "zeta3^2"}
     # numeric specializations are not cubes either
-    num = [c.evaluate(-2, 5) for c in sym]
+    num = [evaluate_symbolic(c, -2, 5) for c in sym]
     assert cube_of_quadratic_defect(num)["is_cube"] is False
 
 
