@@ -3,7 +3,8 @@
 JSON output (--format json) is the machine contract: identical invocations
 produce byte-identical documents, and nothing else is written to stdout in
 JSON mode.  Text mode renders the same structure for humans.  Exit codes:
-0 success, 2 invalid input, 3 internal invariant violation.
+0 success, 2 invalid input or a request too large for the process (memory
+or recursion exhausted), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cyclotomic import InternalCheckError
 from .groups import conjugacy_classes, iter_valid_groups, make_group, tower_subgroups
@@ -58,8 +60,35 @@ def _parse_curve(spec: str) -> EllipticCurveQ:
     return EllipticCurveQ.from_list(coeffs)
 
 
+def _dumps(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, at the indentation nl.
+
+    Strings, ints, bools, None, lists, tuples and dicts with string keys are
+    joined here; anything else (floats, other keys) goes to json.dumps, whose
+    indent=2 encoder is pure Python and much slower on large tables.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _encode_str(obj)
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [_encode_str(k) + ": " + _dumps(x, inner) for k, x in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    return json.dumps(obj, indent=2).replace("\n", nl)
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    out = json.dumps(payload, indent=2) if args.format == "json" else text
+    out = _dumps(payload) if args.format == "json" else text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
@@ -476,6 +505,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:  # last resort: no traceback
+        print(f"error: request too large for this process ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,7 @@ the ambiguity is carried explicitly and never silently resolved.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .groups import (
@@ -110,91 +111,26 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_mul(a, b, v):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % v
-    return _gf_trim(out)
-
-
-def _gf_mod(a, m, v):
+def _gf_rem(a: list[int], b: list[int], v: int) -> list[int]:
+    """a mod b over F_v for a trimmed, nonzero b; products are summed before % v."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, v)
+    b = [c * inv % v for c in b[:db]]  # b made monic, leading 1 left implicit
     a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, v)
-    while len(a) - 1 >= dm:
-        c = a[-1] * inv_lead % v
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] % v
         if c:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - c * m[i]) % v
-        a.pop()
-        _gf_trim(a)
-        if not a:
-            break
-    return a
+            off = k - db
+            a[off:k] = [x - c * y for x, y in zip(a[off:k], b)]
+    return _gf_trim([x % v for x in a[:db]])
 
 
 def _gf_gcd(a, b, v):
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
+    """Monic gcd over F_v of trimmed lists."""
     while b:
-        a, b = b, _gf_mod(a, b, v)
-    if a:
-        inv = pow(a[-1], -1, v)
-        a = [c * inv % v for c in a]
-    return a
-
-
-def _gf_pow(h, exp, m, v):
-    """h(x)^exp mod (m, v) by binary powering."""
-    result = [1]
-    base = _gf_mod(h, m, v)
-    while exp:
-        if exp & 1:
-            result = _gf_mod(_gf_mul(result, base, v), m, v)
-        exp >>= 1
-        if exp:
-            base = _gf_mod(_gf_mul(base, base, v), m, v)
-    return result
-
-
-def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
-    """Sorted degrees of the irreducible factors of a squarefree poly mod v.
-
-    Uses distinct-degree factorization; only the degree multiset is kept.
-    Raises if the reduction mod v is not squarefree (v ramified) or drops
-    degree (v divides the leading coefficient).
-    """
-    if not is_prime(v):
-        raise ValueError(f"{v} is not prime")
-    f = [c % v for c in coeffs]
-    if f[-1] == 0:
-        raise ValueError(f"leading coefficient vanishes mod {v}")
-    inv_lead = pow(f[-1], -1, v)
-    f = _gf_trim([c * inv_lead % v for c in f])
-    deriv = _gf_trim([i * f[i] % v for i in range(1, len(f))])
-    if len(_gf_gcd(f, deriv, v)) != 1:
-        raise ValueError(f"ramified prime {v}: reduction is not squarefree")
-    degrees: list[int] = []
-    work = f[:]
-    h = [0, 1]  # x
-    i = 0
-    while len(work) - 1 >= 2 * (i + 1):
-        i += 1
-        h = _gf_pow(h, v, work, v)
-        diff = _gf_trim([(a - b) % v for a, b in _zip_pad(h, [0, 1])])
-        g = _gf_gcd(work, diff, v)
-        if len(g) > 1:
-            deg = len(g) - 1
-            degrees.extend([i] * (deg // i))
-            work = _gf_quo(work, g, v)
-            h = _gf_mod(h, work, v)
-    if len(work) > 1:
-        degrees.append(len(work) - 1)
-    return tuple(sorted(degrees))
+        a, b = b, _gf_rem(a, b, v)
+    inv = pow(a[-1], -1, v)
+    return [c * inv % v for c in a]
 
 
 def _gf_quo(a, b, v):
@@ -210,9 +146,118 @@ def _gf_quo(a, b, v):
     return _gf_trim(out)
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+@lru_cache(maxsize=None)
+def _discriminant(coeffs: tuple[int, ...]) -> int:
+    return poly_discriminant(coeffs)
+
+
+class _FrobeniusMap:
+    """The v-power map of F_v[x]/(f) for a monic f of degree d >= 2.
+
+    A residue h = sum h_i x^i is packed into one integer with a B-bit slot
+    per coefficient, so a product of residues is one integer product whose
+    slots hold the coefficient sums (fewer than d v^2, no carries).  The
+    slots of degree d .. 2d-1 are then folded back with the packed rows
+    x^k mod f, and one % v per coefficient finishes the reduction.  Rows
+    x^(v i) mod f (the Berlekamp Q-matrix) turn each further power x^(v^k)
+    into one matrix-vector product.
+    """
+
+    def __init__(self, f: list[int], v: int):
+        d = len(f) - 1
+        self.d, self.v = d, v
+        self.bits = b = (2 * d * v * v).bit_length()
+        self.mask = (1 << b) - 1
+        self.low = (1 << (b * d)) - 1
+        self.shifts = [b * k for k in range(2 * d)]
+        row = [-c % v for c in f[:d]]  # x^d mod f
+        self.top_down = self.shifts[d - 1::-1]
+        fold = []
+        for k in range(d, 2 * d):
+            fold.append((self.shifts[k], self.pack(row)))
+            top = row[-1]
+            row = [(r - top * c) % v for r, c in zip([0] + row[:-1], f)]
+        self.fold = fold  # (slot shift, x^k mod f) for k = d .. 2d-1
+        h = 1 << b  # x
+        for bit in bin(v)[3:]:
+            h = self.reduce(h * h << b if bit == "1" else h * h)
+        rows = [1, h]
+        for _ in range(d - 2):
+            rows.append(self.reduce(rows[-1] * h))
+        self.rows = rows
+
+    def pack(self, coeffs) -> int:
+        out, b = 0, self.bits
+        for c in reversed(coeffs):
+            out = out << b | c
+        return out
+
+    def unpack(self, h: int) -> list[int]:
+        mask = self.mask
+        return [h >> s & mask for s in self.shifts[: self.d]]
+
+    def reduce(self, s: int) -> int:
+        """The packed product s (degree < 2d) as a reduced residue mod (f, v)."""
+        v, mask, b = self.v, self.mask, self.bits
+        acc = s & self.low
+        for t, row in self.fold:
+            c = s >> t & mask
+            if c:
+                acc += c % v * row
+        out = 0
+        for t in self.top_down:
+            out = out << b | (acc >> t & mask) % v
+        return out
+
+    def power(self, coeffs: list[int]) -> int:
+        """h^v mod (f, v) for h given by its d coefficients."""
+        acc = 0
+        for c, row in zip(coeffs, self.rows):
+            if c:
+                acc += c * row
+        return self.reduce(acc)
+
+
+def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of a squarefree poly mod v.
+
+    Distinct-degree factorization driven by the Frobenius matrix of f mod v:
+    x^v mod f comes from one left-to-right powering, and each further
+    x^(v^i) is one matrix-vector product.  Only the degree multiset is kept.
+    Raises if v divides the leading coefficient (the degree drops) or the
+    discriminant (v ramified: f mod v is squarefree exactly when v does not
+    divide disc(f), given that v does not divide the leading coefficient).
+    """
+    if not is_prime(v):
+        raise ValueError(f"{v} is not prime")
+    lead = coeffs[-1] % v
+    if lead == 0:
+        raise ValueError(f"leading coefficient vanishes mod {v}")
+    d = len(coeffs) - 1
+    if d < 2:
+        return (1,) * d
+    if _discriminant(tuple(coeffs)) % v == 0:
+        raise ValueError(f"ramified prime {v}: reduction is not squarefree")
+    inv_lead = pow(lead, -1, v)
+    work = [c * inv_lead % v for c in coeffs]
+    frob = _FrobeniusMap(work, v)
+    degrees: list[int] = []
+    h = frob.unpack(frob.rows[1])  # x^v mod f
+    i = 1
+    while True:
+        diff = h[:]
+        diff[1] = (diff[1] - 1) % v
+        g = _gf_gcd(work, _gf_trim(diff), v)
+        if len(g) > 1:
+            degrees.extend([i] * ((len(g) - 1) // i))
+            work = _gf_quo(work, g, v)
+        if len(work) - 1 < 2 * (i + 1):
+            break
+        i += 1
+        h = frob.unpack(frob.power(h))  # x^(v^i) mod f
+    if len(work) > 1:
+        degrees.append(len(work) - 1)
+    return tuple(sorted(degrees))
 
 
 # -- cyclotomic component -----------------------------------------------------

@@ -311,12 +311,12 @@ def tower_subgroups(G: MetacyclicParams) -> list[Subgroup]:
     return [_tower_subgroup(G, kind, k) for kind in "KF" for k in range(G.n + 1)]
 
 
-def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[MetacyclicParams]:
+def iter_valid_groups(max_order: int) -> Iterator[MetacyclicParams]:
     """All valid parameter tuples (q, p, n, j) with q * p^n <= max_order.
 
     Enumerates odd primes q, odd primes p dividing q - 1, all n >= 1 within
-    the order bound, and (when all_j) every j whose order is a p-power
-    between p and p^n.  Deterministic order: by (q, p, n, j).
+    the order bound, and every j whose order is a p-power between p and
+    p^n.  Deterministic order: by (q, p, n, j).
     """
     for q in range(3, max_order // 3 + 1, 2):
         if not is_prime(q):
@@ -328,15 +328,12 @@ def iter_valid_groups(max_order: int, all_j: bool = True) -> Iterator[Metacyclic
             sylow_gen = _sylow_generator(q, p, v)
             n = 1
             while q * p ** n <= max_order:
-                if all_j:
-                    js = sorted(
-                        pow(sylow_gen, p ** (v - rr) * k, q)
-                        for rr in range(1, min(n, v) + 1)
-                        for k in range(1, p ** rr)
-                        if k % p != 0
-                    )
-                else:
-                    js = [_min_residue_of_order(q, p, 1)]
+                js = sorted(
+                    pow(sylow_gen, p ** (v - rr) * k, q)
+                    for rr in range(1, min(n, v) + 1)
+                    for k in range(1, p ** rr)
+                    if k % p != 0
+                )
                 for j in js:
                     yield make_group(q, p, n, j)
                 n += 1

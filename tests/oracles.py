@@ -12,7 +12,8 @@ convolution pass per prime, local factors as products of quadratic blocks
 inversion, evaluation of symbolic factors, and explicit monomial matrices
 for a faithful character.  The cyclotomic ones lift values densely,
 multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
-values by applying every unit.
+values by applying every unit.  The local ones count points naively, one
+quadratic in y per x, and factor polynomials mod v with sympy.
 """
 
 from fractions import Fraction
@@ -464,3 +465,39 @@ def reciprocal_root_magnitudes(factor: EulerFactor) -> list[float]:
     coeffs = [c.to_complex() for c in factor.poly]
     roots = np.roots(list(reversed(coeffs)))
     return sorted(abs(1.0 / r) for r in roots)
+
+
+def naive_trace(E, v: int) -> int:
+    """a_v = -sum_x chi(disc_x) at an odd prime v, straight from the a-invariants.
+
+    For each x, y^2 + (a1 x + a3) y = x^3 + a2 x^2 + a4 x + a6 has
+    1 + chi((a1 x + a3)^2 + 4 (x^3 + a2 x^2 + a4 x + a6)) solutions, with chi
+    the quadratic character mod v read from a table of squares.
+    """
+    import numpy as np
+
+    x = np.arange(v, dtype=np.int64)
+    x2 = x * x % v
+    u = (E.a1 * x + E.a3) % v
+    w = (x2 * x + E.a2 * x2 + E.a4 * x + E.a6) % v
+    disc = (u * u + 4 * w) % v
+    square = np.zeros(v, dtype=bool)
+    square[x2] = True
+    chi = np.where(disc == 0, 0, np.where(square[disc], 1, -1))
+    return -int(chi.sum())
+
+
+def sympy_factor_degrees(coeffs, v: int) -> tuple[tuple[int, ...], bool]:
+    """Sorted degrees of the irreducible factors mod v (with multiplicity) by
+    sympy, and whether some factor repeats."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=v)
+    _, factors = poly.factor_list()
+    degrees = sorted(f.degree() for f, e in factors for _ in range(e))
+    return tuple(degrees), any(e > 1 for _, e in factors)
+
+
+def sympy_is_squarefree(coeffs, v: int) -> bool:
+    """gcd(f, f') = 1 mod v, by sympy."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x, modulus=v)
+    return poly.gcd(poly.diff(x)).degree() == 0

@@ -154,6 +154,34 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
     assert code == 3 and "invariant" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_exhausted_process_exits_2_without_traceback(capsys, monkeypatch, exc):
+    import schurgate.cli as cli
+
+    def exhausted(G):
+        raise exc()
+
+    monkeypatch.setattr(cli, "irreducible_characters", exhausted)
+    code, out, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and exc.__name__ in err
+    assert "Traceback" not in err
+
+
+def test_json_emitter_matches_json_dumps():
+    from schurgate.cli import _dumps
+
+    payloads = [
+        {"a": [1, -2, 10 ** 40], "b": {"c": [], "d": {}, "e": None}, "f": [True, False]},
+        {"s": ["", "\u00e9\"\\\n\t", "\U0001f600"], "t": (1, (2, [3])), "u": [[{}], [[]]]},
+        {"float": 1.5, "nan": float("nan"), "nested": [{"x": [0.25, {"y": -1e300}]}]},
+        {1: "int key", "k": {None: 1, True: 2}},
+        [], {}, "plain", 7, None, 2.5,
+    ]
+    for payload in payloads:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
 def test_predict_invariant_violation_exits_3(capsys, monkeypatch):
     import schurgate.predictions as predictions
 

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from schurgate.elliptic import EllipticCurveQ, a_v, point_count
+import schurgate.elliptic as elliptic
+from oracles import naive_trace
+from schurgate.cyclotomic import InternalCheckError
+from schurgate.elliptic import NAIVE_COUNT_MAX, EllipticCurveQ, a_v, point_count
 from schurgate.groups import is_prime
 
 E_MINUS_X = EllipticCurveQ.from_list([0, 0, 0, -1, 0])  # y^2 = x^3 - x
@@ -80,3 +83,52 @@ def test_nonprime_rejected():
 def test_singular_curve_rejected():
     with pytest.raises(ValueError, match="singular"):
         EllipticCurveQ.from_list([0, 0, 0, 0, 0])
+
+
+ORACLE_CURVES = ([0, 0, 0, -1, 0], [1, -1, 1, -10, -20], [0, 1, 1, -3, 5])
+
+
+def test_a_v_matches_naive_count_at_every_good_prime_below_3000():
+    for coeffs in ORACLE_CURVES:
+        E = EllipticCurveQ.from_list(coeffs)
+        for v in range(3, 3000):
+            if is_prime(v) and E.discriminant % v:
+                assert a_v(E, v) == naive_trace(E, v), (coeffs, v)
+
+
+def test_a_v_matches_naive_count_at_seeded_large_primes():
+    rng = random.Random(17)
+    primes = [v for v in range(3000, 2 * 10 ** 4) if is_prime(v)]
+    seen = set()
+    done = 0
+    while done < 40:
+        try:
+            E = EllipticCurveQ.from_list([rng.randint(-9, 9) for _ in range(5)])
+        except ValueError:
+            continue
+        v = rng.choice(primes)
+        if E.discriminant % v == 0:
+            continue
+        assert a_v(E, v) == naive_trace(E, v), (E, v)
+        seen.add(v % 4)
+        done += 1
+    assert seen == {1, 3}
+
+
+def test_naive_count_stays_below_the_mestre_bound(monkeypatch):
+    # Mestre's argument needs v > 229, so the naive count covers at least that far
+    assert NAIVE_COUNT_MAX >= 229
+    E = EllipticCurveQ.from_list(ORACLE_CURVES[1])
+
+    def refuse(E, v):
+        raise AssertionError(f"naive count at v = {v}")
+
+    monkeypatch.setattr(elliptic, "_naive_trace", refuse)
+    for v in (233, 239, 241, 10007, 10009):  # both residues mod 4, above the crossover
+        assert a_v(E, v) == naive_trace(E, v)
+
+
+def test_non_unique_order_error_names_curve_and_prime(monkeypatch):
+    monkeypatch.setattr(elliptic, "_orders_in_interval", lambda P, A, v, lo, hi: {lo, hi})
+    with pytest.raises(InternalCheckError, match=r"at v = 1009 on the curve \[0,0,0,-1,0\]"):
+        a_v(E_MINUS_X, 1009)

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+import sympy
+
+from oracles import sympy_factor_degrees, sympy_is_squarefree
 from schurgate.groups import GroupElement, is_prime, make_group
 from schurgate.frobenius import (
     EXAMPLE_F1,
@@ -140,3 +144,65 @@ def test_resolve_field_poly():
     assert resolve_field_poly("-2,0,0,1") == (-2, 0, 0, 1)
     with pytest.raises(ValueError):
         resolve_field_poly("not-a-field")
+
+
+def _random_polynomials(seed, count):
+    """Seeded integer polynomials of degree 2..9, squarefree over Q."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 9)
+        coeffs = tuple(rng.randint(-30, 30) for _ in range(d)) + (rng.choice((1, 1, 2, 3, -5)),)
+        if poly_discriminant(coeffs) != 0:
+            out.append(coeffs)
+    return out
+
+
+PRIMES_2000 = [v for v in range(2, 2000) if is_prime(v)]
+
+
+def test_factor_pattern_matches_sympy_on_the_example_field():
+    for v in PRIMES_2000:
+        degrees, repeated = sympy_factor_degrees(EXAMPLE_F1, v)
+        if repeated:
+            with pytest.raises(ValueError, match="ramified"):
+                factor_pattern(EXAMPLE_F1, v)
+        else:
+            assert factor_pattern(EXAMPLE_F1, v) == degrees, v
+
+
+def test_factor_pattern_matches_sympy_on_random_polynomials():
+    rng = random.Random(11)
+    for coeffs in _random_polynomials(7, 60):
+        for v in rng.sample(PRIMES_2000[:60], 4) + rng.sample(PRIMES_2000[60:], 2):
+            if coeffs[-1] % v == 0:
+                with pytest.raises(ValueError, match="leading coefficient"):
+                    factor_pattern(coeffs, v)
+                continue
+            degrees, repeated = sympy_factor_degrees(coeffs, v)
+            if repeated:
+                with pytest.raises(ValueError, match="ramified"):
+                    factor_pattern(coeffs, v)
+            else:
+                assert factor_pattern(coeffs, v) == degrees, (coeffs, v)
+
+
+def test_discriminant_squarefree_criterion_matches_gcd():
+    # f mod v is squarefree iff v does not divide disc(f), when v does not divide lead(f)
+    polys = [EXAMPLE_F1, (-2, 0, 0, 1), (0, 1, 2, 1)] + _random_polynomials(3, 4)
+    ramified = 0
+    for coeffs in polys:
+        disc = poly_discriminant(coeffs)
+        for v in PRIMES_2000:
+            if coeffs[-1] % v == 0:
+                continue
+            assert (disc % v != 0) == sympy_is_squarefree(coeffs, v), (coeffs, v)
+            ramified += disc % v == 0
+    assert ramified > 10
+
+
+def test_poly_discriminant_matches_sympy():
+    x = sympy.Symbol("x")
+    for coeffs in [EXAMPLE_F1, (0, 1, 2, 1)] + _random_polynomials(5, 20):
+        expected = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), x))
+        assert poly_discriminant(coeffs) == expected, coeffs
