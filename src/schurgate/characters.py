@@ -31,7 +31,6 @@ from .cyclotomic import (
     _mul_into,
 )
 from .groups import (
-    GroupElement,
     MetacyclicParams,
     Subgroup,
     _class_index,
@@ -115,9 +114,6 @@ class Character:
         if kind == "induced":
             return PsiDescriptor(*self.provenance[1:]).char_id
         return kind
-
-    def value_at(self, g: GroupElement) -> CyclotomicNumber:
-        return self.values[_class_index(self.group)[self.group.class_of(g)]]
 
     def __eq__(self, other):
         if not isinstance(other, (Character, VirtualCharacter)):

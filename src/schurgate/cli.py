@@ -287,8 +287,7 @@ def cmd_series(args) -> int:
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
     chi = _parse_character(G, args.character)
-    mode = "first" if args.pick_first else "invariant"
-    series = dirichlet_partial(E, G, chi, poly, args.X, on_ambiguous=mode)
+    series = dirichlet_partial(E, G, chi, poly, args.X, pick_first=args.pick_first)
     payload = {
         "group": G.to_json(),
         "curve": E.to_json(),

@@ -75,10 +75,10 @@ class EllipticCurveQ:
 
 def a_v(E: EllipticCurveQ, v: int) -> int:
     """Trace of Frobenius a_v = v + 1 - #E(F_v) at a good odd prime v <= 10^6."""
+    if v > MAX_POINT_COUNT_PRIME:  # before the primality test, which trial-divides
+        raise ValueError(f"v = {v} exceeds the point-counting cap {MAX_POINT_COUNT_PRIME}")
     if not is_prime(v):
         raise ValueError(f"{v} is not prime")
-    if v > MAX_POINT_COUNT_PRIME:
-        raise ValueError(f"prime {v} exceeds the point-counting cap {MAX_POINT_COUNT_PRIME}")
     if v == 2 or E.discriminant % v == 0:
         raise ValueError(f"bad prime {v}")
     trace = _naive_trace(E, v) if v <= NAIVE_COUNT_MAX else _shanks_mestre_trace(E, v)
@@ -198,8 +198,3 @@ def _shanks_mestre_trace(E: EllipticCurveQ, v: int) -> int:
     raise InternalCheckError(
         f"no unique group order in the Hasse interval at v = {v} on the curve {E}"
     )
-
-
-def point_count(E: EllipticCurveQ, v: int) -> int:
-    """#E(F_v), including the point at infinity."""
-    return v + 1 - a_v(E, v)

@@ -88,7 +88,6 @@ class MetacyclicParams:
     n: int
     j: int
     r: int
-    canonical_j: int
 
     @property
     def order(self) -> int:
@@ -101,9 +100,6 @@ class MetacyclicParams:
     @property
     def pr(self) -> int:
         return self.p ** self.r
-
-    def identity(self) -> GroupElement:
-        return GroupElement(0, 0)
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         return GroupElement(
@@ -131,10 +127,6 @@ class MetacyclicParams:
         if self._twisted_sum(g.y, ord_y) * g.x % self.q == 0:
             return ord_y
         return self.q * ord_y
-
-    def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """h g h^-1."""
-        return self.mul(self.mul(h, g), self.inv(h))
 
     def elements(self) -> Iterator[GroupElement]:
         for y in range(self.pn):
@@ -197,8 +189,7 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
         raise ValueError(
             f"not metacyclic of required type: order of j is p^{r} but n = {n}"
         )
-    cj = _min_residue_of_order(q, p, r)
-    return MetacyclicParams(q=q, p=p, n=n, j=j, r=r, canonical_j=cj)
+    return MetacyclicParams(q=q, p=p, n=n, j=j, r=r)
 
 
 def _min_residue_of_order(q: int, p: int, r: int) -> int | None:
@@ -229,7 +220,7 @@ def _sylow_generator(q: int, p: int, v: int) -> int:
 @lru_cache(maxsize=None)
 def _subgroup_H(G: MetacyclicParams) -> tuple[int, ...]:
     """The unique subgroup H = <j> of order p^r in (Z/q)^x, sorted."""
-    return tuple(sorted(pow(G.canonical_j, k, G.q) for k in range(G.pr)))
+    return tuple(sorted(pow(G.j, k, G.q) for k in range(G.pr)))
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +275,6 @@ class Subgroup(NamedTuple):
     level: int
     order: int
     generators: tuple[GroupElement, ...]
-
-    def index_in(self, G: MetacyclicParams) -> int:
-        return G.order // self.order
 
 
 def _tower_subgroup(G: MetacyclicParams, kind: str, k: int) -> Subgroup:

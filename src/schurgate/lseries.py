@@ -22,9 +22,12 @@ assembled when every candidate class gives the same one, unless the caller
 picks a candidate.  Candidates with equal element order and multiplicities
 have equal traces and share one series.
 
-Coefficients are assembled multiplicatively over a smallest-prime-factor
-sieve: a_n = a_{v^k} a_t for v = spf(n), n = v^k t and v not dividing t, so
-the work is linear in X rather than one pass over 1..X per prime.
+Each prime is decided once.  One smallest-prime-factor sieve per X gives
+the primes; v is good when it is odd, not p or q, and divides neither disc(E)
+nor the cached field discriminant (a zero one excludes no prime, and
+``frobenius_datum`` refuses the first).  One loop feeds the series and the
+identity, and coefficients are assembled over the same sieve: a_n = a_{v^k} a_t
+for v = spf(n), n = v^k t and v not dividing t, so the work is linear in X.
 
 Bad and ramified primes contribute the trivial factor 1; every identity
 statement in this package is about good-prime-supported coefficients only.
@@ -38,11 +41,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold, prime_factors
-from .groups import ConjClass, MetacyclicParams, _class_index, is_prime
+from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold
+from .groups import ConjClass, MetacyclicParams, _class_index
 from .characters import QuotientIdentity, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
-from .frobenius import FrobeniusDatum, frobenius_datum, poly_discriminant
+from .frobenius import FrobeniusDatum, _discriminant, frobenius_datum
 
 __all__ = [
     "EulerFactor",
@@ -387,19 +390,28 @@ class DirichletSeries:
         return {"X": self.X, "an": [c.to_json() for c in self.an[1:]]}
 
 
+@lru_cache(maxsize=8)
+def _spf(X: int) -> tuple[int, ...]:
+    """Smallest prime factor of each 0 <= n <= X; n >= 2 is prime iff spf[n] == n.
+
+    Every d <= sqrt(X), taken downwards, marks its multiples from d^2 on, so
+    each n ends marked by its smallest divisor d >= 2 with d^2 <= n: its
+    smallest prime factor.  Primes are never marked.
+    """
+    spf = list(range(X + 1))
+    for d in range(isqrt(X), 1, -1):
+        spf[d * d :: d] = [d] * ((X - d * d) // d + 1)
+    return tuple(spf)
+
+
 def _assemble(X: int, local: dict[int, list]) -> DirichletSeries:
     """a_1..a_X of the product of the local series local[v] = [1, b_1, b_2, ...].
 
-    Multiplicative over a smallest-prime-factor sieve: a_n = local[v][k] * a_t
-    for v = spf(n), n = v^k t with v not dividing t.  a_n = 0 when a prime
-    factor of n has no local series or its series stops before the power.
+    Multiplicative over the sieve: a_n = local[v][k] * a_t for v = spf(n),
+    n = v^k t with v not dividing t.  a_n = 0 when a prime factor of n has
+    no local series or its series stops before the power.
     """
-    spf = list(range(X + 1))
-    for v in range(2, isqrt(X) + 1):
-        if spf[v] == v:
-            for m in range(v * v, X + 1, v):
-                if spf[m] == m:
-                    spf[m] = v
+    spf = _spf(X)
     an = [_ZERO] * (X + 1)
     an[1] = _ONE
     for n in range(2, X + 1):
@@ -422,37 +434,28 @@ def _kmax(v: int, X: int) -> int:
     return k
 
 
-@lru_cache(maxsize=64)
-def _field_bad_primes(field_coeffs: tuple) -> set[int]:
-    return set(prime_factors(abs(poly_discriminant(field_coeffs))))
-
-
 def good_primes(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int) -> list[int]:
     """Primes <= X that are good for the curve and unramified for the field data."""
-    bad_field = _field_bad_primes(tuple(field_coeffs))
-    disc_e = E.discriminant
-    out = []
-    for v in range(3, X + 1):
-        if not is_prime(v):
-            continue
-        if v in (G.p, G.q) or v in bad_field or disc_e % v == 0:
-            continue
-        out.append(v)
-    return out
+    # a prime divides the product iff it divides a factor; a zero field discriminant excludes none
+    bad = E.discriminant * (_discriminant(tuple(field_coeffs)) or 1)
+    spf = _spf(X)
+    return [v for v in range(3, X + 1) if spf[v] == v and v != G.p and v != G.q and bad % v]
+
+
+def _local_data(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int):
+    """(v, kmax, Frobenius datum, a_v) at each good prime v <= X, in order, computed as consumed."""
+    for v in good_primes(E, field_coeffs, G, X):
+        yield v, _kmax(v, X), frobenius_datum(field_coeffs, G, v), a_v(E, v)
 
 
 def _resolve_local_factor(
-    chi, datum: FrobeniusDatum, av: int, v: int, kmax: int, on_ambiguous: str
+    chi, datum: FrobeniusDatum, av: int, v: int, kmax: int, pick_first: bool = False
 ) -> list:
-    """b_0..b_kmax of the local L-series of a (virtual) character twist at v."""
+    """b_0..b_kmax of the local L-series of a (virtual) character twist at v;
+    every candidate class must agree unless pick_first takes the smallest."""
     candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
-    if datum.conj_class is None and on_ambiguous == "error":
-        raise ValueError(
-            f"ambiguous Frobenius class at v={v}: candidates "
-            f"{[list(c.rep) for c in datum.candidates]}"
-        )
-    if datum.conj_class is None and on_ambiguous == "first":
-        candidates = [candidates[0]]
+    if pick_first:
+        candidates = candidates[:1]
     # the multiplicities validate chi at every candidate; equal ones give equal traces
     distinct: dict = {}
     for cls in candidates:
@@ -468,28 +471,22 @@ def _resolve_local_factor(
 
 
 def dirichlet_partial(
-    E: EllipticCurveQ,
-    G: MetacyclicParams,
-    chi,
-    field_coeffs,
-    X: int,
-    on_ambiguous: str = "invariant",
+    E: EllipticCurveQ, G: MetacyclicParams, chi, field_coeffs, X: int, pick_first: bool = False
 ) -> DirichletSeries:
     """Coefficients of the twisted L-series over good primes up to X.
 
     chi may be a Character or VirtualCharacter on G.  Bad and ramified
-    primes contribute the factor 1.  on_ambiguous: "invariant" (default)
-    computes every candidate class and requires agreement, "first" picks the
-    smallest candidate, "error" refuses.
+    primes contribute the factor 1.  An ambiguous Frobenius class must give
+    the same factor at every candidate, unless pick_first takes the smallest.
     """
     if X < 1:
         raise ValueError("X must be at least 1")
     if X > 10 ** 5:
         raise ValueError("X capped at 10^5")
-    local = {}
-    for v in good_primes(E, field_coeffs, G, X):
-        datum = frobenius_datum(field_coeffs, G, v)
-        local[v] = _resolve_local_factor(chi, datum, a_v(E, v), v, _kmax(v, X), on_ambiguous)
+    local = {
+        v: _resolve_local_factor(chi, datum, av, v, kmax, pick_first)
+        for v, kmax, datum, av in _local_data(E, field_coeffs, G, X)
+    }
     return _assemble(X, local)
 
 
@@ -572,13 +569,9 @@ def identity_series_check(
     qi = quotient_identity_virtual_character(G)
     lhs_local = {}
     rhs_local = {}
-    primes = good_primes(E, field_coeffs, G, X)
-    for v in primes:
-        kmax = _kmax(v, X)
-        datum = frobenius_datum(field_coeffs, G, v)
-        av = a_v(E, v)
+    for v, kmax, datum, av in _local_data(E, field_coeffs, G, X):
         lhs_local[v] = _tower_series(G, datum, av, v, kmax)
-        rhs_local[v] = _resolve_local_factor(qi.rhs, datum, av, v, kmax, "invariant")
+        rhs_local[v] = _resolve_local_factor(qi.rhs, datum, av, v, kmax)
     lhs = _assemble(X, lhs_local)
     rhs = _assemble(X, rhs_local)
     mismatch = next((i for i in range(1, X + 1) if lhs.an[i] != rhs.an[i]), None)
@@ -587,7 +580,7 @@ def identity_series_check(
         X=X,
         coefficient=qi.coefficient,
         holds=mismatch is None,
-        primes_used=len(primes),
+        primes_used=len(lhs_local),
         first_mismatch=mismatch,
         quotient=qi,
     )

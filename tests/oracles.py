@@ -13,7 +13,10 @@ inversion, evaluation of symbolic factors, and explicit monomial matrices
 for a faithful character.  The cyclotomic ones lift values densely,
 multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
 values by applying every unit.  The local ones count points naively, one
-quadratic in y per x, and factor polynomials mod v with sympy.
+quadratic in y per x, factor polynomials mod v with sympy, and find good
+primes by trial division.  The group-law helpers (identity, conjugate,
+index_in, value_at) are the element-level views that the package itself
+never needs.
 """
 
 from fractions import Fraction
@@ -22,7 +25,9 @@ from math import gcd, lcm
 
 import sympy
 
-from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError
+from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError, prime_factors
+from schurgate.elliptic import a_v
+from schurgate.frobenius import poly_discriminant
 from schurgate.groups import (
     ConjClass,
     GroupElement,
@@ -30,6 +35,7 @@ from schurgate.groups import (
     Subgroup,
     _class_index,
     conjugacy_classes,
+    is_prime,
     multiplicative_order,
     subgroup_X,
 )
@@ -42,12 +48,31 @@ _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
 
 
+def identity(G: MetacyclicParams) -> GroupElement:
+    return GroupElement(0, 0)
+
+
+def conjugate(G: MetacyclicParams, g: GroupElement, h: GroupElement) -> GroupElement:
+    """h g h^-1, by the group law."""
+    return G.mul(G.mul(h, g), G.inv(h))
+
+
+def index_in(H: Subgroup, G: MetacyclicParams) -> int:
+    return G.order // H.order
+
+
+def value_at(chi, g: GroupElement) -> CyclotomicNumber:
+    """chi(g), read from the class of g."""
+    G = chi.group
+    return chi.values[_class_index(G)[G.class_of(g)]]
+
+
 def subgroup_elements(G: MetacyclicParams, H: Subgroup) -> frozenset[GroupElement]:
     """The elements of H, by closing its generators under G.mul; test oracle."""
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    closure = {G.identity()}
-    frontier = [G.identity()]
+    closure = {identity(G)}
+    frontier = [identity(G)]
     while frontier:
         g = frontier.pop()
         for s in H.generators:
@@ -77,7 +102,7 @@ def conjugate_psi(G: MetacyclicParams, psi: PsiDescriptor, k: int) -> PsiDescrip
 def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
     """Values of chi on the elements of X."""
     G = chi.group
-    return {g: chi.value_at(g) for g in sorted(subgroup_elements(G, subgroup_X(G)))}
+    return {g: value_at(chi, g) for g in sorted(subgroup_elements(G, subgroup_X(G)))}
 
 
 def evaluate_symbolic(poly, a_val, v_val) -> CyclotomicNumber:
@@ -105,7 +130,7 @@ def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
         while frontier:
             h = frontier.pop()
             for s in gens:
-                c = G.conjugate(h, s)
+                c = conjugate(G, h, s)
                 if c not in orbit:
                     orbit.add(c)
                     frontier.append(c)
@@ -465,6 +490,21 @@ def reciprocal_root_magnitudes(factor: EulerFactor) -> list[float]:
     coeffs = [c.to_complex() for c in factor.poly]
     roots = np.roots(list(reversed(coeffs)))
     return sorted(abs(1.0 / r) for r in roots)
+
+
+def point_count(E, v: int) -> int:
+    """#E(F_v), including the point at infinity."""
+    return v + 1 - a_v(E, v)
+
+
+def good_primes_trial_division(E, field_coeffs, G: MetacyclicParams, X: int) -> list[int]:
+    """Good primes <= X by trial division: each n tested with is_prime, and the
+    field discriminant factored into its primes (none when it is zero)."""
+    bad_field = set(prime_factors(abs(poly_discriminant(tuple(field_coeffs)))))
+    return [
+        v for v in range(3, X + 1)
+        if is_prime(v) and v not in (G.p, G.q) and v not in bad_field and E.discriminant % v
+    ]
 
 
 def naive_trace(E, v: int) -> int:

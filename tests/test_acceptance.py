@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import conjugate_psi, psi_value, subgroup_elements
+from oracles import conjugate_psi, psi_value, subgroup_elements, value_at
 from schurgate.cyclotomic import CyclotomicNumber as C
 from schurgate.groups import (
     GroupElement,
@@ -177,7 +177,7 @@ def test_criterion_03_character_table_properties():
                         (psi_value(G, conjugate_psi(G, psi, k), g) for k in range(G.pr)),
                         C.from_rational(0),
                     )
-                    assert tau.value_at(g) == conj_sum, f"Mackey fails for {G}"
+                    assert value_at(tau, g) == conj_sum, f"Mackey fails for {G}"
     _report(
         3,
         True,

@@ -5,10 +5,12 @@ import pytest
 from oracles import (
     conjugate_psi,
     field_of_values_all_units,
+    index_in,
     induce_brute,
     permutation_character_brute,
     psi_value,
     restriction_to_X,
+    value_at,
 )
 from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
@@ -106,14 +108,14 @@ def test_induced_character_trace_at_a():
     # faithful character of C7:C3 has trace eta = z7 + z7^2 + z7^4 at a
     tau = one_faithful_character(G21)
     eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)
-    assert tau.value_at(GroupElement(1, 0)) == eta
+    assert value_at(tau, GroupElement(1, 0)) == eta
 
 
 def test_induced_value_at_central_b3():
     # faithful character of C7:C9 takes value 3*zeta_3^w at b^3
     for tau in faithful_characters(G63):
         _, _, w = tau.provenance
-        val = tau.value_at(GroupElement(0, 3))
+        val = value_at(tau, GroupElement(0, 3))
         assert val == 3 * C.zeta(3, w)
 
 
@@ -173,7 +175,7 @@ def test_tensor_decompose_c7_c9():
         tau_r, chi = tensor_decompose(tau)
         assert chi.degree == 1
         # chi has order p^n = 9: chi(b) is a primitive 9th root
-        assert chi.value_at(GroupElement(0, 1)).conductor == 9
+        assert value_at(chi, GroupElement(0, 1)).conductor == 9
         prod = tuple(a * b for a, b in zip(tau_r.values, chi.values))
         assert prod == tau.values
         assert not is_faithful(tau_r)
@@ -236,7 +238,7 @@ def test_permutation_character_rationality_and_tower():
     G = G63
     for sub in tower_subgroups(G):
         perm = permutation_character(G, sub)
-        assert perm.degree == sub.index_in(G)
+        assert perm.degree == index_in(sub, G)
         assert all(v.is_rational() for v in perm.values)
         for tau in irreducible_characters(G):
             m = inner_product(perm, tau)

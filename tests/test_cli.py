@@ -381,6 +381,20 @@ def test_import_cli_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["series", "identity"])
+def test_field_with_a_large_discriminant_prime_exits_2(command):
+    # disc = 3^3 * 11 * 74169586920635577473: trial division of it would run for hours
+    import subprocess
+    import sys
+
+    argv = [command, "--curve", "0,0,0,-1,0", "-n", "1", "-X", "10", "--field=-33,22,47,-42,-18,-35,13,1"]
+    out = subprocess.run(
+        [sys.executable, "-m", "schurgate.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: polynomial does not define expected extension")
+
+
 def test_qadic_class_order_error_names_parameters():
     from schurgate.cyclotomic import InternalCheckError
     from schurgate.schur import qadic_class_order

@@ -3,9 +3,9 @@ import random
 import pytest
 
 import schurgate.elliptic as elliptic
-from oracles import naive_trace
+from oracles import naive_trace, point_count
 from schurgate.cyclotomic import InternalCheckError
-from schurgate.elliptic import NAIVE_COUNT_MAX, EllipticCurveQ, a_v, point_count
+from schurgate.elliptic import NAIVE_COUNT_MAX, EllipticCurveQ, a_v
 from schurgate.groups import is_prime
 
 E_MINUS_X = EllipticCurveQ.from_list([0, 0, 0, -1, 0])  # y^2 = x^3 - x
@@ -73,6 +73,13 @@ def test_bad_prime_rejected():
 def test_large_prime_capped():
     with pytest.raises(ValueError, match="cap"):
         a_v(E_MINUS_X, 10 ** 6 + 3)
+
+
+@pytest.mark.parametrize("v", [10 ** 16 + 61, 10 ** 18 + 3, 10 ** 18 + 4])
+def test_cap_is_checked_before_the_primality_test(v):
+    # trial division would take minutes at these sizes; composites are not called prime
+    with pytest.raises(ValueError, match=f"^v = {v} exceeds the point-counting cap"):
+        a_v(E_MINUS_X, v)
 
 
 def test_nonprime_rejected():

@@ -13,6 +13,7 @@ from oracles import (
     element_matrix,
     evaluate_symbolic,
     field_local_factor,
+    good_primes_trial_division,
     local_expansion,
     mat_mul,
     mat_pow,
@@ -21,9 +22,9 @@ from oracles import (
     reciprocal_root_magnitudes,
     tpoly_mul,
 )
-from schurgate.cyclotomic import InternalCheckError
+from schurgate.cyclotomic import InternalCheckError, prime_factors
 from schurgate.cyclotomic import CyclotomicNumber as C
-from schurgate.groups import GroupElement, _class_index, conjugacy_classes, make_group, tower_subgroups
+from schurgate.groups import GroupElement, _class_index, conjugacy_classes, is_prime, make_group, tower_subgroups
 from schurgate.characters import (
     VirtualCharacter,
     faithful_characters,
@@ -51,6 +52,7 @@ from schurgate.lseries import (
     _newton,
     _power_sums,
     _resolve_local_factor,
+    _spf,
     _tower_series,
     _traces,
 )
@@ -234,17 +236,19 @@ def test_ambiguous_class_handling():
     tau = one_faithful_character(G63)
     datum = frobenius_datum(EXAMPLE_F1, G63, 53)  # ambiguous order-7 Frobenius
     assert datum.conj_class is None
-    with pytest.raises(ValueError, match="candidates"):
-        _resolve_local_factor(tau, datum, a_v(E_MINUS_X, 53), 53, 2, "error")
     # a single faithful twist genuinely depends on the candidate
     with pytest.raises(ValueError, match="ambiguity"):
-        _resolve_local_factor(tau, datum, a_v(E_MINUS_X, 53), 53, 2, "invariant")
+        _resolve_local_factor(tau, datum, a_v(E_MINUS_X, 53), 53, 2)
     # but the full faithful product does not
     from schurgate.characters import quotient_identity_virtual_character
 
     rhs = quotient_identity_virtual_character(G63).rhs
-    series = _resolve_local_factor(rhs, datum, a_v(E_MINUS_X, 53), 53, 2, "invariant")
+    series = _resolve_local_factor(rhs, datum, a_v(E_MINUS_X, 53), 53, 2)
     assert series[0] == C.from_rational(1)
+    # and picking the smallest candidate takes the faithful twist's factor there
+    av = a_v(E_MINUS_X, 53)
+    picked = _resolve_local_factor(tau, datum, av, 53, 2, pick_first=True)
+    assert picked == _newton(_traces(_power_sums(av, 53, 2), tau, datum.candidates[0], 2), 2, 1, C.from_rational(1))
 
 
 def test_identity_series_both_towers():
@@ -330,8 +334,8 @@ def test_ambiguity_fast_path_matches_each_candidate():
     datum = frobenius_datum(EXAMPLE_F1, G63, 53)
     av = a_v(E_MINUS_X, 53)
     assert len(datum.candidates) > 1
-    assert _resolve_local_factor(rhs, datum, av, 53, 2, "invariant") == _resolve_local_factor(
-        rhs, datum, av, 53, 2, "first"
+    assert _resolve_local_factor(rhs, datum, av, 53, 2) == _resolve_local_factor(
+        rhs, datum, av, 53, 2, pick_first=True
     )
 
 
@@ -349,6 +353,36 @@ def _random_local(rng, X):
         length = rng.randint(1, _kmax(v, X) + 2)  # sometimes stops before the top power
         local[v] = [C.from_rational(1)] + [rng.choice(values) for _ in range(length - 1)]
     return local
+
+
+def test_spf_matches_trial_division():
+    spf = _spf(5000)
+    assert len(spf) == 5001
+    for n in range(2, 5001):
+        assert (spf[n] == n) == is_prime(n)
+        assert spf[n] == prime_factors(n)[0]
+
+
+# x^7 + x + 1 has discriminant -11 * 239 * 331, x^7 + 3x + 5 has -37 * 7817 * 44843,
+# and x^7 + x^6 has discriminant 0, which excludes no prime
+GOOD_PRIME_FIELDS = [EXAMPLE_F1, (1, 1, 0, 0, 0, 0, 0, 1), (5, 3, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)]
+GOOD_PRIME_CURVES = [[0, 0, 0, -1, 0], [1, -1, 1, -10, -20], [0, 0, 1, -1, 0]]
+
+
+@pytest.mark.parametrize("field", GOOD_PRIME_FIELDS, ids=str)
+def test_good_primes_match_trial_division(field):
+    for coeffs in GOOD_PRIME_CURVES:
+        E = EllipticCurveQ.from_list(coeffs)
+        for G in (G21, make_group(13, 3, 1)):
+            for X in (0, 1, 2, 3, 5, 11, 240, 3000):
+                assert good_primes(E, field, G, X) == good_primes_trial_division(E, field, G, X)
+
+
+def test_zero_discriminant_is_refused_at_the_first_prime():
+    with pytest.raises(ValueError, match="ramified prime 5"):
+        dirichlet_partial(E_MINUS_X, G21, trivial_character(G21), (0, 0, 0, 0, 0, 0, 1, 1), 50)
+    with pytest.raises(ValueError, match="ramified prime 5"):
+        identity_series_check(E_MINUS_X, (0, 0, 0, 0, 0, 0, 1, 1), G21, 50)
 
 
 @pytest.mark.parametrize("X", [1, 2, 3, 97, 243, 1000])
@@ -466,8 +500,8 @@ def test_ambiguity_check_raises_exactly_when_block_factors_differ(n):
             }
             if len(factors) > 1:
                 with pytest.raises(ValueError, match="ambiguity"):
-                    _resolve_local_factor(chi, datum, av, v, kmax, "invariant")
+                    _resolve_local_factor(chi, datum, av, v, kmax)
             else:
                 num, den = factors.pop()
-                assert _resolve_local_factor(chi, datum, av, v, kmax, "invariant") == local_expansion(num, den, kmax)
+                assert _resolve_local_factor(chi, datum, av, v, kmax) == local_expansion(num, den, kmax)
     assert ambiguous > 10
