@@ -9,7 +9,6 @@ from .cyclotomic import (
     InternalCheckError,
     euler_phi,
     field_of_values,
-    galois_apply,
 )
 from .groups import (
     ConjClass,

@@ -190,21 +190,6 @@ class VirtualCharacter:
     def degree(self) -> Fraction:
         return self.values[0].rational_value()
 
-    def decompose(self, table: list[Character] | None = None) -> dict[str, int]:
-        """Multiplicities against the irreducible table; exact."""
-        table = table if table is not None else irreducible_characters(self.group)
-        out = {}
-        for chi in table:
-            m = inner_product(self, chi)
-            if m:
-                if m.denominator != 1:
-                    raise InternalCheckError(
-                        f"non-integral multiplicity {m} of {chi.char_id} in decomposition "
-                        f"({self.group.spec})"
-                    )
-                out[chi.char_id] = int(m)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # table construction

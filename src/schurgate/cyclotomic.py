@@ -44,7 +44,6 @@ from math import gcd, lcm, prod
 __all__ = [
     "CyclotomicNumber",
     "AbelianField",
-    "galois_apply",
     "field_of_values",
     "euler_phi",
     "max_conductor",
@@ -439,10 +438,6 @@ class CyclotomicNumber:
         coeffs = [str(c) for c in self.num] if den == 1 else [_fmt(c, den) for c in self.num]
         return {"conductor": self.conductor, "coeffs": coeffs}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CyclotomicNumber":
-        return cls(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -483,11 +478,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CyclotomicNumber.from_rational(x)
     return NotImplemented
-
-
-def galois_apply(x: CyclotomicNumber, k: int) -> CyclotomicNumber:
-    """Apply zeta_m -> zeta_m^k to x; k must be coprime to the conductor of x."""
-    return x.galois(k)
 
 
 class AbelianField:
@@ -532,21 +522,8 @@ class AbelianField:
     def degree(self) -> int:
         return _phi(self.conductor) // len(self.stabilizer)
 
-    def contains_value(self, x: CyclotomicNumber) -> bool:
-        m = self.conductor
-        if m % x.conductor != 0:
-            return False
-        s = m // x.conductor
-        terms = [(i * s, c) for i, c in x._nz()]
-        vec = _image(m, terms, 1)
-        return all(k == 1 or _image(m, terms, k) == vec for k in self.stabilizer)
-
     def to_json(self) -> dict:
         return {"conductor": self.conductor, "stabilizer": list(self.stabilizer)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AbelianField":
-        return cls(obj["conductor"], obj["stabilizer"])
 
     @classmethod
     def rationals(cls) -> "AbelianField":

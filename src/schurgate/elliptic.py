@@ -75,7 +75,7 @@ class EllipticCurveQ:
 
 def a_v(E: EllipticCurveQ, v: int) -> int:
     """Trace of Frobenius a_v = v + 1 - #E(F_v) at a good odd prime v <= 10^6."""
-    if v > MAX_POINT_COUNT_PRIME:  # before the primality test, which trial-divides
+    if v > MAX_POINT_COUNT_PRIME:  # before the primality test: any v above the cap gets this message
         raise ValueError(f"v = {v} exceeds the point-counting cap {MAX_POINT_COUNT_PRIME}")
     if not is_prime(v):
         raise ValueError(f"{v} is not prime")

@@ -6,8 +6,9 @@ pinned down by two independent observations:
   * the distinct-degree factorization pattern of the degree-q polynomial
     defining the non-Galois field F_1 modulo v, which sees the image of
     Frobenius in the closure quotient C_q x| C_{p^r} acting on q points; and
-  * the class of v in the degree-p^n cyclotomic layer, recovered as a
-    discrete logarithm of v^{p-1} in the principal units mod p^{n+1}.
+  * the class of v in the degree-p^n cyclotomic layer, read off as the
+    p-adic logarithm of v^{p-1} in the principal units mod p^{n+1}, which
+    is one modular power, never a walk through the units.
 
 The pattern can only take the shapes 1^q (trivial image), 1 + o + ... + o
 with o = p^i > 1 (a power of b), or a single q (nontrivial order-q part).
@@ -268,23 +269,17 @@ def cyclotomic_exponent(v: int, p: int, n: int) -> int:
     The layer is the fixed field of the prime-to-p torsion of (Z/p^{n+1})^x,
     so v and v * t are identified for t^{p-1} = 1.  Concretely
     v^{p-1} = (1+p)^e in the principal units and y = e / (p-1) mod p^n,
-    normalizing b to act as the class with y = 1.
+    normalizing b to act as the class with y = 1.  The p-adic logarithm
+    l(u) = (u^{p^n} - 1) / p^{n+1} mod p^n, taken mod p^{2n+1}, maps the
+    principal units mod p^{n+1} isomorphically onto Z/p^n with l(1+p) a
+    unit, so e = l(v^{p-1}) / l(1+p).
     """
-    mod = p ** (n + 1)
     if v % p == 0:
         raise ValueError(f"{v} is ramified in the cyclotomic layer")
-    target = pow(v, p - 1, mod)
-    base = 1 + p
-    acc = 1
-    e = None
-    for k in range(p ** n):
-        if acc == target:
-            e = k
-            break
-        acc = acc * base % mod
-    if e is None:
-        raise ValueError(f"{v}^{p - 1} is not a principal unit mod {mod}")
-    return e * pow(p - 1, -1, p ** n) % p ** n
+    pn, mod, scale = p ** n, p ** (2 * n + 1), p ** (n + 1)
+    e = (pow(v, (p - 1) * pn, mod) - 1) // scale
+    unit = (pow(1 + p, pn, mod) - 1) // scale
+    return e * pow(unit * (p - 1), -1, pn) % pn
 
 
 class FrobeniusDatum(NamedTuple):

@@ -7,15 +7,21 @@ Elements are residue pairs (x, y) standing for a^x b^y, with the product
 Everything downstream (conjugacy classes, the distinguished subgroup X, the
 tower subgroups) is computed from closed forms in (q, p, n, r).  A subgroup
 is a descriptor (label, kind, level, order, generators), never a set of
-elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  The one
-walk the package makes is over H = <j> in (Z/q)^x, cached once per group
-as the orbit-minimum table that class representatives are read from.  The
-group law (mul, inv, elements) is kept as the reference that the test
-oracles close subgroups under.
+elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  The
+package walks only p-power subgroups of (Z/q)^x: H = <j>, cached once per
+group as the orbit-minimum table that class representatives are read from,
+and the order-p^s subgroup that the default j and iter_valid_groups take
+j from.  The group law itself (mul, elements) lives in the test oracles.
+
+The integer questions are answered without walking (Z/q)^x: primality by
+deterministic Miller-Rabin, and r by p-power tests, since j has p-power
+order iff j^{p^v} = 1 for v = v_p(q - 1), and r is then the least k with
+j^{p^k} = 1.  The order of j itself is never computed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -35,30 +41,46 @@ __all__ = [
     "iter_valid_groups",
 ]
 
+# Miller-Rabin with the first k prime bases proves m prime for every odd
+# m < psi_k (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster,
+# Math. Comp. 86, 2017).  psi_k is the least odd composite that is a strong
+# probable prime to each of the first k bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact for m < psi_13 (about 3.3e24).
+
+    A larger m is decided only when one of the bases divides it; otherwise
+    it raises ValueError rather than guess.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    k = bisect_right(_MR_PSI, m) + 1  # the least k with m < psi_k
+    if k > len(_MR_PSI):
+        raise ValueError(f"{m} is beyond the deterministic primality range (< {_MR_PSI[-1]})")
+    s = vp(m - 1, 2)
+    d = (m - 1) >> s
+    for a in _MR_BASES[:k]:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    a %= m
-    k, x = 1, a
-    while x != 1:
-        x = x * a % m
-        k += 1
-    return k
 
 
 def vp(m: int, p: int) -> int:
@@ -101,12 +123,6 @@ class MetacyclicParams:
     def pr(self) -> int:
         return self.p ** self.r
 
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(
-            (g.x + pow(self.j, g.y, self.q) * h.x) % self.q,
-            (g.y + h.y) % self.pn,
-        )
-
     def inv(self, g: GroupElement) -> GroupElement:
         jy = pow(self.j, -g.y % self.pn, self.q)
         return GroupElement(-jy * g.x % self.q, -g.y % self.pn)
@@ -128,11 +144,6 @@ class MetacyclicParams:
             return ord_y
         return self.q * ord_y
 
-    def elements(self) -> Iterator[GroupElement]:
-        for y in range(self.pn):
-            for x in range(self.q):
-                yield GroupElement(x, y)
-
     def class_of(self, g: GroupElement) -> GroupElement:
         """Representative (lexicographically minimal element) of the class of g."""
         if g.y % self.pr != 0:
@@ -152,7 +163,7 @@ class MetacyclicParams:
 
 
 def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams:
-    """Validate parameters and derive r = log_p(order of j mod q).
+    """Validate parameters and derive r = log_p(order of j mod q) by p-power tests.
 
     When j is omitted the canonical choice with the largest possible action
     is used: the smallest residue of order p^{min(n, v_p(q-1))}.  Even primes
@@ -168,23 +179,23 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
         raise ValueError("p and q must be distinct")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    v = vp(q - 1, p)
     if j is None:
-        v = vp(q - 1, p)
-        j = _min_residue_of_order(q, p, min(n, v)) if v else None
-        if j is None:
+        if not v:
             raise ValueError(f"no element of order {p} mod {q}: need p | q-1")
+        s = min(n, v)
+        j = next(x for x in _p_power_roots(q, p, s) if pow(x, p ** (s - 1), q) != 1)
     j %= q
     if j == 0:
         raise ValueError("j must be a unit mod q")
     if j == 1:
         raise ValueError("abelian: j = 1 gives the direct product, not handled here")
-    t = multiplicative_order(j, q)
-    r = vp(t, p)
-    if t != p ** r:
+    if pow(j, p ** v, q) != 1:
         raise ValueError(
-            f"not metacyclic of required type: j = {j} has order {t} mod {q}, "
-            f"which is not a power of p = {p}"
+            f"not metacyclic of required type: j = {j} mod {q} does not have "
+            f"order a power of p = {p}"
         )
+    r = next(k for k in range(1, v + 1) if pow(j, p ** k, q) == 1)
     if r > n:
         raise ValueError(
             f"not metacyclic of required type: order of j is p^{r} but n = {n}"
@@ -192,29 +203,17 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
     return MetacyclicParams(q=q, p=p, n=n, j=j, r=r)
 
 
-def _min_residue_of_order(q: int, p: int, r: int) -> int | None:
-    """Smallest residue of multiplicative order p^r mod q, or None."""
-    v = vp(q - 1, p)
-    if r > v:
-        return None
-    if r == 0:
-        return 1
-    step = pow(_sylow_generator(q, p, v), p ** (v - r), q)
-    best = None
-    t = step
-    for k in range(1, p ** r):
-        if k % p != 0 and (best is None or t < best):
-            best = t
-        t = t * step % q
-    return best
+def _p_power_roots(q: int, p: int, s: int) -> list[int]:
+    """The residues x != 1 mod q with x^{p^s} = 1, sorted; p^s must divide q - 1.
 
-
-def _sylow_generator(q: int, p: int, v: int) -> int:
-    """A generator of the Sylow p-subgroup of (Z/q)^x, whose order p^v >= p divides q - 1."""
+    They are the powers of a generator h = x^{(q-1)/p^s} of the cyclic
+    subgroup of order p^s, found at the first x whose h has exact order p^s.
+    """
+    ps = p ** s
     for x in range(2, q):
-        h = pow(x, (q - 1) // p ** v, q)
-        if pow(h, p ** (v - 1), q) != 1:
-            return h
+        h = pow(x, (q - 1) // ps, q)
+        if pow(h, ps // p, q) != 1:
+            return sorted(pow(h, k, q) for k in range(1, ps))
 
 
 @lru_cache(maxsize=None)
@@ -313,16 +312,8 @@ def iter_valid_groups(max_order: int) -> Iterator[MetacyclicParams]:
             if p == 2 or p == q or q * p > max_order:
                 continue
             v = vp(q - 1, p)
-            sylow_gen = _sylow_generator(q, p, v)
             n = 1
             while q * p ** n <= max_order:
-                js = sorted(
-                    pow(sylow_gen, p ** (v - rr) * k, q)
-                    for rr in range(1, min(n, v) + 1)
-                    for k in range(1, p ** rr)
-                    if k % p != 0
-                )
-                for j in js:
+                for j in _p_power_roots(q, p, min(n, v)):
                     yield make_group(q, p, n, j)
                 n += 1
-

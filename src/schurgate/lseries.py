@@ -443,9 +443,19 @@ def good_primes(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int) ->
 
 
 def _local_data(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int):
-    """(v, kmax, Frobenius datum, a_v) at each good prime v <= X, in order, computed as consumed."""
-    for v in good_primes(E, field_coeffs, G, X):
-        yield v, _kmax(v, X), frobenius_datum(field_coeffs, G, v), a_v(E, v)
+    """(v, kmax, Frobenius datum, a_v) at each good prime v <= X, in order, computed as consumed.
+
+    Both series routes start here, so X is checked here, before any work:
+    1 <= X <= 10^5.
+    """
+    if X < 1:
+        raise ValueError("X must be at least 1")
+    if X > 10 ** 5:
+        raise ValueError("X capped at 10^5")
+    return (
+        (v, _kmax(v, X), frobenius_datum(field_coeffs, G, v), a_v(E, v))
+        for v in good_primes(E, field_coeffs, G, X)
+    )
 
 
 def _resolve_local_factor(
@@ -479,10 +489,6 @@ def dirichlet_partial(
     primes contribute the factor 1.  An ambiguous Frobenius class must give
     the same factor at every candidate, unless pick_first takes the smallest.
     """
-    if X < 1:
-        raise ValueError("X must be at least 1")
-    if X > 10 ** 5:
-        raise ValueError("X capped at 10^5")
     local = {
         v: _resolve_local_factor(chi, datum, av, v, kmax, pick_first)
         for v, kmax, datum, av in _local_data(E, field_coeffs, G, X)
@@ -566,10 +572,11 @@ def identity_series_check(
     route).  Good primes only; both sides are symmetric under the Frobenius
     class ambiguity, which is verified, not assumed.
     """
+    local = _local_data(E, field_coeffs, G, X)
     qi = quotient_identity_virtual_character(G)
     lhs_local = {}
     rhs_local = {}
-    for v, kmax, datum, av in _local_data(E, field_coeffs, G, X):
+    for v, kmax, datum, av in local:
         lhs_local[v] = _tower_series(G, datum, av, v, kmax)
         rhs_local[v] = _resolve_local_factor(qi.rhs, datum, av, v, kmax)
     lhs = _assemble(X, lhs_local)

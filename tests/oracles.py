@@ -4,7 +4,7 @@ Each one recomputes from the definitions, by enumerating G or with big
 integers, what the package derives in closed form; the group-level ones are
 gated to order <= BRUTE_FORCE_LIMIT.  The package describes a subgroup only
 by its generators, so its elements are found here by closing them under
-G.mul, and psi and the restriction to X are evaluated element by element.
+the group law (mul), and psi and the restriction to X are evaluated element by element.
 The L-series ones are the package's earlier direct routes: Fourier
 inversion in CyclotomicNumber arithmetic, Dirichlet assembly by one
 convolution pass per prime, local factors as products of quadratic blocks
@@ -14,9 +14,12 @@ for a faithful character.  The cyclotomic ones lift values densely,
 multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
 values by applying every unit.  The local ones count points naively, one
 quadratic in y per x, factor polynomials mod v with sympy, and find good
-primes by trial division.  The group-law helpers (identity, conjugate,
-index_in, value_at) are the element-level views that the package itself
-never needs.
+primes by trial division.  The group-law helpers (identity, mul, elements,
+conjugate, index_in, value_at) are the element-level views that the
+package itself never needs, and so are decompose, galois_apply,
+contains_value and the JSON readers.  The integer ones walk: the
+multiplicative order by stepping through powers, and the cyclotomic
+exponent by stepping through the powers of 1 + p.
 """
 
 from fractions import Fraction
@@ -36,10 +39,9 @@ from schurgate.groups import (
     _class_index,
     conjugacy_classes,
     is_prime,
-    multiplicative_order,
     subgroup_X,
 )
-from schurgate.characters import Character, PsiDescriptor
+from schurgate.characters import Character, PsiDescriptor, inner_product, irreducible_characters
 from schurgate.lseries import DirichletSeries, EulerFactor
 
 BRUTE_FORCE_LIMIT = 10 ** 4
@@ -52,9 +54,21 @@ def identity(G: MetacyclicParams) -> GroupElement:
     return GroupElement(0, 0)
 
 
+def mul(G: MetacyclicParams, g: GroupElement, h: GroupElement) -> GroupElement:
+    """The group law (x1, y1) * (x2, y2) = (x1 + j^y1 x2 mod q, y1 + y2 mod p^n)."""
+    return GroupElement((g.x + pow(G.j, g.y, G.q) * h.x) % G.q, (g.y + h.y) % G.pn)
+
+
+def elements(G: MetacyclicParams):
+    """Every element of G, by y and then x."""
+    for y in range(G.pn):
+        for x in range(G.q):
+            yield GroupElement(x, y)
+
+
 def conjugate(G: MetacyclicParams, g: GroupElement, h: GroupElement) -> GroupElement:
     """h g h^-1, by the group law."""
-    return G.mul(G.mul(h, g), G.inv(h))
+    return mul(G, mul(G, h, g), G.inv(h))
 
 
 def index_in(H: Subgroup, G: MetacyclicParams) -> int:
@@ -68,7 +82,7 @@ def value_at(chi, g: GroupElement) -> CyclotomicNumber:
 
 
 def subgroup_elements(G: MetacyclicParams, H: Subgroup) -> frozenset[GroupElement]:
-    """The elements of H, by closing its generators under G.mul; test oracle."""
+    """The elements of H, by closing its generators under the group law; test oracle."""
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
     closure = {identity(G)}
@@ -76,7 +90,7 @@ def subgroup_elements(G: MetacyclicParams, H: Subgroup) -> frozenset[GroupElemen
     while frontier:
         g = frontier.pop()
         for s in H.generators:
-            c = G.mul(g, s)
+            c = mul(G, g, s)
             if c not in closure:
                 closure.add(c)
                 frontier.append(c)
@@ -122,7 +136,7 @@ def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
     gens = [GroupElement(1, 0), GroupElement(0, 1)]
     seen: set[GroupElement] = set()
     classes = []
-    for g in G.elements():
+    for g in elements(G):
         if g in seen:
             continue
         orbit = {g}
@@ -145,7 +159,7 @@ def centralizer_of(G: MetacyclicParams, g: GroupElement) -> set[GroupElement]:
     """Brute-force centralizer; test oracle only."""
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
-    return {h for h in G.elements() if G.mul(h, g) == G.mul(g, h)}
+    return {h for h in elements(G) if mul(G, h, g) == mul(G, g, h)}
 
 
 def commutator_subgroup(G: MetacyclicParams) -> set[GroupElement]:
@@ -153,16 +167,16 @@ def commutator_subgroup(G: MetacyclicParams) -> set[GroupElement]:
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
     gens = set()
-    for g in G.elements():
+    for g in elements(G):
         for h in (GroupElement(1, 0), GroupElement(0, 1)):
-            gens.add(G.mul(G.mul(g, h), G.mul(G.inv(g), G.inv(h))))
+            gens.add(mul(G, mul(G, g, h), mul(G, G.inv(g), G.inv(h))))
     # closure
     closure = {GroupElement(0, 0)}
     frontier = list(gens)
     while frontier:
         g = frontier.pop()
         for h in gens:
-            c = G.mul(g, h)
+            c = mul(G, g, h)
             if c not in closure:
                 closure.add(c)
                 frontier.append(c)
@@ -178,13 +192,25 @@ def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     vals = []
     for c in conjugacy_classes(G):
         acc = CyclotomicNumber.from_rational(0)
-        for g in G.elements():
-            t = G.mul(G.mul(G.inv(g), c.rep), g)
+        for g in elements(G):
+            t = mul(G, mul(G, G.inv(g), c.rep), g)
             if t in X:
                 acc = acc + psi_value(G, PsiDescriptor(psi.u, psi.w), t)
         acc = acc * Fraction(1, order_X)
         vals.append(acc)
     return Character(G, vals, ("induced_brute", psi.u, psi.w))
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """The order of a mod m, by stepping through its powers; test oracle."""
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}")
+    a %= m
+    k, x = 1, a
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
 
 
 def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
@@ -209,13 +235,13 @@ def permutation_character_brute(G: MetacyclicParams, H) -> Character:
     index = {c.rep: i for i, c in enumerate(conjugacy_classes(G))}
     fixed = [0] * len(index)
     seen: set[GroupElement] = set()
-    for x in G.elements():
+    for x in elements(G):
         if x in seen:
             continue
-        seen.update(G.mul(x, h) for h in els)
+        seen.update(mul(G, x, h) for h in els)
         x_inv = G.inv(x)
         for h in els:
-            i = index.get(G.mul(G.mul(x, h), x_inv))
+            i = index.get(mul(G, mul(G, x, h), x_inv))
             if i is not None:
                 fixed[i] += 1
     return Character(G, [CyclotomicNumber.from_rational(f) for f in fixed], ("permutation", H.label))
@@ -541,3 +567,55 @@ def sympy_is_squarefree(coeffs, v: int) -> bool:
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, modulus=v)
     return poly.gcd(poly.diff(x)).degree() == 0
+
+
+def cyclotomic_exponent_walk(v: int, p: int, n: int) -> int:
+    """frobenius.cyclotomic_exponent by stepping through the powers of 1 + p
+    mod p^{n+1} until v^{p-1} appears; test oracle."""
+    mod = p ** (n + 1)
+    if v % p == 0:
+        raise ValueError(f"{v} is ramified in the cyclotomic layer")
+    target = pow(v, p - 1, mod)
+    acc = 1
+    for e in range(p ** n):
+        if acc == target:
+            return e * pow(p - 1, -1, p ** n) % p ** n
+        acc = acc * (1 + p) % mod
+    raise ValueError(f"{v}^{p - 1} is not a principal unit mod {mod}")
+
+
+def decompose(chi, table=None) -> dict[str, int]:
+    """Multiplicities of a (virtual) character against the irreducible table; exact."""
+    table = table if table is not None else irreducible_characters(chi.group)
+    out = {}
+    for irr in table:
+        m = inner_product(chi, irr)
+        if m:
+            if m.denominator != 1:
+                raise InternalCheckError(
+                    f"non-integral multiplicity {m} of {irr.char_id} in decomposition "
+                    f"({chi.group.spec})"
+                )
+            out[irr.char_id] = int(m)
+    return out
+
+
+def galois_apply(x: CyclotomicNumber, k: int) -> CyclotomicNumber:
+    """Apply zeta_m -> zeta_m^k to x; k must be coprime to the conductor of x."""
+    return x.galois(k)
+
+
+def contains_value(fld: AbelianField, x: CyclotomicNumber) -> bool:
+    """Whether x lies in fld: x lives in Q(zeta_m) and every stabilizer unit fixes it."""
+    m, c = fld.conductor, x.conductor
+    if m % c != 0:
+        return False
+    return c == 1 or all(x.galois(k % c) == x for k in fld.stabilizer)
+
+
+def cyclotomic_from_json(obj: dict) -> CyclotomicNumber:
+    return CyclotomicNumber(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
+
+
+def field_from_json(obj: dict) -> AbelianField:
+    return AbelianField(obj["conductor"], obj["stabilizer"])

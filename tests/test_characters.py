@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     conjugate_psi,
+    decompose,
     field_of_values_all_units,
     index_in,
     induce_brute,
@@ -280,7 +281,7 @@ def test_quotient_identity_r2():
 def test_virtual_character_algebra_and_decompose():
     tab = irreducible_characters(G21)
     v = 2 * VirtualCharacter.of(tab[3]) - VirtualCharacter.of(tab[0])
-    dec = v.decompose()
+    dec = decompose(v)
     assert dec == {"ind[u=1,w=0]": 2, "lin[0]": -1}
 
 

@@ -291,6 +291,61 @@ def test_table_command_is_byte_identical(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command]
 
 
+# sha256 of the concatenated JSON stdout of `schur` on every group of
+# iter_valid_groups(2000), and of one verbose sweep, recorded while orders
+# were still found by walking them.  They pin details.f and v_p_of_N.
+SCHUR_2000_SHA256 = "69845d95acce469f031eb3cb02e632f57bceb20c618c723ee7761974b3c54997"
+SWEEP_20000_SHA256 = "96a8b61b499fed8783dca49e5a92783dc354799efdf7aa8183131f1f36f8e279"
+
+
+def test_schur_json_on_every_small_group_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for G in iter_valid_groups(2000):
+        args = ("-q", str(G.q), "-p", str(G.p), "-n", str(G.n), "-j", str(G.j), "--format", "json")
+        code, out, _ = run(capsys, "schur", *args)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == SCHUR_2000_SHA256
+
+
+def test_verbose_sweep_json_is_byte_identical(capsys):
+    code, out, _ = run(capsys, "sweep", "--max", "20000", "--verbose-rows", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_20000_SHA256
+
+
+def _cli(*argv):
+    """The CLI in a subprocess, so that a regression to a walk fails instead of hanging."""
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, "-m", "schurgate.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+
+
+# commands that once walked an order, trial-divided or ran on unvalidated X;
+# each must now end in well under the timeout
+@pytest.mark.parametrize("argv, code, needle", [
+    ("schur -q 1000000000000000003 -p 3 -n 1", 0, '"global": 1'),
+    ("frobenius -q 7 -p 3 -n 1 -v 1000000000000000003", 0, '"pattern": [1, 3, 3]'),
+    ("schur -q 2999 -p 1499 -n 6", 0, '"f": 5049013494001,'),
+    ("schur -q 1000000009 -p 3 -n 1 -j 2", 2, "j = 2 mod 1000000009"),
+    ("schur -q 1000000000000000000000000000057 -p 3 -n 1", 2, "beyond the deterministic primality range"),
+    ("identity --curve 0,0,0,-1,0 -n 1 -X 0", 2, "X must be at least 1"),
+    ("identity --curve 0,0,0,-1,0 -n 1 -X -5", 2, "X must be at least 1"),
+    ("identity --curve 0,0,0,-1,0 -n 1 -X 1000000", 2, "X capped at 10^5"),
+])
+def test_closed_form_commands_end_at_once(argv, code, needle):
+    out = _cli(*argv.split(), "--format", "json")
+    assert out.returncode == code, out.stderr
+    if code == 0:
+        assert needle in json.dumps(json.loads(out.stdout)) and out.stderr == ""
+    else:
+        assert out.stdout == "" and out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error: ") and needle in out.stderr
+
+
 # every invariant error names the group by (q, p, n, j) and the characters involved
 C7_C3 = "group (q, p, n, j) = (7, 3, 1, 2)"
 
@@ -362,14 +417,15 @@ def test_tensor_error_names_group_and_characters(capsys, monkeypatch):
 def test_decompose_error_names_group_and_character(monkeypatch):
     from fractions import Fraction
 
+    import oracles
     import schurgate.characters as characters
     from schurgate.cyclotomic import InternalCheckError
 
     G = make_group(7, 3, 1, 2)
     v = characters.VirtualCharacter.of(characters.trivial_character(G))
-    monkeypatch.setattr(characters, "inner_product", lambda a, b: Fraction(1, 2))
+    monkeypatch.setattr(oracles, "inner_product", lambda a, b: Fraction(1, 2))
     with pytest.raises(InternalCheckError, match=r"1/2 of lin\[0\].*\(q, p, n, j\) = \(7, 3, 1, 2\)"):
-        v.decompose()
+        oracles.decompose(v)
 
 
 def test_import_cli_leaves_numpy_out():
@@ -384,13 +440,8 @@ def test_import_cli_leaves_numpy_out():
 @pytest.mark.parametrize("command", ["series", "identity"])
 def test_field_with_a_large_discriminant_prime_exits_2(command):
     # disc = 3^3 * 11 * 74169586920635577473: trial division of it would run for hours
-    import subprocess
-    import sys
-
     argv = [command, "--curve", "0,0,0,-1,0", "-n", "1", "-X", "10", "--field=-33,22,47,-42,-18,-35,13,1"]
-    out = subprocess.run(
-        [sys.executable, "-m", "schurgate.cli", *argv], capture_output=True, text=True, timeout=10
-    )
+    out = _cli(*argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error: polynomial does not define expected extension")
 

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from oracles import sympy_factor_degrees, sympy_is_squarefree
+from oracles import cyclotomic_exponent_walk, sympy_factor_degrees, sympy_is_squarefree
 from schurgate.groups import GroupElement, is_prime, make_group
 from schurgate.frobenius import (
     EXAMPLE_F1,
@@ -64,6 +64,27 @@ def test_cyclotomic_exponent_is_homomorphism():
     for v1, v2 in pairs:
         lhs = (cyclotomic_exponent(v1, 3, 2) + cyclotomic_exponent(v2, 3, 2)) % 9
         assert lhs == cyclotomic_exponent(v1 * v2, 3, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclotomic_exponent_matches_the_walk(p):
+    for n in (1, 2, 3):
+        for v in range(1, 2000):
+            if v % p:
+                assert cyclotomic_exponent(v, p, n) == cyclotomic_exponent_walk(v, p, n), (v, p, n)
+
+
+def test_cyclotomic_exponent_rejects_ramified_v():
+    with pytest.raises(ValueError, match="ramified"):
+        cyclotomic_exponent(21, 3, 2)
+
+
+def test_frobenius_at_an_18_digit_prime_matches_sympy():
+    v = 10 ** 18 + 3
+    degrees, repeated = sympy_factor_degrees(EXAMPLE_F1, v)
+    assert not repeated and degrees == (1, 3, 3)
+    d = frobenius_datum(EXAMPLE_F1, G21, v)
+    assert d.pattern == degrees and d.cyclotomic_component == cyclotomic_exponent_walk(v, 3, 1)
 
 
 def test_frobenius_order9_prime():

@@ -1,9 +1,15 @@
-import pytest
+from collections import Counter
+from math import gcd
 
+import pytest
+import sympy
+
+from schurgate.cyclotomic import CyclotomicNumber
 from schurgate.groups import iter_valid_groups, make_group, subgroup_X, tower_subgroups
 from schurgate.characters import (
     VirtualCharacter,
     _inverse_class_map,
+    character_field,
     faithful_characters,
     one_faithful_character,
     permutation_character,
@@ -21,7 +27,7 @@ from schurgate.schur import (
     norm_criterion,
     qadic_class_order,
 )
-from oracles import qadic_class_order_direct
+from oracles import contains_value, qadic_class_order_direct
 from test_acceptance import _table_sweep_reps
 
 G21 = make_group(7, 3, 1, 2)
@@ -84,6 +90,47 @@ def test_qadic_formula_matches_direct_computation():
     for G in iter_valid_groups(3000):
         fast, _ = qadic_class_order(G.q, G.p, G.n, G.r)
         assert fast == qadic_class_order_direct(G.q, G.p, G.n, G.r)
+
+
+# (q, p) with p | q - 1, among them p^2 | q - 1 (163, 109, 151) and a large p
+QADIC_PAIRS = [(7, 3), (19, 3), (163, 3), (109, 3), (11, 5), (151, 5), (29, 7), (23, 11), (2999, 1499)]
+
+
+@pytest.mark.parametrize("q, p", QADIC_PAIRS)
+def test_qadic_details_match_direct_computation(q, p):
+    # f from sympy.n_order, v_p(q^f - 1) from the big integer itself, which
+    # is formed only while f = p^{n-r-v_p(q-1)} stays below 2000
+    V0 = sympy.multiplicity(p, q - 1)
+    for n in range(1, V0 + 4):
+        for r in range(1, min(n, V0) + 1):
+            if p ** max(0, n - r - V0) > 2000:
+                continue
+            d = p ** (n - r)
+            f = sympy.n_order(q, d) if d > 1 else 1
+            N = q ** f - 1
+            e = gcd(p ** r, N)
+            order, details = qadic_class_order(q, p, n, r)
+            assert details == {
+                "d": d,
+                "f": f,
+                "v_p_of_N": sympy.multiplicity(p, N),
+                "e": e,
+                "class_order": e // gcd(e, N // d),
+            }, (q, p, n, r)
+            assert order == details["class_order"] == qadic_class_order_direct(q, p, n, r)
+
+
+def test_benard_schacher_the_character_field_holds_the_index_roots_of_unity():
+    # Benard and Schacher (J. Algebra 22, 1972): a character of Schur index m
+    # over Q has a primitive m-th root of unity in its field of values.  All
+    # faithful tau of G are Galois conjugate, so one per group suffices.
+    seen = Counter()
+    for G in iter_valid_groups(700):
+        tau = one_faithful_character(G)
+        m = global_index(G, tau).global_index
+        assert contains_value(character_field(tau), CyclotomicNumber.zeta(m)), G
+        seen[m] += 1
+    assert seen == {1: 140, 3: 26, 5: 4}
 
 
 def test_sweep_index_iff_divisibility():
