@@ -15,7 +15,6 @@ what makes full-table orthogonality sweeps affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -457,8 +456,7 @@ def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     return Character(G, vals, ("permutation", H.label))
 
 
-@dataclass(frozen=True)
-class QuotientIdentity:
+class QuotientIdentity(NamedTuple):
     """Both sides of the tower permutation-character identity.
 
     lhs = reg + perm(K_{n-1}) - perm(K_n) - perm(F_{n-1}) decomposes as

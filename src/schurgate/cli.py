@@ -33,17 +33,10 @@ from .characters import (
     tensor_decompose,
 )
 from .schur import global_index, multiplicity_divisibility_check, qadic_class_order
-from .elliptic import EllipticCurveQ, a_v
-from .frobenius import frobenius_datum, resolve_field_poly
-from .lseries import (
-    cube_of_quadratic_defect,
-    dirichlet_partial,
-    identity_series_check,
-    symbolic_twisted_euler_factor,
-    twisted_euler_factor,
-    untwisted_factor,
-)
 from .predictions import faithful_count, prediction_report
+
+# elliptic, frobenius and lseries are imported by the handlers that use them,
+# so that table, schur, predict and sweep jobs never load them
 
 __all__ = ["main"]
 
@@ -52,7 +45,9 @@ def _group_from_args(args) -> object:
     return make_group(args.q, args.p, args.n, args.j)
 
 
-def _parse_curve(spec: str) -> EllipticCurveQ:
+def _parse_curve(spec: str):
+    from .elliptic import EllipticCurveQ
+
     try:
         coeffs = [int(t) for t in spec.split(",")]
     except ValueError as exc:
@@ -199,6 +194,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_frobenius(args) -> int:
+    from .frobenius import frobenius_datum, resolve_field_poly
+
     G = _group_from_args(args)
     poly = resolve_field_poly(args.field)
     datum = frobenius_datum(poly, G, args.v)
@@ -215,6 +212,13 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .elliptic import a_v
+    from .frobenius import frobenius_datum, resolve_field_poly
+    from .lseries import (
+        cube_of_quadratic_defect, symbolic_twisted_euler_factor, twisted_euler_factor,
+        untwisted_factor,
+    )
+
     if args.symbolic:
         G = _group_from_args(args)
         tau = one_faithful_character(G)
@@ -283,6 +287,9 @@ def _parse_character(G, spec: str):
 
 
 def cmd_series(args) -> int:
+    from .frobenius import resolve_field_poly
+    from .lseries import dirichlet_partial
+
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
@@ -303,6 +310,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    from .frobenius import resolve_field_poly
+    from .lseries import identity_series_check
+
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)

@@ -13,8 +13,8 @@ argument starts.  Primes are capped at v <= 10^6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .cyclotomic import InternalCheckError
 from .groups import is_prime
@@ -28,13 +28,23 @@ NAIVE_COUNT_MAX = 229
 MAX_ORDER_POINTS = 40
 
 
-@dataclass(frozen=True)
-class EllipticCurveQ:
+class _Weierstrass(NamedTuple):
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
+
+
+class EllipticCurveQ(_Weierstrass):
+    # a NamedTuple body may not define __new__, so the singular check lives here
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int, a3: int, a4: int, a6: int) -> "EllipticCurveQ":
+        self = super().__new__(cls, a1, a2, a3, a4, a6)
+        if self.discriminant == 0:
+            raise ValueError("singular curve: discriminant is zero")
+        return self
 
     @classmethod
     def from_list(cls, coeffs) -> "EllipticCurveQ":
@@ -61,10 +71,6 @@ class EllipticCurveQ:
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants
         return -(b2 ** 2) * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
-
-    def __post_init__(self):
-        if self.discriminant == 0:
-            raise ValueError("singular curve: discriminant is zero")
 
     def to_json(self) -> list[int]:
         return [self.a1, self.a2, self.a3, self.a4, self.a6]

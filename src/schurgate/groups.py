@@ -22,7 +22,6 @@ j^{p^k} = 1.  The order of j itself is never computed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -103,8 +102,7 @@ class ConjClass(NamedTuple):
     element_order: int
 
 
-@dataclass(frozen=True)
-class MetacyclicParams:
+class MetacyclicParams(NamedTuple):
     q: int
     p: int
     n: int

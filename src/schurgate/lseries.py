@@ -35,7 +35,6 @@ statement in this package is about good-prime-supported coefficients only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -376,8 +375,7 @@ def cube_of_quadratic_defect(poly: list) -> dict:
 # ---------------------------------------------------------------------------
 # Dirichlet series
 
-@dataclass(frozen=True)
-class DirichletSeries:
+class DirichletSeries(NamedTuple):
     X: int
     an: tuple[CyclotomicNumber, ...]  # index 0 unused; an[n] for 1 <= n <= X
 
@@ -540,8 +538,7 @@ def _tower_series(G: MetacyclicParams, datum: FrobeniusDatum, av: int, v: int, k
     return [CyclotomicNumber.from_rational(b) for b in series]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     group: MetacyclicParams
     X: int
     coefficient: int

@@ -16,7 +16,7 @@ exact index refines the proved p | m bound; reports label it as derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cyclotomic import InternalCheckError
 from .groups import MetacyclicParams
@@ -48,13 +48,12 @@ def tower_modulus(G: MetacyclicParams) -> int:
     return (G.pn // G.pr) * (G.p - 1) * (G.q - 1)
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     group: MetacyclicParams
     character_id: str
     schur_modulus: int
     forced: bool
-    statements: tuple[dict, ...] = field(default_factory=tuple)
+    statements: tuple[dict, ...] = ()
 
     def to_json(self) -> dict:
         return {

@@ -26,7 +26,6 @@ so no character value is computed and the cost does not grow with the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -65,8 +64,7 @@ class LocalIndexReport(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class GlobalIndexReport:
+class GlobalIndexReport(NamedTuple):
     group: MetacyclicParams
     character_id: str
     local: tuple[LocalIndexReport, ...]

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from oracles import (
     conjugate_psi,
     decompose,
+    dense_galois,
     field_of_values_all_units,
     index_in,
     induce_brute,
@@ -225,6 +227,32 @@ def test_character_field_matches_all_units_oracle(groups):
     for G in groups():
         for chi in irreducible_characters(G):
             assert character_field(chi) == field_of_values_all_units(chi.values), (G, chi)
+
+
+def test_field_degree_counts_the_conjugates_of_the_value_tuple():
+    # [Q(tau):Q] is the number of distinct images of the whole value tuple under
+    # Gal(Q(zeta_M)/Q), M the lcm of the conductors.  sigma_k restricts to
+    # zeta_m -> zeta_m^(k mod m) on a value of conductor m, so each value's
+    # images are computed once per residue mod m and named by small integers.
+    ids: dict[tuple, int] = {}
+    images: dict[C, list[int]] = {}
+
+    def conjugates(v: C) -> list[int]:
+        if v not in images:
+            m = v.conductor
+            images[v] = [
+                ids.setdefault((m, v.den, *dense_galois(m, v.num, k)), len(ids))
+                if gcd(k, m) == 1 else -1
+                for k in range(m)
+            ]
+        return images[v]
+
+    for G in iter_valid_groups(300):
+        for tau in faithful_characters(G):
+            rows = [(conjugates(v), v.conductor) for v in dict.fromkeys(tau.values)]
+            M = lcm(*(m for _, m in rows))
+            tuples = {tuple(row[k % m] for row, m in rows) for k in range(1, M + 1) if gcd(k, M) == 1}
+            assert len(tuples) == character_field(tau).degree, (G, tau.char_id)
 
 
 def test_formula_field_matches_on_sweep():

@@ -548,14 +548,12 @@ IDENTITY_WHERE = C7_C3 + ", curve 0,0,0,-1,0, field example-F1, X = 30"
 
 
 def test_identity_series_error_names_group_curve_field_and_X(capsys, monkeypatch):
-    import dataclasses
+    import schurgate.lseries as lseries
 
-    import schurgate.cli as cli
-
-    check = cli.identity_series_check
+    check = lseries.identity_series_check
     monkeypatch.setattr(
-        cli, "identity_series_check",
-        lambda *a: dataclasses.replace(check(*a), holds=False, first_mismatch=5),
+        lseries, "identity_series_check",
+        lambda *a: check(*a)._replace(holds=False, first_mismatch=5),
     )
     code, _, err = run(capsys, "identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30")
     assert code == 3
@@ -563,17 +561,15 @@ def test_identity_series_error_names_group_curve_field_and_X(capsys, monkeypatch
 
 
 def test_virtual_character_identity_error_names_group_curve_field_and_X(capsys, monkeypatch):
-    import dataclasses
+    import schurgate.lseries as lseries
 
-    import schurgate.cli as cli
-
-    check = cli.identity_series_check
+    check = lseries.identity_series_check
 
     def broken(*a):
         chk = check(*a)
-        return dataclasses.replace(chk, quotient=dataclasses.replace(chk.quotient, equal=False))
+        return chk._replace(quotient=chk.quotient._replace(equal=False))
 
-    monkeypatch.setattr(cli, "identity_series_check", broken)
+    monkeypatch.setattr(lseries, "identity_series_check", broken)
     code, _, err = run(capsys, "identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30")
     assert code == 3
     assert "virtual-character identity failed (" + IDENTITY_WHERE + ")" in err

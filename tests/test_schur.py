@@ -3,14 +3,23 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from schurgate.cyclotomic import CyclotomicNumber
-from schurgate.groups import iter_valid_groups, make_group, subgroup_X, tower_subgroups
+from schurgate.groups import (
+    conjugacy_classes,
+    iter_valid_groups,
+    make_group,
+    subgroup_X,
+    tower_subgroups,
+)
 from schurgate.characters import (
     VirtualCharacter,
     _inverse_class_map,
     character_field,
     faithful_characters,
+    faithful_descriptors,
+    irreducible_characters,
     one_faithful_character,
     permutation_character,
     regular_character,
@@ -27,6 +36,7 @@ from schurgate.schur import (
     norm_criterion,
     qadic_class_order,
 )
+from schurgate.predictions import faithful_count, prediction_report
 from oracles import contains_value, qadic_class_order_direct
 from test_acceptance import _table_sweep_reps
 
@@ -202,3 +212,59 @@ def test_tower_permutation_characters_divisible():
             for tau in taus:
                 chk = multiplicity_divisibility_check(G, tau, rho)
                 assert chk.divisible and chk.modulus == mods[tau.char_id]
+
+
+# -- presentation invariance ---------------------------------------------------
+# every j of order p^r mod q presents the same group C_q x| C_{p^n}, so nothing
+# reported about the group may depend on j
+
+def _presentations(q, p, n, r):
+    """The group in every presentation: one per j of order exactly p^r mod q."""
+    js = [j for j in range(2, q) if pow(j, p ** r, q) == 1 and pow(j, p ** (r - 1), q) != 1]
+    assert len(js) == (p - 1) * p ** (r - 1)  # the generators of the order-p^r subgroup
+    return [make_group(q, p, n, j) for j in js]
+
+
+PRESENTATIONS = sorted({(G.q, G.p, G.n, G.r) for G in iter_valid_groups(2000)})
+# the table check keeps to groups with at most 40 classes (0.1 s a table at
+# most); the largest tables below order 2000 take seconds each
+TABLE_CLASSES_MAX = 40
+SMALL_PRESENTATIONS = [
+    key for key in PRESENTATIONS
+    if len(conjugacy_classes(_presentations(*key)[0])) <= TABLE_CLASSES_MAX
+]
+INVARIANCE = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+def _closed_forms(G):
+    predict = prediction_report(G).to_json()
+    del predict["group"]
+    return (
+        Counter(global_index(G, psi).global_index for psi in faithful_descriptors(G)),
+        faithful_count(G),
+        Counter(c.size for c in conjugacy_classes(G)),
+        predict,
+    )
+
+
+def _table_shape(G):
+    table = irreducible_characters(G)
+    return Counter(chi.degree for chi in table), Counter(character_field(chi).degree for chi in table)
+
+
+@settings(INVARIANCE, max_examples=50)  # 0.01 s an example at most
+@given(st.sampled_from(PRESENTATIONS))
+def test_closed_forms_do_not_depend_on_the_presentation(key):
+    first, *rest = _presentations(*key)
+    want = _closed_forms(first)
+    for G in rest:
+        assert _closed_forms(G) == want, (first, G)
+
+
+@INVARIANCE
+@given(st.sampled_from(SMALL_PRESENTATIONS))
+def test_table_shape_does_not_depend_on_the_presentation(key):
+    first, *rest = _presentations(*key)
+    want = _table_shape(first)
+    for G in rest:
+        assert _table_shape(G) == want, (first, G)
