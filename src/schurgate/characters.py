@@ -24,7 +24,6 @@ from .cyclotomic import (
     AbelianField,
     CyclotomicNumber,
     InternalCheckError,
-    field_of_values,
     _check_conductor,
     _from_buffer,
     _mul_into,
@@ -33,8 +32,8 @@ from .groups import (
     MetacyclicParams,
     Subgroup,
     _class_index,
+    _p_power_subgroup,
     _psi_orbit_reps,
-    _subgroup_H,
     conjugacy_classes,
     tower_subgroups,
 )
@@ -152,25 +151,17 @@ class VirtualCharacter:
     def of(cls, chi: Character) -> "VirtualCharacter":
         return cls(chi.group, chi.values)
 
-    def _check(self, other):
+    def _pairs(self, other):
+        """Value pairs with a character or virtual character on the same group."""
         if self.group != other.group:
             raise ValueError("virtual characters live on different groups")
+        return zip(self.values, other.values)
 
     def __add__(self, other):
-        if isinstance(other, Character):
-            other = VirtualCharacter.of(other)
-        self._check(other)
-        return VirtualCharacter(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return VirtualCharacter(self.group, tuple(a + b for a, b in self._pairs(other)))
 
     def __sub__(self, other):
-        if isinstance(other, Character):
-            other = VirtualCharacter.of(other)
-        self._check(other)
-        return VirtualCharacter(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return VirtualCharacter(self.group, tuple(a - b for a, b in self._pairs(other)))
 
     def __rmul__(self, k: int):
         if not isinstance(k, int):
@@ -203,7 +194,7 @@ def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
     """gauss[t] = sum over the order-p^r subgroup H of zeta_q^{t s}."""
-    H = _subgroup_H(G)
+    H = _p_power_subgroup(G.q, G.p, G.r)
     out = [CyclotomicNumber.from_rational(G.pr)]
     for t in range(1, G.q):
         buf = [0] * G.q
@@ -413,24 +404,35 @@ def tensor_decompose(tau: Character) -> tuple[Character, Character]:
 
 
 def character_field(chi: Character) -> AbelianField:
-    return field_of_values(list(chi.values))
+    """The field of values of chi, read off its provenance in closed form.
+
+    A linear character lin[e] has field Q(zeta_d), d = p^n / gcd(e, p^n).  One
+    induced from psi = (u, w) at level m is Q(zeta_d, eta_H), or Q(zeta_d) when
+    q | u, with d = p^{m-r} / gcd(w, p^{m-r}).  Permutation and regular
+    characters are rational.
+    """
+    G, (kind, *args) = chi.group, chi.provenance
+    if kind == "one_dimensional":
+        return _eta_field(G, G.pn // gcd(args[0], G.pn), False)
+    if kind in ("induced", "lifted_from_quotient"):
+        level, u, w = (G.n, *args) if kind == "induced" else args
+        pmr = G.p ** (level - G.r)
+        return _eta_field(G, pmr // gcd(w, pmr), u % G.q != 0)
+    if kind in ("permutation", "regular"):
+        return AbelianField.rationals()
+    raise ValueError(f"no closed-form field for a {kind!r} character ({G.spec})")
 
 
 def formula_field(G: MetacyclicParams) -> AbelianField:
-    """Closed form of the field of a faithful character: Q(zeta_{p^{n-r}}, eta_H).
+    """Closed form of the field of a faithful character: Q(zeta_{p^{n-r}}, eta_H)."""
+    return _eta_field(G, G.pn // G.pr, True)
 
-    Realized at conductor q * p^{n-r} as the fixed field of the units that
-    are 1 mod p^{n-r} and lie in H mod q.
-    """
-    pmr = G.pn // G.pr
-    m = G.q * pmr
-    H = set(_subgroup_H(G))
-    stab = [
-        k
-        for k in range(1, m)
-        if gcd(k, m) == 1 and k % pmr == 1 % pmr and k % G.q in H
-    ]
-    return AbelianField(m, stab)
+
+@lru_cache(maxsize=None)
+def _eta_field(G: MetacyclicParams, d: int, eta: bool) -> AbelianField:
+    """Q(zeta_d, eta_H) if eta, else Q(zeta_d): fixed by the units k = 1 mod d in H mod q."""
+    m = G.q * d if eta else d  # k lies in H iff k^{p^r} = 1 mod q
+    return AbelianField(m, [k for k in range(1, m, d) if k % G.q and pow(k, G.pr, G.q) == 1])
 
 
 def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:

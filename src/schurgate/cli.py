@@ -14,7 +14,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .cyclotomic import InternalCheckError
+from .cyclotomic import InternalCheckError, field_of_values
 from .groups import conjugacy_classes, iter_valid_groups, make_group, tower_subgroups
 from .characters import (
     PsiDescriptor,
@@ -222,7 +222,10 @@ def cmd_euler(args) -> int:
     if args.symbolic:
         G = _group_from_args(args)
         tau = one_faithful_character(G)
-        x_rep = 1 if args.order7_class in (None, "H") else int(args.order7_class)
+        try:
+            x_rep = 1 if args.order7_class in (None, "H") else int(args.order7_class)
+        except ValueError:
+            raise ValueError(f"bad --order7-class {args.order7_class!r}: use H or an exponent x") from None
         cls = next(
             (c for c in conjugacy_classes(G) if c.rep.x == x_rep and c.rep.y == 0 and c.size > 1),
             None,
@@ -276,13 +279,15 @@ def cmd_euler(args) -> int:
 
 
 def _parse_character(G, spec: str):
-    if spec == "trivial":
-        return _linear_character(G, 0)
-    if spec.startswith("lin:"):
-        return _linear_character(G, int(spec[4:]) % G.pn)
-    if spec.startswith("ind:"):
-        u, w = (int(t) for t in spec[4:].split(","))
-        return induce_from_X(G, PsiDescriptor(u, w))
+    kind, _, rest = ("lin:0" if spec == "trivial" else spec).partition(":")
+    try:
+        args = [int(t) for t in rest.split(",")]
+    except ValueError:
+        args = []
+    if kind == "lin" and len(args) == 1:
+        return _linear_character(G, args[0] % G.pn)
+    if kind == "ind" and len(args) == 2:
+        return induce_from_X(G, PsiDescriptor(*args))
     raise ValueError(f"bad character spec {spec!r}: use trivial, lin:e or ind:u,w")
 
 
@@ -375,7 +380,7 @@ def cmd_sweep(args) -> int:
                         )
             perms = [permutation_character(G, sub) for sub in tower_subgroups(G)]
             for tau in faithful_characters(G):
-                if character_field(tau) != formula_field(G):
+                if field_of_values(tau.values) != formula_field(G):
                     raise InternalCheckError(
                         f"character field of {tau.char_id} differs from the formula field "
                         f"({G.spec})"

@@ -24,10 +24,10 @@ Inverses take the relative norm down the same prime layers: multiplying y
 by its conjugates over Q(zeta_(m/p)) lands in that subfield, and repeating
 until the norm is rational gives 1/y as (product of the factors) / norm.
 
-``field_of_values`` finds the units fixing every value by orbit-stabilizer:
+``field_of_values`` is the general route, for any values, and the check on the
+closed forms that ``characters`` reads fields off.  It works by orbit-stabilizer:
 each value's orbit under generators of the units fixing the values before it
-gives Schreier generators of its stabilizer, for |orbit| * |generators|
-Galois images per value rather than phi(m).
+gives Schreier generators of its stabilizer, not a scan of all phi(m) units.
 
 No floating point is used anywhere except ``CyclotomicNumber.to_complex``,
 which exists for display and numeric sanity checks only.

@@ -7,11 +7,11 @@ Elements are residue pairs (x, y) standing for a^x b^y, with the product
 Everything downstream (conjugacy classes, the distinguished subgroup X, the
 tower subgroups) is computed from closed forms in (q, p, n, r).  A subgroup
 is a descriptor (label, kind, level, order, generators), never a set of
-elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  The
-package walks only p-power subgroups of (Z/q)^x: H = <j>, cached once per
-group as the orbit-minimum table that class representatives are read from,
-and the order-p^s subgroup that the default j and iter_valid_groups take
-j from.  The group law itself (mul, elements) lives in the test oracles.
+elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  Only the
+default j, iter_valid_groups, the orbit-minimum table of classes and the
+Gaussian periods list the order-p^s subgroup of (Z/q)^x (H = <j> at s = r),
+all through one cached _p_power_subgroup; elsewhere x in H is the power test
+x^{p^r} = 1.  The group law itself (mul, elements) lives in the test oracles.
 
 The integer questions are answered without walking (Z/q)^x: primality by
 deterministic Miller-Rabin, and r by p-power tests, since j has p-power
@@ -182,7 +182,7 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
         if not v:
             raise ValueError(f"no element of order {p} mod {q}: need p | q-1")
         s = min(n, v)
-        j = next(x for x in _p_power_roots(q, p, s) if pow(x, p ** (s - 1), q) != 1)
+        j = next(x for x in _p_power_subgroup(q, p, s) if pow(x, p ** (s - 1), q) != 1)
     j %= q
     if j == 0:
         raise ValueError("j must be a unit mod q")
@@ -201,30 +201,24 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
     return MetacyclicParams(q=q, p=p, n=n, j=j, r=r)
 
 
-def _p_power_roots(q: int, p: int, s: int) -> list[int]:
-    """The residues x != 1 mod q with x^{p^s} = 1, sorted; p^s must divide q - 1.
+@lru_cache(maxsize=None)
+def _p_power_subgroup(q: int, p: int, s: int) -> tuple[int, ...]:
+    """The subgroup of order p^s of (Z/q)^x, sorted (1 first); p^s must divide q - 1.
 
-    They are the powers of a generator h = x^{(q-1)/p^s} of the cyclic
-    subgroup of order p^s, found at the first x whose h has exact order p^s.
+    It is generated by h = x^{(q-1)/p^s} at the first x whose h has exact order p^s.
     """
     ps = p ** s
     for x in range(2, q):
         h = pow(x, (q - 1) // ps, q)
         if pow(h, ps // p, q) != 1:
-            return sorted(pow(h, k, q) for k in range(1, ps))
-
-
-@lru_cache(maxsize=None)
-def _subgroup_H(G: MetacyclicParams) -> tuple[int, ...]:
-    """The unique subgroup H = <j> of order p^r in (Z/q)^x, sorted."""
-    return tuple(sorted(pow(G.j, k, G.q) for k in range(G.pr)))
+            return tuple(sorted(pow(h, k, q) for k in range(ps)))
 
 
 @lru_cache(maxsize=None)
 def _orbit_mins(G: MetacyclicParams) -> tuple[int, ...]:
     """mins[x] = min(x h mod q for h in H): the smallest member of the H-orbit of x."""
     mins = [0] * G.q
-    H = _subgroup_H(G)
+    H = _p_power_subgroup(G.q, G.p, G.r)
     for x in range(1, G.q):
         if not mins[x]:  # x is the first of its orbit, hence the smallest
             for h in H:
@@ -312,6 +306,6 @@ def iter_valid_groups(max_order: int) -> Iterator[MetacyclicParams]:
             v = vp(q - 1, p)
             n = 1
             while q * p ** n <= max_order:
-                for j in _p_power_roots(q, p, min(n, v)):
+                for j in _p_power_subgroup(q, p, min(n, v))[1:]:
                     yield make_group(q, p, n, j)
                 n += 1

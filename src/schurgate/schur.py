@@ -20,8 +20,8 @@ ever constructed and no multiplicative order is walked.  The exact index
 refines the general p | m bound and is cross-checked in the tests against
 the direct big-integer computation and all externally known values.
 
-Every check reads only the descriptor psi = (u, w) that tau is induced from,
-so no character value is computed and the cost does not grow with the table.
+Every check reads only psi = (u, w) and powers mod q: it computes no character
+value and lists no element of H, so its cost does not grow with p^r.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import InternalCheckError
-from .groups import MetacyclicParams, _subgroup_H, vp
+from .groups import MetacyclicParams, vp
 from .characters import Character, PsiDescriptor, inner_product, psi_is_faithful
 
 __all__ = [
@@ -146,10 +146,9 @@ def local_index(
     """Local Schur index of a faithful irreducible at a place ("inf" or a prime)."""
     psi = _faithful_psi(G, tau)
     if place == "inf":
-        # the dual Ind psi-bar equals Ind psi iff psi-bar is a b-conjugate of psi
+        # Ind psi-bar = Ind psi iff psi-bar = (u h, w), h in H: -w = w and (-1)^{p^r} = 1 mod q
         pmr = G.pn // G.pr
-        dual = (-psi.u % G.q, -psi.w % pmr)
-        if dual in {(psi.u * h % G.q, psi.w % pmr) for h in _subgroup_H(G)}:
+        if -psi.w % pmr == psi.w % pmr and pow(G.q - 1, G.pr, G.q) == 1:
             raise _violation(G, psi, "faithful character of an odd-order group is self-dual")
         return LocalIndexReport("inf", 1, REASON_INFINITY, {"self_dual": False})
     ell = int(place)
@@ -157,10 +156,10 @@ def local_index(
         order, details = qadic_class_order(G.q, G.p, G.n, G.r)
         return LocalIndexReport(ell, order, REASON_TAME, details)
     if ell == G.p:
-        eigs = {psi.u * pow(G.j, k, G.q) % G.q for k in range(G.pr)}
-        if len(eigs) != G.pr:
+        # the eigenvalues of tau(a) are u j^k, k < p^r: distinct iff j has exact order p^r
+        if pow(G.j, G.pr, G.q) != 1 or pow(G.j, G.pr // G.p, G.q) == 1:
             raise _violation(G, psi, "tau(a) does not have p^r distinct eigenvalues")
-        return LocalIndexReport(ell, 1, REASON_MOD_P, {"distinct_eigenvalues": len(eigs)})
+        return LocalIndexReport(ell, 1, REASON_MOD_P, {"distinct_eigenvalues": G.pr})
     if G.order % ell == 0:
         raise _violation(G, psi, f"{ell} divides |G| = q * p^n but is neither p nor q")
     return LocalIndexReport(ell, 1, REASON_COPRIME, {})

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from oracles import conjugate_psi, psi_value, subgroup_elements, value_at
-from schurgate.cyclotomic import CyclotomicNumber as C
+from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
     GroupElement,
     conjugacy_classes,
@@ -30,7 +30,6 @@ from schurgate.characters import (
     _inverse_class_map,
     _psi_orbit_reps,
     _weighted_dot,
-    character_field,
     faithful_characters,
     formula_field,
     induce_from_X,
@@ -191,7 +190,7 @@ def test_criterion_04_character_field_formula():
     for G in _table_sweep_reps() + [G1539]:
         want = formula_field(G)
         for tau in faithful_characters(G):
-            assert character_field(tau) == want, f"field formula fails for {G} {tau.char_id}"
+            assert field_of_values(tau.values) == want, f"field formula fails for {G} {tau.char_id}"
             n_checked += 1
     _report(4, True, f"field_of_values = closed-form field for {n_checked} faithful characters")
 

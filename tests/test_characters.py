@@ -200,14 +200,14 @@ def test_character_field_c7_c3():
     tau = one_faithful_character(G21)
     fld = character_field(tau)
     assert fld.conductor == 7 and fld.stabilizer == (1, 2, 4) and fld.degree == 2
-    assert fld == formula_field(G21)
+    assert field_of_values(tau.values) == formula_field(G21)
 
 
 def test_character_field_c7_c9():
     for tau in faithful_characters(G63):
         fld = character_field(tau)
         assert fld.degree == 4  # Q(zeta_3, eta_7): 2 * 2
-        assert fld == formula_field(G63)
+        assert field_of_values(tau.values) == formula_field(G63)
 
 
 def test_character_field_linear():
@@ -227,6 +227,17 @@ def test_character_field_matches_all_units_oracle(groups):
     for G in groups():
         for chi in irreducible_characters(G):
             assert character_field(chi) == field_of_values_all_units(chi.values), (G, chi)
+
+
+@pytest.mark.parametrize("G, chi", [
+    (G63, induce_from_X(G63, PsiDescriptor(7, 1))),  # u = 0 mod q: Q(zeta_3)
+    (G63, induce_from_X(G63, PsiDescriptor(1, 3))),  # w not a unit: Q(eta_7)
+    (G1539, induce_from_X(G1539, PsiDescriptor(0, 3))),
+    *((G, permutation_character(G, sub)) for G in (G21, G63, G1539) for sub in tower_subgroups(G)),
+    *((G, regular_character(G)) for G in (G21, G63, G1539)),
+], ids=lambda x: getattr(x, "char_id", str(x)))
+def test_character_field_of_characters_outside_the_table(G, chi):
+    assert character_field(chi) == field_of_values_all_units(chi.values)
 
 
 def test_field_degree_counts_the_conjugates_of_the_value_tuple():
@@ -260,7 +271,7 @@ def test_formula_field_matches_on_sweep():
         G = make_group(*args)
         want = formula_field(G)
         for tau in faithful_characters(G):
-            assert character_field(tau) == want
+            assert field_of_values(tau.values) == want
 
 
 def test_permutation_character_rationality_and_tower():

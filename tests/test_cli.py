@@ -141,6 +141,18 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["reports"][0]["global"] == 3
 
 
+@pytest.mark.parametrize("argv, needle", [
+    ("series --curve 0,0,0,-1,0 -n 1 -X 10 --character ind:1", "bad character spec 'ind:1': use trivial"),
+    ("series --curve 0,0,0,-1,0 -n 1 -X 10 --character lin:x", "bad character spec 'lin:x': use trivial"),
+    ("series --curve 0,0,0,-1,0 -n 1 -X 10 --character ind:1,2,3", "bad character spec 'ind:1,2,3'"),
+    ("euler --symbolic -n 1 --order7-class foo", "bad --order7-class 'foo': use H or an exponent x"),
+])
+def test_malformed_spec_exits_2_with_its_usage(capsys, argv, needle):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+
+
 def test_bad_curve_spec_exits_2(capsys):
     code, _, err = run(capsys, "euler", "--curve", "nope", "-v", "5", "--trivial", "-n", "1")
     assert code == 2 and "curve" in err
@@ -298,6 +310,33 @@ SCHUR_2000_SHA256 = "69845d95acce469f031eb3cb02e632f57bceb20c618c723ee7761974b3c
 SWEEP_20000_SHA256 = "96a8b61b499fed8783dca49e5a92783dc354799efdf7aa8183131f1f36f8e279"
 
 
+# sha256 of the concatenated JSON stdout of `table` on every group of
+# iter_valid_groups(300), recorded while character fields were still found
+# from the values by orbit-stabilizer.
+TABLE_300_SHA256 = "fdb31cffc5b431e961bec78d25d099f46f061ab2ebae67e85e8f24dfed62c3ba"
+
+
+def test_table_json_on_every_small_group_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for G in iter_valid_groups(300):
+        args = ("-q", str(G.q), "-p", str(G.p), "-n", str(G.n), "-j", str(G.j), "--format", "json")
+        code, out, _ = run(capsys, "table", *args)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == TABLE_300_SHA256
+
+
+def test_table_reads_fields_off_closed_forms(capsys, monkeypatch):
+    import schurgate.cyclotomic as cyclotomic
+
+    def refuse(*args):
+        raise AssertionError("table must not search stabilizers over the values")
+
+    monkeypatch.setattr(cyclotomic, "_stabilizer", refuse)
+    code, payload, _ = run_json(capsys, "table", "-q", "19", "-p", "3", "-n", "4")
+    assert code == 0 and payload["faithful_count"] == 12
+
+
 def test_schur_json_on_every_small_group_is_byte_identical(capsys):
     digest = hashlib.sha256()
     for G in iter_valid_groups(2000):
@@ -344,6 +383,17 @@ def test_closed_form_commands_end_at_once(argv, code, needle):
     else:
         assert out.stdout == "" and out.stderr.count("\n") == 1
         assert out.stderr.startswith("error: ") and needle in out.stderr
+
+
+def test_schur_tests_membership_in_H_without_listing_it():
+    from schurgate.schur import qadic_class_order
+
+    # 3^15 divides q - 1 and j = 625 has order 3^15, so r = 15 and |H| = 14,348,907
+    out = _cli("schur", "-q", "57395629", "-p", "3", "-n", "15", "-j", "625", "--format", "json")
+    assert out.returncode == 0, out.stderr
+    local = {e["place"]: e for e in json.loads(out.stdout)["reports"][0]["local"]}
+    assert local["q"]["index"] == qadic_class_order(57395629, 3, 15, 15)[0]
+    assert local["p"]["details"] == {"distinct_eigenvalues": 3 ** 15}
 
 
 # every invariant error names the group by (q, p, n, j) and the characters involved
@@ -454,22 +504,29 @@ def test_qadic_class_order_error_names_parameters():
         qadic_class_order(11, 3, 1, 1)  # 11 = 2 mod 3: no action of order 3
 
 
-def test_self_dual_error_names_group_and_character(capsys, monkeypatch):
-    import schurgate.schur as schur
+def test_self_dual_error_names_group_and_character():
+    from schurgate.characters import PsiDescriptor
+    from schurgate.cyclotomic import InternalCheckError
+    from schurgate.groups import MetacyclicParams
+    from schurgate.schur import local_index
 
-    monkeypatch.setattr(schur, "_subgroup_H", lambda G: [1, G.q - 1])  # -1 in H makes tau self-dual
-    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")
-    assert code == 3
-    assert "faithful character of an odd-order group is self-dual (ind[u=1,w=0], " + C7_C3 in err
+    G = MetacyclicParams(q=7, p=2, n=1, j=6, r=1)  # even p: H = {1, -1}, so tau is self-dual
+    with pytest.raises(InternalCheckError) as err:
+        local_index(G, PsiDescriptor(1, 0), "inf")
+    assert "faithful character of an odd-order group is self-dual (ind[u=1,w=0], " in str(err.value)
+    assert "group (q, p, n, j) = (7, 2, 1, 6)" in str(err.value)
 
 
-def test_mod_p_eigenvalue_error_names_group_and_character(capsys, monkeypatch):
-    import schurgate.schur as schur
+def test_mod_p_eigenvalue_error_names_group_and_character():
+    from schurgate.characters import PsiDescriptor
+    from schurgate.cyclotomic import InternalCheckError
+    from schurgate.groups import MetacyclicParams
+    from schurgate.schur import local_index
 
-    monkeypatch.setattr(schur, "pow", lambda b, e, m: 1, raising=False)  # j^k = 1: one eigenvalue
-    code, _, err = run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")
-    assert code == 3
-    assert "p^r distinct eigenvalues (ind[u=1,w=0], " + C7_C3 in err
+    G = MetacyclicParams(q=7, p=3, n=2, j=2, r=2)  # j = 2 has order 3, not p^r = 9
+    with pytest.raises(InternalCheckError) as err:
+        local_index(G, PsiDescriptor(1, 0), 3)
+    assert "p^r distinct eigenvalues (ind[u=1,w=0], group (q, p, n, j) = (7, 3, 2, 2))" in str(err.value)
 
 
 def test_place_error_names_group_character_and_place():
