@@ -8,11 +8,10 @@ submodule, and ``schurgate.NAME`` imports only the module that defines NAME.
 from importlib import import_module
 
 _EXPORTS = {
-    "cyclotomic": "AbelianField ConductorOverflowError CyclotomicNumber InternalCheckError "
-                  "euler_phi field_of_values",
-    "groups": "ConjClass GroupElement MetacyclicParams Subgroup conjugacy_classes "
-              "iter_valid_groups make_group subgroup_X tower_subgroups",
-    "characters": "Character PsiDescriptor VirtualCharacter character_field faithful_characters "
+    "cyclotomic": "AbelianField ConductorOverflowError CyclotomicNumber euler_phi field_of_values",
+    "groups": "ConjClass GroupElement InternalCheckError MetacyclicParams PsiDescriptor Subgroup "
+              "conjugacy_classes iter_valid_groups make_group subgroup_X tower_subgroups",
+    "characters": "Character VirtualCharacter character_field faithful_characters "
                   "formula_field induce_from_X inner_product irreducible_characters is_faithful "
                   "one_faithful_character permutation_character "
                   "quotient_identity_virtual_character regular_character tensor_decompose "

@@ -18,34 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .cyclotomic import (
-    AbelianField,
-    CyclotomicNumber,
-    InternalCheckError,
-    _check_conductor,
-    _from_buffer,
-    _mul_into,
-)
-from .groups import (
-    MetacyclicParams,
-    Subgroup,
-    _class_index,
-    _p_power_subgroup,
-    _psi_orbit_reps,
-    conjugacy_classes,
-    tower_subgroups,
+from .cyclotomic import AbelianField, CyclotomicNumber, _check_conductor, _from_buffer, _mul_into
+# the psi calculus (PsiDescriptor to tower_coefficient) reads only (q, p, n, r)
+# and the H-orbits, so it lives in groups; it is re-exported from here
+from .groups import (  # noqa: F401
+    InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup, _class_index,
+    _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_descriptors,
+    one_faithful_descriptor, psi_is_faithful, tower_coefficient, tower_subgroups,
 )
 
 __all__ = [
-    "PsiDescriptor",
     "Character",
     "VirtualCharacter",
     "irreducible_characters",
     "faithful_characters",
-    "faithful_descriptors",
-    "one_faithful_descriptor",
     "induce_from_X",
     "inner_product",
     "is_faithful",
@@ -56,21 +44,8 @@ __all__ = [
     "regular_character",
     "trivial_character",
     "quotient_identity_virtual_character",
-    "tower_coefficient",
     "QuotientIdentity",
 ]
-
-
-class PsiDescriptor(NamedTuple):
-    """One-dimensional character of X: a^x b^{p^r y} -> zeta_q^{ux} zeta_{p^{n-r}}^{wy}."""
-
-    u: int
-    w: int
-
-    @property
-    def char_id(self) -> str:
-        """ID of the character induced from this psi to G."""
-        return f"ind[u={self.u},w={self.w}]"
 
 
 @lru_cache(maxsize=None)
@@ -253,33 +228,8 @@ def irreducible_characters(G: MetacyclicParams) -> tuple[Character, ...]:
     return tuple(table)
 
 
-def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescriptor]]:
-    """(level, psi) of the p^r-dimensional irreducibles, in table order.
-
-    Levels run from r to n, where the faithful ones sit; within a level, u
-    runs over the minimal H-orbit representatives and w over the units mod
-    p^{level - r} (only 0 at level r).
-    """
-    for level in range(G.r, G.n + 1):
-        pmr = G.p ** (level - G.r)
-        ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
-        for u in _psi_orbit_reps(G):
-            for w in ws:
-                yield level, PsiDescriptor(u, w)
-
-
-def faithful_descriptors(G: MetacyclicParams) -> list[PsiDescriptor]:
-    """The psi of the faithful irreducibles, in the order of faithful_characters."""
-    return [psi for level, psi in _induced_descriptors(G) if level == G.n]
-
-
 def faithful_characters(G: MetacyclicParams) -> list[Character]:
     return [chi for chi in irreducible_characters(G) if chi.provenance[0] == "induced"]
-
-
-def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:
-    """The first entry of faithful_descriptors, without enumerating them."""
-    return PsiDescriptor(1, 1 if G.n > G.r else 0)
 
 
 def one_faithful_character(G: MetacyclicParams) -> Character:
@@ -300,16 +250,7 @@ def regular_character(G: MetacyclicParams) -> Character:
 
 
 # ---------------------------------------------------------------------------
-# psi calculus and induction
-
-def psi_is_faithful(G: MetacyclicParams, psi: PsiDescriptor) -> bool:
-    pmr = G.pn // G.pr
-    if psi.u % G.q == 0:
-        return False
-    if pmr == 1:
-        return True
-    return gcd(psi.w, G.p) == 1
-
+# induction
 
 def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
     """Induction of psi from X to G via the coset sum over b^0, ..., b^{p^r - 1}.
@@ -335,7 +276,8 @@ def _weighted_dot(terms: Iterable[tuple[int, CyclotomicNumber, CyclotomicNumber]
     live = [(w, a, b) for w, a, b in terms if w and not a.is_zero() and not b.is_zero()]
     if not live:
         return _ZERO
-    M = _check_conductor(lcm(*(x.conductor for _, a, b in live for x in (a, b))))
+    M = lcm(*(x.conductor for _, a, b in live for x in (a, b)))
+    _check_conductor(M, "inner product")
     D = lcm(*(a.den * b.den for _, a, b in live))
     buf = [0] * M
     for w, a, b in live:
@@ -483,11 +425,6 @@ class QuotientIdentity(NamedTuple):
             "faithful_count": self.faithful_count,
             "total_dimension": str(self.lhs.degree),
         }
-
-
-def tower_coefficient(G: MetacyclicParams) -> int:
-    """Multiple of the faithful sum in the tower identity: p^r, or p^r - p^{r-1} if n = r."""
-    return G.pr if G.n > G.r else G.pr - G.pr // G.p
 
 
 def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity:

@@ -3,40 +3,28 @@
 JSON output (--format json) is the machine contract: identical invocations
 produce byte-identical documents, and nothing else is written to stdout in
 JSON mode.  Text mode renders the same structure for humans.  Exit codes:
-0 success, 2 invalid input or a request too large for the process (memory
-or recursion exhausted), 3 internal invariant violation.
+0 success, 2 invalid input, a request too large for the process (memory or
+recursion exhausted) or output that cannot be written (an --out path that
+cannot be opened, a stdout closed early), 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
+from _json import encode_basestring_ascii as _encode_str  # the C encoder json.encoder binds
 
-from .cyclotomic import InternalCheckError, field_of_values
-from .groups import conjugacy_classes, iter_valid_groups, make_group, tower_subgroups
-from .characters import (
-    PsiDescriptor,
-    _linear_character,
-    character_field,
-    faithful_characters,
-    faithful_descriptors,
-    formula_field,
-    induce_from_X,
-    inner_product,
-    irreducible_characters,
-    is_faithful,
-    one_faithful_character,
-    one_faithful_descriptor,
-    permutation_character,
-    tensor_decompose,
+from .groups import (
+    InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_descriptors, iter_valid_groups,
+    make_group, one_faithful_descriptor, tower_subgroups,
 )
 from .schur import global_index, multiplicity_divisibility_check, qadic_class_order
 from .predictions import faithful_count, prediction_report
 
-# elliptic, frobenius and lseries are imported by the handlers that use them,
-# so that table, schur, predict and sweep jobs never load them
+# characters and cyclotomic (table, euler, series, sweep --tables) and elliptic,
+# frobenius and lseries are imported by the handlers that use them, so that the
+# closed-form schur, predict, sweep and frobenius jobs never load them
 
 __all__ = ["main"]
 
@@ -79,21 +67,30 @@ def _dumps(obj, nl: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
+    import json
+
     return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _emit(args, payload: dict, text: str) -> None:
     out = _dumps(payload) if args.format == "json" else text
-    if args.out:
+    if not args.out:
+        print(out)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
-    else:
-        print(out)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_table(args) -> int:
+    from .characters import (
+        character_field, formula_field, irreducible_characters, is_faithful, tensor_decompose,
+    )
+
     G = _group_from_args(args)
     table = irreducible_characters(G)
     classes = conjugacy_classes(G)
@@ -214,6 +211,7 @@ def cmd_frobenius(args) -> int:
 def cmd_euler(args) -> int:
     from .elliptic import a_v
     from .frobenius import frobenius_datum, resolve_field_poly
+    from .characters import one_faithful_character
     from .lseries import (
         cube_of_quadratic_defect, symbolic_twisted_euler_factor, twisted_euler_factor,
         untwisted_factor,
@@ -279,6 +277,8 @@ def cmd_euler(args) -> int:
 
 
 def _parse_character(G, spec: str):
+    from .characters import _linear_character, induce_from_X
+
     kind, _, rest = ("lin:0" if spec == "trivial" else spec).partition(":")
     try:
         args = [int(t) for t in rest.split(",")]
@@ -365,6 +365,12 @@ def cmd_sweep(args) -> int:
     bad = [row for row in rows if not row["consistent"]]
     table_checked = 0
     if args.tables:
+        from .characters import (
+            faithful_characters, formula_field, inner_product, irreducible_characters,
+            permutation_character,
+        )
+        from .cyclotomic import field_of_values
+
         for G in groups:
             if G.order > args.table_max:
                 continue
@@ -513,7 +519,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the rest of the buffer goes to /dev/null, so shutdown prints nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except InternalCheckError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -41,6 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
+from .groups import InternalCheckError, prime_factors
+
 __all__ = [
     "CyclotomicNumber",
     "AbelianField",
@@ -48,7 +50,6 @@ __all__ = [
     "euler_phi",
     "max_conductor",
     "ConductorOverflowError",
-    "InternalCheckError",
 ]
 
 _DEFAULT_MAX_CONDUCTOR = 10 ** 6
@@ -56,10 +57,6 @@ _DEFAULT_MAX_CONDUCTOR = 10 ** 6
 
 class ConductorOverflowError(ValueError):
     """Raised when an operation would need a conductor above the configured cap."""
-
-
-class InternalCheckError(RuntimeError):
-    """An identity that must hold by theory failed; indicates a bug, not a finding."""
 
 
 @lru_cache(maxsize=None)
@@ -82,30 +79,15 @@ def max_conductor() -> int:
     return cap
 
 
-def _check_conductor(m: int) -> int:
+def _check_conductor(m: int, op: str) -> int:
     if m < 1:
-        raise ValueError(f"conductor must be positive, got {m}")
+        raise ValueError(f"conductor must be positive, got {m} in {op}")
     if m > max_conductor():
         raise ConductorOverflowError(
-            f"conductor {m} exceeds the cap {max_conductor()} "
+            f"conductor {m} exceeds the cap {max_conductor()} in {op} "
             "(set SCHURGATE_MAX_CONDUCTOR to raise it)"
         )
     return m
-
-
-def prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime factors of m, ascending."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
 
 
 def euler_phi(m: int) -> int:
@@ -262,7 +244,7 @@ class CyclotomicNumber:
     __slots__ = ("conductor", "den", "num", "_terms", "_hash", "_lifts")
 
     def __init__(self, conductor: int, coeffs):
-        m = _check_conductor(int(conductor))
+        m = _check_conductor(int(conductor), "the CyclotomicNumber constructor")
         vec = [Fraction(c) for c in coeffs]
         if len(vec) != _phi(m):
             raise ValueError(f"need phi({m}) = {_phi(m)} coefficients, got {len(vec)}")
@@ -307,7 +289,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity zeta_m^k (k arbitrary; the result is canonicalized)."""
-        _check_conductor(m)
+        _check_conductor(m, "zeta")
         buf = [0] * m
         buf[k % m] = 1
         return _from_buffer(m, 1, buf)
@@ -331,7 +313,7 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        M = _check_conductor(lcm(self.conductor, other.conductor))
+        M = _check_conductor(lcm(self.conductor, other.conductor), "add")
         g = gcd(self.den, other.den)
         buf = [0] * M
         for x, scale in ((self, other.den // g), (other, self.den // g)):
@@ -357,7 +339,7 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        M = _check_conductor(lcm(self.conductor, other.conductor))
+        M = _check_conductor(lcm(self.conductor, other.conductor), "mul")
         buf = [0] * M
         _mul_into(buf, M, 1, self, other)
         return _from_buffer(M, self.den * other.den, buf)
@@ -491,7 +473,7 @@ class AbelianField:
     __slots__ = ("conductor", "stabilizer")
 
     def __init__(self, conductor: int, stabilizer):
-        m = _check_conductor(int(conductor))
+        m = _check_conductor(int(conductor), "the AbelianField constructor")
         stab = sorted({k % m for k in stabilizer}) if m > 1 else [1]
         if m > 1:
             if 1 not in stab:
@@ -595,7 +577,7 @@ def field_of_values(values) -> AbelianField:
     vals = list(values)
     if not vals:
         raise ValueError("need at least one value")
-    m = _check_conductor(lcm(*(v.conductor for v in vals)))
+    m = _check_conductor(lcm(*(v.conductor for v in vals)), "field_of_values")
     if m == 1:
         return AbelianField.rationals()
     gens, group = _span(m, (k for k in range(2, m) if gcd(k, m) == 1))

@@ -16,8 +16,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .cyclotomic import InternalCheckError
-from .groups import is_prime
+from .groups import InternalCheckError, is_prime
 
 __all__ = ["EllipticCurveQ", "a_v"]
 

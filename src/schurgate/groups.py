@@ -13,6 +13,10 @@ Gaussian periods list the order-p^s subgroup of (Z/q)^x (H = <j> at s = r),
 all through one cached _p_power_subgroup; elsewhere x in H is the power test
 x^{p^r} = 1.  The group law itself (mul, elements) lives in the test oracles.
 
+The psi calculus (which psi = (u, w) of X induce the irreducibles, and the
+tower coefficient) is closed-form too and lives here, so that the Schur
+indices and predictions never load the character tables or the kernel.
+
 The integer questions are answered without walking (Z/q)^x: primality by
 deterministic Miller-Rabin, and r by p-power tests, since j has p-power
 order iff j^{p^v} = 1 for v = v_p(q - 1), and r is then the least k with
@@ -26,19 +30,28 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .cyclotomic import InternalCheckError, prime_factors
-
 __all__ = [
+    "InternalCheckError",
     "MetacyclicParams",
     "GroupElement",
     "ConjClass",
     "Subgroup",
+    "PsiDescriptor",
     "make_group",
     "conjugacy_classes",
     "subgroup_X",
     "tower_subgroups",
     "iter_valid_groups",
+    "psi_is_faithful",
+    "faithful_descriptors",
+    "one_faithful_descriptor",
+    "tower_coefficient",
 ]
+
+
+class InternalCheckError(RuntimeError):
+    """An identity that must hold by theory failed; indicates a bug, not a finding."""
+
 
 # Miller-Rabin with the first k prime bases proves m prime for every odd
 # m < psi_k (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster,
@@ -80,6 +93,21 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_factors(m: int) -> tuple[int, ...]:
+    """Distinct prime factors of m, ascending."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append(m)
+    return tuple(out)
 
 
 def vp(m: int, p: int) -> int:
@@ -309,3 +337,52 @@ def iter_valid_groups(max_order: int) -> Iterator[MetacyclicParams]:
                 for j in _p_power_subgroup(q, p, min(n, v))[1:]:
                     yield make_group(q, p, n, j)
                 n += 1
+
+
+# ---------------------------------------------------------------------------
+# psi calculus: the one-dimensional characters of X that induce irreducibles
+
+class PsiDescriptor(NamedTuple):
+    """One-dimensional character of X: a^x b^{p^r y} -> zeta_q^{ux} zeta_{p^{n-r}}^{wy}."""
+
+    u: int
+    w: int
+
+    @property
+    def char_id(self) -> str:
+        """ID of the character induced from this psi to G."""
+        return f"ind[u={self.u},w={self.w}]"
+
+
+def psi_is_faithful(G: MetacyclicParams, psi: PsiDescriptor) -> bool:
+    return psi.u % G.q != 0 and (G.n == G.r or psi.w % G.p != 0)
+
+
+def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescriptor]]:
+    """(level, psi) of the p^r-dimensional irreducibles, in table order.
+
+    Levels run from r to n, where the faithful ones sit; within a level, u
+    runs over the minimal H-orbit representatives and w over the units mod
+    p^{level - r} (only 0 at level r).
+    """
+    for level in range(G.r, G.n + 1):
+        pmr = G.p ** (level - G.r)
+        ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
+        for u in _psi_orbit_reps(G):
+            for w in ws:
+                yield level, PsiDescriptor(u, w)
+
+
+def faithful_descriptors(G: MetacyclicParams) -> list[PsiDescriptor]:
+    """The psi of the faithful irreducibles, in the order of faithful_characters."""
+    return [psi for level, psi in _induced_descriptors(G) if level == G.n]
+
+
+def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:
+    """The first entry of faithful_descriptors, without enumerating them."""
+    return PsiDescriptor(1, 1 if G.n > G.r else 0)
+
+
+def tower_coefficient(G: MetacyclicParams) -> int:
+    """Multiple of the faithful sum in the tower identity: p^r, or p^r - p^{r-1} if n = r."""
+    return G.pr if G.n > G.r else G.pr - G.pr // G.p

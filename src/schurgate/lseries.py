@@ -40,8 +40,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, InternalCheckError, _fold
-from .groups import ConjClass, MetacyclicParams, _class_index
+from .cyclotomic import CyclotomicNumber, _fold
+from .groups import ConjClass, InternalCheckError, MetacyclicParams, _class_index
 from .characters import QuotientIdentity, quotient_identity_virtual_character
 from .elliptic import EllipticCurveQ, a_v
 from .frobenius import FrobeniusDatum, _discriminant, frobenius_datum

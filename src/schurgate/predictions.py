@@ -16,18 +16,20 @@ exact index refines the proved p | m bound; reports label it as derived.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import InternalCheckError
-from .groups import MetacyclicParams
-from .characters import (
-    Character,
+from .groups import (
+    InternalCheckError,
+    MetacyclicParams,
     PsiDescriptor,
     faithful_descriptors,
     one_faithful_descriptor,
     tower_coefficient,
 )
 from .schur import global_index
+
+if TYPE_CHECKING:
+    from .characters import Character
 
 __all__ = ["PredictionReport", "prediction_report", "faithful_count", "tower_modulus"]
 

@@ -21,17 +21,20 @@ refines the general p | m bound and is cross-checked in the tests against
 the direct big-integer computation and all externally known values.
 
 Every check reads only psi = (u, w) and powers mod q: it computes no character
-value and lists no element of H, so its cost does not grow with p^r.
+value and lists no element of H, so its cost does not grow with p^r.  Only
+multiplicity_divisibility_check takes an inner product of values, and only it
+loads the character tables.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import NamedTuple
+from math import lcm
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import InternalCheckError
-from .groups import MetacyclicParams, vp
-from .characters import Character, PsiDescriptor, inner_product, psi_is_faithful
+from .groups import InternalCheckError, MetacyclicParams, PsiDescriptor, psi_is_faithful, vp
+
+if TYPE_CHECKING:
+    from .characters import Character
 
 __all__ = [
     "LocalIndexReport",
@@ -56,12 +59,7 @@ class LocalIndexReport(NamedTuple):
     details: dict
 
     def to_json(self) -> dict:
-        return {
-            "place": self.place,
-            "index": self.index,
-            "reason": self.reason,
-            "details": self.details,
-        }
+        return dict(self._asdict())
 
 
 class GlobalIndexReport(NamedTuple):
@@ -85,13 +83,7 @@ class GlobalIndexReport(NamedTuple):
 
 
 def _place_label(G: MetacyclicParams, place) -> object:
-    if place == "inf":
-        return "inf"
-    if place == G.q:
-        return "q"
-    if place == G.p:
-        return "p"
-    return place
+    return {G.q: "q", G.p: "p"}.get(place, place)
 
 
 def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
@@ -130,7 +122,7 @@ def _violation(G: MetacyclicParams, psi: PsiDescriptor, what: str) -> InternalCh
 def _faithful_psi(G: MetacyclicParams, tau: Character | PsiDescriptor) -> PsiDescriptor:
     """The descriptor of a faithful irreducible tau = Ind_X psi; raises if tau is not one."""
     psi = tau
-    if isinstance(tau, Character):
+    if not isinstance(tau, PsiDescriptor):  # a Character, whose provenance names its psi
         psi = PsiDescriptor(*tau.provenance[1:]) if tau.provenance[0] == "induced" else None
     if psi is None or not psi_is_faithful(G, psi):
         raise ValueError(
@@ -173,12 +165,8 @@ def global_index(G: MetacyclicParams, tau: Character | PsiDescriptor) -> GlobalI
     index; the report additionally asserts the index-1 criterion p^n | q - 1.
     """
     psi = _faithful_psi(G, tau)
-    locs = tuple(
-        local_index(G, psi, place) for place in ("inf", 2, G.p, G.q)
-    )
-    g = 1
-    for entry in locs:
-        g = g * entry.index // gcd(g, entry.index)
+    locs = tuple(local_index(G, psi, place) for place in ("inf", 2, G.p, G.q))
+    g = lcm(*(entry.index for entry in locs))
     if (g == 1) != ((G.q - 1) % G.pn == 0):
         raise _violation(G, psi, f"index {g} contradicts the p^n | q-1 criterion")
     if G.pr % g != 0:
@@ -224,6 +212,8 @@ def multiplicity_divisibility_check(
     always holds for rationally realizable characters; a False outcome
     signals an internal error upstream, not a mathematical finding.
     """
+    from .characters import inner_product
+
     psi = _faithful_psi(G, tau)
     if not all(v.is_rational() for v in rho.values):
         raise ValueError("not a rational character")

@@ -19,6 +19,7 @@ from oracles import conjugate_psi, psi_value, subgroup_elements, value_at
 from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
 from schurgate.groups import (
     GroupElement,
+    _psi_orbit_reps,
     conjugacy_classes,
     iter_valid_groups,
     make_group,
@@ -28,7 +29,6 @@ from schurgate.groups import (
 from schurgate.characters import (
     PsiDescriptor,
     _inverse_class_map,
-    _psi_orbit_reps,
     _weighted_dot,
     faithful_characters,
     formula_field,

@@ -168,12 +168,12 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
 def test_exhausted_process_exits_2_without_traceback(capsys, monkeypatch, exc):
-    import schurgate.cli as cli
+    import schurgate.characters as characters
 
     def exhausted(G):
         raise exc()
 
-    monkeypatch.setattr(cli, "irreducible_characters", exhausted)
+    monkeypatch.setattr(characters, "irreducible_characters", exhausted)
     code, out, err = run(capsys, "table", "-q", "7", "-p", "3", "-n", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and exc.__name__ in err
@@ -401,19 +401,19 @@ C7_C3 = "group (q, p, n, j) = (7, 3, 1, 2)"
 
 
 def test_sweep_orthogonality_error_names_group_and_characters(capsys, monkeypatch):
-    import schurgate.cli as cli
+    import schurgate.characters as characters
 
-    monkeypatch.setattr(cli, "inner_product", lambda a, b: 2)
+    monkeypatch.setattr(characters, "inner_product", lambda a, b: 2)
     code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
     assert code == 3
     assert C7_C3 in err and "<lin[0], lin[0]> = 2, expected 1" in err
 
 
 def test_sweep_field_error_names_group_and_character(capsys, monkeypatch):
-    import schurgate.cli as cli
+    import schurgate.characters as characters
     from schurgate.cyclotomic import AbelianField
 
-    monkeypatch.setattr(cli, "formula_field", lambda G: AbelianField.rationals())
+    monkeypatch.setattr(characters, "formula_field", lambda G: AbelianField.rationals())
     code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
     assert code == 3
     assert C7_C3 in err and "character field of ind[u=1,w=0]" in err
@@ -573,9 +573,13 @@ def test_norm_criterion_error_names_group_and_character(monkeypatch):
 def test_divisibility_multiplicity_error_names_group_and_characters(capsys, monkeypatch):
     from fractions import Fraction
 
-    import schurgate.schur as schur
+    import schurgate.characters as characters
 
-    monkeypatch.setattr(schur, "inner_product", lambda a, b: Fraction(1, 2))
+    inner = characters.inner_product  # orthogonality keeps the real one; multiplicities get 1/2
+    monkeypatch.setattr(
+        characters, "inner_product",
+        lambda a, b: Fraction(1, 2) if a.provenance[0] == "permutation" else inner(a, b),
+    )
     code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
     assert code == 3
     assert "multiplicity 1/2 in ('permutation', 'K0') must be an integer (ind[u=1,w=0], " + C7_C3 in err
@@ -630,3 +634,66 @@ def test_virtual_character_identity_error_names_group_curve_field_and_X(capsys, 
     code, _, err = run(capsys, "identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30")
     assert code == 3
     assert "virtual-character identity failed (" + IDENTITY_WHERE + ")" in err
+
+
+# sha256 of the concatenated JSON stdout of `predict` on every group of
+# iter_valid_groups(2000) and of `schur --all` on every group of
+# iter_valid_groups(700), recorded while both still imported the character
+# tables and the cyclotomic kernel.
+PREDICT_2000_SHA256 = "3a7c0c2fcc839fa3181fd5fdae8d9ed555c8cef82aa95d5eada3c069c8f745be"
+SCHUR_ALL_700_SHA256 = "86def0baef67dae617a0f89f14023a900507155f3328f16c313ced9492502cfc"
+
+
+@pytest.mark.parametrize("command, max_order, want", [
+    (["predict"], 2000, PREDICT_2000_SHA256),
+    (["schur", "--all"], 700, SCHUR_ALL_700_SHA256),
+], ids=["predict", "schur-all"])
+def test_closed_form_json_on_every_small_group_is_byte_identical(capsys, command, max_order, want):
+    digest = hashlib.sha256()
+    for G in iter_valid_groups(max_order):
+        args = ("-q", str(G.q), "-p", str(G.p), "-n", str(G.n), "-j", str(G.j), "--format", "json")
+        code, out, _ = run(capsys, *command, *args)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == want
+
+
+# output that cannot be written ends with exit 2 and one error line
+def _one_error_line(out) -> None:
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, where):
+    target = tmp_path / "no-such-dir" / "out.json" if where == "missing-dir" else tmp_path
+    out = _cli("schur", "-q", "7", "-p", "3", "-n", "2", "--out", str(target))
+    _one_error_line(out)
+    assert out.stdout == "" and f"cannot write --out {target}" in out.stderr
+
+
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
+    import subprocess
+    import sys
+    import threading
+
+    # the table is about 250 kB, far more than a pipe buffers, so the CLI is
+    # still writing when its reader goes away after 10 bytes, as with `| head -c 10`
+    argv = ["table", "-q", "19", "-p", "3", "-n", "3", "--format", "json"]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "schurgate.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=err, text=True)
+        timer = threading.Timer(10, proc.kill)  # a hang fails the test, not the suite
+        timer.start()
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            returncode = proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+        err.seek(0)
+        out = subprocess.CompletedProcess(argv, returncode, "", err.read())
+    assert head == '{\n  "group'
+    _one_error_line(out)
+    assert "Exception ignored" not in out.stderr and "Traceback" not in out.stderr

@@ -15,7 +15,8 @@ from schurgate.cyclotomic import (
     max_conductor,
     _cyclo,
 )
-from schurgate.characters import _weighted_dot
+from schurgate.characters import _weighted_dot, inner_product, one_faithful_character
+from schurgate.groups import make_group
 from oracles import (
     contains_value,
     cyclotomic_from_json,
@@ -87,6 +88,40 @@ def test_conductor_overflow(monkeypatch):
     monkeypatch.delenv("SCHURGATE_MAX_CONDUCTOR")
     max_conductor.cache_clear()
     assert C.zeta(101) * C.zeta(101, 100) == 1
+
+
+@pytest.fixture
+def lower_cap(monkeypatch):
+    """Sets SCHURGATE_MAX_CONDUCTOR for one test; the cached cap is reread before and after."""
+    def lower(cap: int) -> None:
+        monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", str(cap))
+        max_conductor.cache_clear()
+    yield lower
+    max_conductor.cache_clear()
+
+
+@pytest.mark.parametrize("op", [
+    "add", "mul", "zeta", "the CyclotomicNumber constructor", "the AbelianField constructor",
+    "inner product", "field_of_values",
+])
+def test_conductor_overflow_names_the_operation(lower_cap, op):
+    tau = one_faithful_character(make_group(7, 3, 2))  # values at conductors 1, 3, 7 and 21
+    a, b = C.zeta(5), C.zeta(7)  # each below the cap, together at conductor 35
+    conductor, call = {
+        "add": (35, lambda: a + b),
+        "mul": (35, lambda: a * b),
+        "zeta": (23, lambda: C.zeta(23)),
+        "the CyclotomicNumber constructor": (23, lambda: C(23, [0] * 22)),
+        "the AbelianField constructor": (23, lambda: AbelianField(23, [1])),
+        "inner product": (21, lambda: inner_product(tau, tau)),
+        "field_of_values": (35, lambda: field_of_values([a, b])),
+    }[op]
+    lower_cap(20)
+    with pytest.raises(ConductorOverflowError) as err:
+        call()
+    assert str(err.value) == (
+        f"conductor {conductor} exceeds the cap 20 in {op} (set SCHURGATE_MAX_CONDUCTOR to raise it)"
+    )
 
 
 def test_canonicalization_minimal_conductor():

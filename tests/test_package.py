@@ -10,6 +10,8 @@ import schurgate
 
 ARITHMETIC = {"schurgate.elliptic", "schurgate.frobenius", "schurgate.lseries"}
 INTROSPECTION = {"dataclasses", "inspect"}
+# what a closed-form answer never needs: the kernel, the tables and their imports
+VALUE_LAYER = {"schurgate.cyclotomic", "schurgate.characters", "fractions", "decimal", "json"}
 
 # a fresh interpreter runs one command and prints the modules it loaded
 # (those that site loaded at start-up are not the package's doing)
@@ -60,13 +62,36 @@ def test_arithmetic_commands_load_no_introspection(argv):
     assert not loaded & INTROSPECTION
 
 
+@pytest.mark.parametrize("argv", [
+    ["schur", "-q", "19", "-p", "3", "-n", "4"],
+    ["schur", "-q", "7", "-p", "3", "-n", "2", "--all"],
+    ["predict", "-q", "7", "-p", "3", "-n", "2"],
+    ["sweep", "--max", "200"],
+    ["frobenius", "-q", "7", "-p", "3", "-n", "2", "-v", "53"],
+], ids=["schur", "schur-all", "predict", "sweep", "frobenius"])
+def test_closed_form_commands_leave_the_value_layer_out(argv):
+    loaded = _loaded_after(*argv, "--format", "json")
+    assert "schurgate.groups" in loaded
+    assert not loaded & VALUE_LAYER, sorted(loaded & VALUE_LAYER)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "-q", "7", "-p", "3", "-n", "1"],
+    ["sweep", "--max", "21", "--tables"],
+], ids=["table", "sweep-tables"])
+def test_table_commands_still_load_the_characters(argv):
+    loaded = _loaded_after(*argv, "--format", "json")
+    assert {"schurgate.characters", "schurgate.cyclotomic"} <= loaded
+
+
 # the exports by defining module, in the order of __all__
 HOMES = {
-    "cyclotomic": ["AbelianField", "ConductorOverflowError", "CyclotomicNumber",
-                   "InternalCheckError", "euler_phi", "field_of_values"],
-    "groups": ["ConjClass", "GroupElement", "MetacyclicParams", "Subgroup", "conjugacy_classes",
-               "iter_valid_groups", "make_group", "subgroup_X", "tower_subgroups"],
-    "characters": ["Character", "PsiDescriptor", "VirtualCharacter", "character_field",
+    "cyclotomic": ["AbelianField", "ConductorOverflowError", "CyclotomicNumber", "euler_phi",
+                   "field_of_values"],
+    "groups": ["ConjClass", "GroupElement", "InternalCheckError", "MetacyclicParams",
+               "PsiDescriptor", "Subgroup", "conjugacy_classes", "iter_valid_groups", "make_group",
+               "subgroup_X", "tower_subgroups"],
+    "characters": ["Character", "VirtualCharacter", "character_field",
                    "faithful_characters", "formula_field", "induce_from_X", "inner_product",
                    "irreducible_characters", "is_faithful", "one_faithful_character",
                    "permutation_character", "quotient_identity_virtual_character",
