@@ -18,9 +18,9 @@ _EXPORTS = {
                   "trivial_character",
     "schur": "GlobalIndexReport LocalIndexReport global_index local_index "
              "multiplicity_divisibility_check norm_criterion qadic_class_order",
-    "elliptic": "EllipticCurveQ a_v",
+    "elliptic": "EllipticCurveQ EulerFactor a_v",
     "frobenius": "EXAMPLE_F1 FrobeniusDatum frobenius_datum",
-    "lseries": "DirichletSeries EulerFactor dirichlet_partial identity_series_check "
+    "lseries": "DirichletSeries dirichlet_partial identity_series_check "
                "symbolic_twisted_euler_factor twisted_euler_factor",
     "predictions": "PredictionReport prediction_report",
 }

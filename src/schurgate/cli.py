@@ -19,12 +19,9 @@ from .groups import (
     InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_descriptors, iter_valid_groups,
     make_group, one_faithful_descriptor, tower_subgroups,
 )
-from .schur import global_index, multiplicity_divisibility_check, qadic_class_order
-from .predictions import faithful_count, prediction_report
 
-# characters and cyclotomic (table, euler, series, sweep --tables) and elliptic,
-# frobenius and lseries are imported by the handlers that use them, so that the
-# closed-form schur, predict, sweep and frobenius jobs never load them
+# every other module is imported by the handlers that use it, so that a job
+# loads only the modules its command needs (README, Command line)
 
 __all__ = ["main"]
 
@@ -148,6 +145,8 @@ def _table_text(G, classes, table, payload: dict) -> str:
 
 
 def cmd_schur(args) -> int:
+    from .schur import global_index
+
     G = _group_from_args(args)
     psis = faithful_descriptors(G) if args.all else [one_faithful_descriptor(G)]
     reports = [global_index(G, psi) for psi in psis]
@@ -168,6 +167,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .predictions import prediction_report
+
     G = _group_from_args(args)
     rep = prediction_report(G)
     payload = rep.to_json()
@@ -209,15 +210,10 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    from .elliptic import a_v
-    from .frobenius import frobenius_datum, resolve_field_poly
-    from .characters import one_faithful_character
-    from .lseries import (
-        cube_of_quadratic_defect, symbolic_twisted_euler_factor, twisted_euler_factor,
-        untwisted_factor,
-    )
-
     if args.symbolic:
+        from .characters import one_faithful_character
+        from .lseries import cube_of_quadratic_defect, symbolic_twisted_euler_factor
+
         G = _group_from_args(args)
         tau = one_faithful_character(G)
         try:
@@ -248,6 +244,8 @@ def cmd_euler(args) -> int:
         return 0
     if args.curve is None or args.v is None:
         raise ValueError("numeric factors need --curve and -v")
+    from .elliptic import a_v, untwisted_factor  # the untwisted route loads nothing more
+
     E = _parse_curve(args.curve)
     av = a_v(E, args.v)
     if args.trivial:
@@ -255,6 +253,10 @@ def cmd_euler(args) -> int:
         payload = {**factor.to_json(), "a_v": av}
         _emit(args, payload, f"factor {factor} (a_{args.v} = {av})")
         return 0
+    from .characters import one_faithful_character
+    from .frobenius import frobenius_datum, resolve_field_poly
+    from .lseries import twisted_euler_factor
+
     G = _group_from_args(args)
     poly = resolve_field_poly(args.field)
     datum = frobenius_datum(poly, G, args.v)
@@ -342,6 +344,9 @@ def cmd_identity(args) -> int:
 
 
 def _sweep_one(G) -> dict:
+    from .predictions import faithful_count
+    from .schur import qadic_class_order
+
     idx, details = qadic_class_order(G.q, G.p, G.n, G.r)
     divisible = (G.q - 1) % G.pn == 0
     consistent = (idx == 1) == divisible
@@ -370,6 +375,7 @@ def cmd_sweep(args) -> int:
             permutation_character,
         )
         from .cyclotomic import field_of_values
+        from .schur import multiplicity_divisibility_check
 
         for G in groups:
             if G.order > args.table_max:

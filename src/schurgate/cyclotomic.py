@@ -339,6 +339,15 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.conductor == 1 or other.conductor == 1:
+            # a nonzero rational multiple keeps the minimal conductor; zero stays zero
+            x, r = (other, self) if self.conductor == 1 else (self, other)
+            c = r.num[0]
+            if c == 0:
+                return r
+            den, num = x.den * r.den, [a * c for a in x.num]
+            g = gcd(den, *num)
+            return CyclotomicNumber._make(x.conductor, den // g, tuple(a // g for a in num))
         M = _check_conductor(lcm(self.conductor, other.conductor), "mul")
         buf = [0] * M
         _mul_into(buf, M, 1, self, other)

@@ -9,6 +9,10 @@ points of E and of its quadratic twist, O(v^(1/4)) group operations
 (Cohen, GTM 138, 7.4.3; Mestre's argument needs v > 229).  Measured, the
 two counts cross near v = 100, so the naive one stops where Mestre's
 argument starts.  Primes are capped at v <= 10^6.
+
+An Euler factor is a polynomial in T with cyclotomic coefficients; the
+curve's own factor at v is 1 - a_v T + v T^2 (``untwisted_factor``), and
+the twisted ones are built in ``lseries``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
+from .cyclotomic import CyclotomicNumber
 from .groups import InternalCheckError, is_prime
 
-__all__ = ["EllipticCurveQ", "a_v"]
+__all__ = ["EllipticCurveQ", "EulerFactor", "a_v", "untwisted_factor"]
 
 MAX_POINT_COUNT_PRIME = 10 ** 6
 # largest v counted naively: Shanks-Mestre needs v > 229 (Mestre)
@@ -203,3 +208,43 @@ def _shanks_mestre_trace(E: EllipticCurveQ, v: int) -> int:
     raise InternalCheckError(
         f"no unique group order in the Hasse interval at v = {v} on the curve {E}"
     )
+
+
+# -- Euler factors ------------------------------------------------------------
+
+class EulerFactor(NamedTuple):
+    v: int
+    poly: tuple[CyclotomicNumber, ...]  # ascending in T, constant term 1
+
+    @property
+    def degree(self) -> int:
+        return len(self.poly) - 1
+
+    def to_json(self) -> dict:
+        return {"v": self.v, "poly": [c.to_json() for c in self.poly]}
+
+    def __str__(self):
+        return _tpoly_str(self.poly)
+
+
+def _tpoly_str(poly) -> str:
+    parts = []
+    for i, c in enumerate(poly):
+        if hasattr(c, "is_zero") and c.is_zero():
+            continue
+        cs = str(c)
+        mono = "" if i == 0 else ("T" if i == 1 else f"T^{i}")
+        if mono and cs == "1":
+            parts.append(mono)
+        elif mono and cs == "-1":
+            parts.append(f"-{mono}")
+        elif mono:
+            wrapped = f"({cs})" if ("+" in cs or " - " in cs) else cs
+            parts.append(f"{wrapped}*{mono}")
+        else:
+            parts.append(cs)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def untwisted_factor(av: int, v: int) -> EulerFactor:
+    return EulerFactor(v, tuple(CyclotomicNumber.from_rational(c) for c in (1, -av, v)))

@@ -1,20 +1,26 @@
-"""Frobenius data at unramified primes from splitting patterns and residues.
+"""Frobenius data at unramified primes from residues and certified splitting patterns.
 
 For the fields of interest, Frobenius at v lives in G = C_q x| C_{p^n} and is
 pinned down by two independent observations:
 
-  * the distinct-degree factorization pattern of the degree-q polynomial
-    defining the non-Galois field F_1 modulo v, which sees the image of
-    Frobenius in the closure quotient C_q x| C_{p^r} acting on q points; and
   * the class of v in the degree-p^n cyclotomic layer, read off as the
     p-adic logarithm of v^{p-1} in the principal units mod p^{n+1}, which
-    is one modular power, never a walk through the units.
+    is one modular power, never a walk through the units; and
+  * the splitting pattern of the degree-q polynomial defining the
+    non-Galois field F_1 modulo v, which sees the image of Frobenius in the
+    closure quotient C_q x| C_{p^r} acting on q points.
 
 The pattern can only take the shapes 1^q (trivial image), 1 + o + ... + o
-with o = p^i > 1 (a power of b), or a single q (nontrivial order-q part).
-In the last case the conjugacy class is ambiguous among the (q-1)/p^r
-classes of order-q-part elements with the observed cyclotomic component;
-the ambiguity is carried explicitly and never silently resolved.
+with o = p^i > 1 (a power of b), or a single q (nontrivial order-q part),
+and the cyclotomic exponent y already says which: 1 + o + ... + o with
+o = p^(r - v_p(y)) when y is not 0 mod p^r, else 1^q or q.  So the pattern
+is certified, not factored: the Frobenius matrix of x -> x^v mod f, built
+once per prime, checks the shapes y allows (``frobenius_datum``), and
+distinct-degree factorization runs only when a certificate fails, to name
+the pattern in the refusal.  In the q case the conjugacy class is
+ambiguous among the (q-1)/p^r classes of order-q-part elements with the
+observed cyclotomic component; the ambiguity is carried explicitly and
+never silently resolved.
 """
 
 from __future__ import annotations
@@ -112,24 +118,23 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_rem(a: list[int], b: list[int], v: int) -> list[int]:
-    """a mod b over F_v for a trimmed, nonzero b; products are summed before % v."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, v)
-    b = [c * inv % v for c in b[:db]]  # b made monic, leading 1 left implicit
-    a = list(a)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] % v
-        if c:
-            off = k - db
-            a[off:k] = [x - c * y for x, y in zip(a[off:k], b)]
-    return _gf_trim([x % v for x in a[:db]])
+def _gf_gcd(a: list[int], b: list[int], v: int) -> list[int]:
+    """Monic gcd over F_v of trimmed lists, not both zero; neither list is changed.
 
-
-def _gf_gcd(a, b, v):
-    """Monic gcd over F_v of trimmed lists."""
+    One Euclid loop: each remainder of a by the monic form of b is formed in
+    a working copy, products summed before % v, and the pair then swaps.
+    """
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _gf_rem(a, b, v)
+        db = len(b) - 1
+        inv = pow(b[-1], -1, v)
+        low = [c * inv % v for c in b[:db]]  # b made monic, leading 1 left implicit
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] % v
+            if c:
+                off = k - db
+                a[off:k] = [x - c * y for x, y in zip(a[off:k], low)]
+        a, b = b, _gf_trim([x % v for x in a[:db]])
     inv = pow(a[-1], -1, v)
     return [c * inv % v for c in a]
 
@@ -166,7 +171,7 @@ class _FrobeniusMap:
 
     def __init__(self, f: list[int], v: int):
         d = len(f) - 1
-        self.d, self.v = d, v
+        self.f, self.d, self.v = f, d, v
         self.bits = b = (2 * d * v * v).bit_length()
         self.mask = (1 << b) - 1
         self.low = (1 << (b * d)) - 1
@@ -193,10 +198,6 @@ class _FrobeniusMap:
             out = out << b | c
         return out
 
-    def unpack(self, h: int) -> list[int]:
-        mask = self.mask
-        return [h >> s & mask for s in self.shifts[: self.d]]
-
     def reduce(self, s: int) -> int:
         """The packed product s (degree < 2d) as a reduced residue mod (f, v)."""
         v, mask, b = self.v, self.mask, self.bits
@@ -210,52 +211,92 @@ class _FrobeniusMap:
             out = out << b | (acc >> t & mask) % v
         return out
 
-    def power(self, coeffs: list[int]) -> int:
-        """h^v mod (f, v) for h given by its d coefficients."""
+    def power(self, h: int) -> int:
+        """h^v mod (f, v) for a packed reduced residue h."""
+        mask = self.mask
         acc = 0
-        for c, row in zip(coeffs, self.rows):
+        for t, row in zip(self.shifts, self.rows):
+            c = h >> t & mask
             if c:
                 acc += c * row
         return self.reduce(acc)
 
+    def iterate(self, h: int, k: int) -> int:
+        """h^(v^k) mod (f, v) for a packed reduced residue h."""
+        for _ in range(k):
+            h = self.power(h)
+        return h
 
-def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
-    """Sorted degrees of the irreducible factors of a squarefree poly mod v.
+    def root_degree(self, h: int, k: int) -> int:
+        """Degree of gcd(h - x, f) for h = x^(v^k): the number of roots of f in F_(v^k).
 
-    Distinct-degree factorization driven by the Frobenius matrix of f mod v:
-    x^v mod f comes from one left-to-right powering, and each further
-    x^(v^i) is one matrix-vector product.  Only the degree multiset is kept.
-    Raises if v divides the leading coefficient (the degree drops) or the
-    discriminant (v ramified: f mod v is squarefree exactly when v does not
-    divide disc(f), given that v does not divide the leading coefficient).
+        On a factor field F_(v^m) the v-power map permutes a normal basis
+        cyclically, so its trace is 1 for m = 1 and 0 for m > 1.  The trace
+        of the Q-matrix therefore counts the linear factors mod v, and for
+        k = 1 and v > d it is the count itself, with no gcd.
+        """
+        if k == 1 and self.v > self.d:
+            mask = self.mask
+            return sum(row >> t & mask for t, row in zip(self.shifts, self.rows)) % self.v
+        return len(_gf_gcd(self.f, self.minus_x(h), self.v)) - 1
+
+    def minus_x(self, h: int) -> list[int]:
+        """The trimmed coefficients of h - x for a packed residue h."""
+        mask = self.mask
+        diff = [h >> t & mask for t in self.shifts[: self.d]]
+        diff[1] = (diff[1] - 1) % self.v
+        return _gf_trim(diff)
+
+
+def _frobenius_map(coeffs, v: int) -> _FrobeniusMap | None:
+    """The v-power map of the monic form of f mod v, or None below degree 2.
+
+    Raises if v is not prime, if v divides the leading coefficient (the
+    degree drops) or the discriminant (v ramified: f mod v is squarefree
+    exactly when v does not divide disc(f), given that v does not divide
+    the leading coefficient).
     """
     if not is_prime(v):
         raise ValueError(f"{v} is not prime")
     lead = coeffs[-1] % v
     if lead == 0:
         raise ValueError(f"leading coefficient vanishes mod {v}")
-    d = len(coeffs) - 1
-    if d < 2:
-        return (1,) * d
+    if len(coeffs) < 3:
+        return None
     if _discriminant(tuple(coeffs)) % v == 0:
         raise ValueError(f"ramified prime {v}: reduction is not squarefree")
     inv_lead = pow(lead, -1, v)
-    work = [c * inv_lead % v for c in coeffs]
-    frob = _FrobeniusMap(work, v)
+    return _FrobeniusMap([c * inv_lead % v for c in coeffs], v)
+
+
+def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of a squarefree poly mod v.
+
+    Raises as ``_frobenius_map`` does for a composite v, a vanishing leading
+    coefficient or a ramified v.
+    """
+    frob = _frobenius_map(coeffs, v)
+    return (1,) * (len(coeffs) - 1) if frob is None else _distinct_degrees(frob)
+
+
+def _distinct_degrees(frob: _FrobeniusMap) -> tuple[int, ...]:
+    """Distinct-degree factorization driven by the Frobenius matrix of f mod v:
+    x^v mod f comes from one left-to-right powering, and each further
+    x^(v^i) is one matrix-vector product.  Only the degree multiset is kept.
+    """
+    v, work = frob.v, frob.f
     degrees: list[int] = []
-    h = frob.unpack(frob.rows[1])  # x^v mod f
+    h = frob.rows[1]  # x^v mod f
     i = 1
     while True:
-        diff = h[:]
-        diff[1] = (diff[1] - 1) % v
-        g = _gf_gcd(work, _gf_trim(diff), v)
+        g = _gf_gcd(work, frob.minus_x(h), v)
         if len(g) > 1:
             degrees.extend([i] * ((len(g) - 1) // i))
             work = _gf_quo(work, g, v)
         if len(work) - 1 < 2 * (i + 1):
             break
         i += 1
-        h = frob.unpack(frob.power(h))  # x^(v^i) mod f
+        h = frob.power(h)  # x^(v^i) mod f
     if len(work) > 1:
         degrees.append(len(work) - 1)
     return tuple(sorted(degrees))
@@ -307,45 +348,42 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     Preconditions: v prime, v not in {p, q}, v unramified (not dividing the
     polynomial discriminant; detected via squarefreeness mod v), and the
     polynomial of degree exactly q.
+
+    Each shape that y allows is certified on the Frobenius map of f mod v:
+    1^q iff x^v = x; q iff x^(v^q) = x != x^v (Rabin's test, q prime);
+    1 + o + ... + o iff x^(v^o) = x and f has one root in F_(v^(o/p)), as
+    every other factor then has degree o.  Only a failed certificate
+    factors f, to name the pattern in the error.
     """
-    if len(coeffs) - 1 != G.q:
+    q = G.q
+    if len(coeffs) - 1 != q:
         raise ValueError(
-            f"field polynomial has degree {len(coeffs) - 1}, expected q = {G.q}"
+            f"field polynomial has degree {len(coeffs) - 1}, expected q = {q}"
         )
-    if v in (G.p, G.q):
+    if v in (G.p, q):
         raise ValueError(f"{v} is a ramified structural prime for this group")
-    pattern = factor_pattern(coeffs, v)
+    frob = _frobenius_map(coeffs, v)
     y = cyclotomic_exponent(v, G.p, G.n)
     classes, idx = conjugacy_classes(G), _class_index(G)
-    q, pr = G.q, G.pr
-    if pattern == (1,) * q:
-        if y % pr != 0:
-            raise _pattern_error(coeffs, v, pattern, y)
-        cls = classes[idx[GroupElement(0, y)]]
-        return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
-    if pattern == (q,):
-        if y % pr != 0:
-            raise _pattern_error(coeffs, v, pattern, y)
+    x, xv = 1 << frob.bits, frob.rows[1]  # x and x^v mod f, packed
+    pattern = None
+    if y % G.pr:
+        o = G.p ** (G.r - vp(y, G.p))
+        h = frob.iterate(xv, o // G.p - 1)  # x^(v^(o/p)) mod f
+        if frob.iterate(h, o - o // G.p) == x and frob.root_degree(h, o // G.p) == 1:
+            pattern = (1,) + (o,) * ((q - 1) // o)
+    elif xv == x:
+        pattern = (1,) * q
+    elif frob.iterate(xv, q - 1) == x:  # degrees 1 and q are left, and x^v != x rules out 1^q
         cands = tuple(classes[idx[GroupElement(x0, y)]] for x0 in _psi_orbit_reps(G))
         order = cands[0].element_order
         if any(c.element_order != order for c in cands):
-            raise _pattern_error(coeffs, v, pattern, y)
-        return FrobeniusDatum(v, order, y, None, cands, pattern)
-    # expected shape: one fixed point plus (q-1)/o cycles of length o = p^i
-    o = pattern[-1]
-    if (
-        pattern[0] == 1
-        and len(set(pattern[1:])) == 1
-        and o > 1
-        and o == G.p ** vp(o, G.p)
-        and pattern.count(o) * o == q - 1
-    ):
-        i = vp(o, G.p)
-        if i > G.r or y % pr == 0 or vp(y, G.p) != G.r - i:
-            raise _pattern_error(coeffs, v, pattern, y)
-        cls = classes[idx[GroupElement(0, y)]]
-        return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
-    raise _pattern_error(coeffs, v, pattern, y)
+            raise _pattern_error(coeffs, v, (q,), y)
+        return FrobeniusDatum(v, order, y, None, cands, (q,))
+    if pattern is None:
+        raise _pattern_error(coeffs, v, _distinct_degrees(frob), y)
+    cls = classes[idx[GroupElement(0, y)]]
+    return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
 
 
 def _pattern_error(coeffs, v, pattern, y):

@@ -43,11 +43,10 @@ from typing import NamedTuple
 from .cyclotomic import CyclotomicNumber, _fold
 from .groups import ConjClass, InternalCheckError, MetacyclicParams, _class_index
 from .characters import QuotientIdentity, quotient_identity_virtual_character
-from .elliptic import EllipticCurveQ, a_v
+from .elliptic import EllipticCurveQ, EulerFactor, a_v
 from .frobenius import FrobeniusDatum, _discriminant, frobenius_datum
 
 __all__ = [
-    "EulerFactor",
     "DirichletSeries",
     "SymbolicPoly",
     "eigenvalue_multiplicities",
@@ -57,7 +56,6 @@ __all__ = [
     "dirichlet_partial",
     "good_primes",
     "identity_series_check",
-    "untwisted_factor",
 ]
 
 _ZERO = CyclotomicNumber.from_rational(0)
@@ -138,40 +136,6 @@ def _where(chi, cls: ConjClass) -> str:
 # ---------------------------------------------------------------------------
 # Euler factors
 
-class EulerFactor(NamedTuple):
-    v: int
-    poly: tuple[CyclotomicNumber, ...]  # ascending in T, constant term 1
-
-    @property
-    def degree(self) -> int:
-        return len(self.poly) - 1
-
-    def to_json(self) -> dict:
-        return {"v": self.v, "poly": [c.to_json() for c in self.poly]}
-
-    def __str__(self):
-        return _tpoly_str(self.poly)
-
-
-def _tpoly_str(poly) -> str:
-    parts = []
-    for i, c in enumerate(poly):
-        if hasattr(c, "is_zero") and c.is_zero():
-            continue
-        cs = str(c)
-        mono = "" if i == 0 else ("T" if i == 1 else f"T^{i}")
-        if mono and cs == "1":
-            parts.append(mono)
-        elif mono and cs == "-1":
-            parts.append(f"-{mono}")
-        elif mono:
-            wrapped = f"({cs})" if ("+" in cs or " - " in cs) else cs
-            parts.append(f"{wrapped}*{mono}")
-        else:
-            parts.append(cs)
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
 def _tpoly_mul(a: list, b: list) -> list:
     out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -231,10 +195,6 @@ def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
     """
     refusal = "twisted Euler factor of a virtual character with negative parts; use the series machinery instead"
     return EulerFactor(v, tuple(_determinant(chi, cls, av, v, _ONE, refusal)))
-
-
-def untwisted_factor(av: int, v: int) -> EulerFactor:
-    return EulerFactor(v, (_ONE, CyclotomicNumber.from_rational(-av), CyclotomicNumber.from_rational(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import gcd, lcm
 import sympy
 
 from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError, prime_factors
-from schurgate.elliptic import a_v
+from schurgate.elliptic import EulerFactor, a_v
 from schurgate.frobenius import poly_discriminant
 from schurgate.groups import (
     ConjClass,
@@ -37,12 +37,14 @@ from schurgate.groups import (
     MetacyclicParams,
     Subgroup,
     _class_index,
+    _psi_orbit_reps,
     conjugacy_classes,
     is_prime,
     subgroup_X,
+    vp,
 )
 from schurgate.characters import Character, PsiDescriptor, inner_product, irreducible_characters
-from schurgate.lseries import DirichletSeries, EulerFactor
+from schurgate.lseries import DirichletSeries
 
 BRUTE_FORCE_LIMIT = 10 ** 4
 
@@ -582,6 +584,36 @@ def cyclotomic_exponent_walk(v: int, p: int, n: int) -> int:
             return e * pow(p - 1, -1, p ** n) % p ** n
         acc = acc * (1 + p) % mod
     raise ValueError(f"{v}^{p - 1} is not a principal unit mod {mod}")
+
+
+def frobenius_datum_by_factoring(coeffs, G: MetacyclicParams, v: int) -> tuple:
+    """(order in G, y, class, candidates, pattern) of frobenius.frobenius_datum at an
+    unramified v, from the whole factorization pattern (sympy) and the walked
+    cyclotomic exponent y, accepting each shape in turn; raises its refusal."""
+    pattern, repeated = sympy_factor_degrees(coeffs, v)
+    assert not repeated and coeffs[-1] % v
+    y = cyclotomic_exponent_walk(v, G.p, G.n)
+    classes, idx = conjugacy_classes(G), _class_index(G)
+    q, p, pr = G.q, G.p, G.pr
+    refusal = ValueError(
+        f"polynomial does not define expected extension: pattern {pattern} at v={v} "
+        f"is incompatible with cyclotomic exponent {y}"
+    )
+    if pattern == (1,) * q and y % pr == 0:
+        cls = classes[idx[GroupElement(0, y)]]
+        return cls.element_order, y, cls, (cls,), pattern
+    if pattern == (q,) and y % pr == 0:
+        cands = tuple(classes[idx[GroupElement(x0, y)]] for x0 in _psi_orbit_reps(G))
+        if len({c.element_order for c in cands}) > 1:
+            raise refusal
+        return cands[0].element_order, y, None, cands, pattern
+    o = pattern[-1]
+    i = vp(o, p)
+    if pattern[0] == 1 and set(pattern[1:]) == {o} and o == p ** i > 1 and y % pr and (
+            vp(y, p) == G.r - i):
+        cls = classes[idx[GroupElement(0, y)]]
+        return cls.element_order, y, cls, (cls,), pattern
+    raise refusal
 
 
 def decompose(chi, table=None) -> dict[str, int]:

@@ -159,9 +159,9 @@ def test_bad_curve_spec_exits_2(capsys):
 
 
 def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
-    import schurgate.cli as cli
+    import schurgate.schur as schur
 
-    monkeypatch.setattr(cli, "qadic_class_order", lambda *a: (7, {}))  # impossible index
+    monkeypatch.setattr(schur, "qadic_class_order", lambda *a: (7, {}))  # impossible index
     code, _, err = run(capsys, "sweep", "--max", "100")
     assert code == 3 and "invariant" in err
 
@@ -420,11 +420,11 @@ def test_sweep_field_error_names_group_and_character(capsys, monkeypatch):
 
 
 def test_sweep_divisibility_error_names_group_character_and_subgroup(capsys, monkeypatch):
-    import schurgate.cli as cli
+    import schurgate.schur as schur
     from schurgate.schur import DivisibilityCheck
 
     monkeypatch.setattr(
-        cli, "multiplicity_divisibility_check", lambda G, tau, rho: DivisibilityCheck(1, 3, False)
+        schur, "multiplicity_divisibility_check", lambda G, tau, rho: DivisibilityCheck(1, 3, False)
     )
     code, _, err = run(capsys, "sweep", "--max", "21", "--tables")
     assert code == 3

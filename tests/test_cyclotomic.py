@@ -322,6 +322,18 @@ def test_add_and_mul_match_dense_oracle(x, y):
         assert dense_lift(got, M) == want
 
 
+@pytest.mark.parametrize("m", [1, 3, 9, 21, 63, 171])
+def test_rational_factors_match_dense_oracle(m):
+    rng = random.Random(m)
+    for x in [rand_value(rng, m) for _ in range(4)] + [C.from_rational(0)]:
+        for r in (0, 1, -1, Fraction(5, 3), Fraction(-7, 2)):
+            for got in (x * r, r * x, x * C.from_rational(r), C.from_rational(r) * x):
+                M, want = dense_mul(x, C.from_rational(r))
+                assert dense_lift(got, M) == want
+                assert got.den >= 1 and gcd(got.den, *got.num) == 1
+                assert got.conductor == (x.conductor if r and not x.is_zero() else 1)
+
+
 @PROPERTY
 @given(value(), st.integers(min_value=1, max_value=10 ** 6))
 def test_galois_matches_dense_oracle(x, r):

@@ -1,12 +1,20 @@
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
 import sympy
 
-from oracles import cyclotomic_exponent_walk, sympy_factor_degrees, sympy_is_squarefree
+from oracles import (
+    cyclotomic_exponent_walk, frobenius_datum_by_factoring, sympy_factor_degrees,
+    sympy_is_squarefree,
+)
 from schurgate.groups import GroupElement, is_prime, make_group
 from schurgate.frobenius import (
     EXAMPLE_F1,
+    _frobenius_map,
+    _gf_gcd,
     cyclotomic_exponent,
     factor_pattern,
     frobenius_datum,
@@ -227,3 +235,124 @@ def test_poly_discriminant_matches_sympy():
     for coeffs in [EXAMPLE_F1, (0, 1, 2, 1)] + _random_polynomials(5, 20):
         expected = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), x))
         assert poly_discriminant(coeffs) == expected, coeffs
+
+
+# -- pins: every good v < 10^4, byte for byte through the CLI -------------------
+
+PRIMES_10000 = [v for v in range(2, 10 ** 4) if is_prime(v)]
+
+
+@pytest.fixture
+def cli_run(monkeypatch):
+    """cli.main on one argv, with stdout and stderr captured and one parser for all calls."""
+    import schurgate.cli as cli
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    return run
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1, "0d5a691c5facf46b0d032c4f19e32dbb145bd83c4c69c3d1928a2e7bf2b27574"),
+    (2, "cb5c4f18bb0f23704eaa7a18ed4d481e0a46dddc3f7ec6db9d76b0270a9095d2"),
+    (3, "537f47e0932ff141b220dcc6a3f6041ff792bda32269981e815c73fb998d4bf6"),
+], ids=["C7:C3", "C7:C9", "C7:C27"])
+def test_frobenius_json_pinned_at_every_good_prime_below_10000(cli_run, n, digest):
+    disc = poly_discriminant(EXAMPLE_F1)
+    h = hashlib.sha256()
+    good = [v for v in PRIMES_10000 if v not in (3, 7) and disc % v]
+    for v in good:
+        code, out, err = cli_run("frobenius", "-q", "7", "-p", "3", "-n", str(n), "-v", str(v),
+                                 "--format", "json")
+        assert code == 0 and err == "", v
+        h.update(out.encode())
+    assert len(good) == 1226 and h.hexdigest() == digest
+
+
+def _random_field(degree, seed, lead=1, span=9):
+    """A seeded squarefree polynomial, lower coefficients in [-span, span]."""
+    rng = random.Random(seed)
+    while True:
+        coeffs = tuple(rng.randint(-span, span) for _ in range(degree)) + (lead,)
+        if poly_discriminant(coeffs) != 0:
+            return coeffs
+
+
+@pytest.mark.parametrize("coeffs, accepted, digest", [
+    ((-2, 0, 0, 0, 0, 0, 0, 1), 334,
+     "c345d1a097ec57ee07e368b3b06c14dc2bf83a5cd1e8e8b9941280c32046d0cd"),
+    ((1, 0, 0, 0, 0, 0, 0, 1), 335,
+     "b1b7b75873998ac16066610788bdee2ca48178b54558940377d6fcf48a5fce8d"),
+    (_random_field(7, 15, lead=2, span=20), 106,
+     "c80aab84e3b9d5f6b57fca4a0e7f21dc89000f8a6febda37104ff8339aab9a1b"),
+], ids=["x^7-2", "x^7+1", "random"])
+def test_frobenius_refusals_pinned_at_every_prime_below_10000(cli_run, coeffs, accepted, digest):
+    # the (v, exit code, stderr) triples of fields that do not define a C7:C3 extension
+    spec = ",".join(map(str, coeffs))
+    h = hashlib.sha256()
+    codes = []
+    for v in PRIMES_10000:
+        code, _, err = cli_run("frobenius", "-q", "7", "-p", "3", "-n", "1", "-v", str(v),
+                               f"--field={spec}", "--format", "json")
+        h.update(f"{v} {code} {err}".encode())
+        codes.append(code)
+    assert codes.count(0) == accepted and codes.count(2) == len(codes) - accepted
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("G", [G21, G63, make_group(7, 3, 3)], ids=["C7:C3", "C7:C9", "C7:C27"])
+def test_datum_pattern_is_the_factor_pattern_on_the_example_field(G):
+    disc = poly_discriminant(EXAMPLE_F1)
+    for v in PRIMES_10000:
+        if v not in (3, 7) and disc % v:
+            assert frobenius_datum(EXAMPLE_F1, G, v).pattern == factor_pattern(EXAMPLE_F1, v), v
+
+
+@pytest.mark.parametrize("G, coeffs, bound, shapes", [
+    (G21, EXAMPLE_F1, 1000, {(1,) * 7, (7,), (1, 3, 3)}),
+    (G63, EXAMPLE_F1, 1000, {(1,) * 7, (7,), (1, 3, 3)}),
+    (make_group(7, 3, 3), (1, 0, 0, 0, 0, 0, 0, 1), 1000, {(1,) * 7, (1, 3, 3)}),
+    (make_group(13, 3, 1), _random_field(13, 5), 1000, {(13,)}),
+    (make_group(19, 3, 2, 4), _random_field(19, 11), 700, {(19,), (1, 9, 9)}),  # r = 2
+], ids=["C7:C3", "C7:C9", "C7:C27-x^7+1", "C13:C3-random", "C19:C9-random"])
+def test_certified_datum_matches_the_factoring_oracle(G, coeffs, bound, shapes):
+    # every datum and every refusal message, at each unramified v below the bound
+    disc = poly_discriminant(coeffs)
+    accepted = set()
+    for v in PRIMES_2000:
+        if v > bound or v in (G.p, G.q) or disc % v == 0 or coeffs[-1] % v == 0:
+            continue
+        try:
+            want = frobenius_datum_by_factoring(coeffs, G, v)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                frobenius_datum(coeffs, G, v)
+            assert str(err.value) == str(exc)
+            continue
+        d = frobenius_datum(coeffs, G, v)
+        assert (d.order_in_G, d.cyclotomic_component, d.conj_class, d.candidates, d.pattern) == want
+        accepted.add(d.pattern)
+    assert accepted == shapes
+
+
+def test_root_count_by_trace_is_the_gcd_degree():
+    counted = 0
+    for coeffs in _random_polynomials(13, 30):
+        for v in PRIMES_2000[4:40]:  # v > 9, the largest degree
+            if coeffs[-1] % v == 0 or poly_discriminant(coeffs) % v == 0:
+                continue
+            frob = _frobenius_map(coeffs, v)
+            gcd_degree = len(_gf_gcd(frob.f, frob.minus_x(frob.rows[1]), v)) - 1
+            assert frob.root_degree(frob.rows[1], 1) == gcd_degree == factor_pattern(coeffs, v).count(1)
+            counted += gcd_degree > 0
+    assert counted > 100
+    # (x^5 - x)(x^2 + 2) has all five roots mod 5, where the trace reads 0
+    frob = _frobenius_map((0, -2, 0, -1, 0, 2, 0, 1), 5)
+    assert frob.root_degree(frob.rows[1], 1) == 5

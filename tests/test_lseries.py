@@ -34,7 +34,7 @@ from schurgate.characters import (
     quotient_identity_virtual_character,
     trivial_character,
 )
-from schurgate.elliptic import EllipticCurveQ, a_v
+from schurgate.elliptic import EllipticCurveQ, a_v, untwisted_factor
 from schurgate.frobenius import EXAMPLE_F1, frobenius_datum
 from schurgate.lseries import (
     SymbolicPoly,
@@ -46,7 +46,6 @@ from schurgate.lseries import (
     symbolic_twisted_euler_factor,
     tower_residue_degrees,
     twisted_euler_factor,
-    untwisted_factor,
     _assemble,
     _kmax,
     _newton,

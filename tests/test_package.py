@@ -45,13 +45,23 @@ def test_import_schurgate_loads_no_submodule():
 ], ids=lambda argv: argv[0])
 def test_group_commands_leave_the_arithmetic_side_out(argv):
     loaded = _loaded_after(*argv)
-    assert "schurgate.schur" in loaded
+    if argv[0] == "table":
+        assert not loaded & {"schurgate.schur", "schurgate.predictions"}
+    else:
+        assert "schurgate.schur" in loaded
     assert not loaded & (ARITHMETIC | INTROSPECTION)
+
+
+def test_untwisted_euler_loads_only_the_curve_and_the_kernel():
+    loaded = _loaded_after("euler", "--curve", "0,0,0,-1,0", "-v", "5", "--trivial", "-n", "1")
+    package = {m for m in loaded if m.startswith("schurgate")}
+    assert package == {"schurgate", "schurgate.cli", "schurgate.groups", "schurgate.elliptic",
+                       "schurgate.cyclotomic"}, sorted(package)
+    assert not loaded & INTROSPECTION
 
 
 @pytest.mark.parametrize("argv", [
     ["frobenius", "-q", "7", "-p", "3", "-n", "2", "-v", "53"],
-    ["euler", "--curve", "0,0,0,-1,0", "-v", "5", "--trivial", "-n", "1"],
     ["euler", "--order7-class", "H", "-q", "7", "-p", "3", "-n", "2", "--symbolic"],
     ["series", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30"],
     ["identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30"],
@@ -98,9 +108,9 @@ HOMES = {
                    "regular_character", "tensor_decompose", "trivial_character"],
     "schur": ["GlobalIndexReport", "LocalIndexReport", "global_index", "local_index",
               "multiplicity_divisibility_check", "norm_criterion", "qadic_class_order"],
-    "elliptic": ["EllipticCurveQ", "a_v"],
+    "elliptic": ["EllipticCurveQ", "EulerFactor", "a_v"],
     "frobenius": ["EXAMPLE_F1", "FrobeniusDatum", "frobenius_datum"],
-    "lseries": ["DirichletSeries", "EulerFactor", "dirichlet_partial", "identity_series_check",
+    "lseries": ["DirichletSeries", "dirichlet_partial", "identity_series_check",
                 "symbolic_twisted_euler_factor", "twisted_euler_factor"],
     "predictions": ["PredictionReport", "prediction_report"],
 }
