@@ -16,8 +16,8 @@ import sys
 from _json import encode_basestring_ascii as _encode_str  # the C encoder json.encoder binds
 
 from .groups import (
-    InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_descriptors, iter_valid_groups,
-    make_group, one_faithful_descriptor, tower_subgroups,
+    GroupElement, InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_descriptors,
+    iter_valid_groups, make_group, one_faithful_descriptor, tower_subgroups,
 )
 
 # every other module is imported by the handlers that use it, so that a job
@@ -220,11 +220,8 @@ def cmd_euler(args) -> int:
             x_rep = 1 if args.order7_class in (None, "H") else int(args.order7_class)
         except ValueError:
             raise ValueError(f"bad --order7-class {args.order7_class!r}: use H or an exponent x") from None
-        cls = next(
-            (c for c in conjugacy_classes(G) if c.rep.x == x_rep and c.rep.y == 0 and c.size > 1),
-            None,
-        )
-        if cls is None:
+        cls = G.conj_class(GroupElement(x_rep % G.q, 0))
+        if cls.rep.x != x_rep or cls.size == 1:
             raise ValueError(f"no order-q class with representative a^{x_rep}")
         poly = symbolic_twisted_euler_factor(tau, cls)
         cube = cube_of_quadratic_defect(poly)
@@ -365,6 +362,8 @@ def _sweep_one(G) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.max < 1:
+        raise ValueError(f"max must be at least 1, got {args.max}")
     groups = list(iter_valid_groups(args.max))
     rows = [_sweep_one(G) for G in groups]
     bad = [row for row in rows if not row["consistent"]]

@@ -20,7 +20,9 @@ distinct-degree factorization runs only when a certificate fails, to name
 the pattern in the refusal.  In the q case the conjugacy class is
 ambiguous among the (q-1)/p^r classes of order-q-part elements with the
 observed cyclotomic component; the ambiguity is carried explicitly and
-never silently resolved.
+never silently resolved.  The class and each candidate are built from
+their representatives (``MetacyclicParams.conj_class``), so no class list
+is read and the cost does not grow with p^n.
 """
 
 from __future__ import annotations
@@ -28,16 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .groups import (
-    ConjClass,
-    GroupElement,
-    MetacyclicParams,
-    _class_index,
-    _psi_orbit_reps,
-    conjugacy_classes,
-    is_prime,
-    vp,
-)
+from .groups import ConjClass, GroupElement, MetacyclicParams, _psi_orbit_reps, is_prime, vp
 
 __all__ = [
     "EXAMPLE_F1",
@@ -364,7 +357,6 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
         raise ValueError(f"{v} is a ramified structural prime for this group")
     frob = _frobenius_map(coeffs, v)
     y = cyclotomic_exponent(v, G.p, G.n)
-    classes, idx = conjugacy_classes(G), _class_index(G)
     x, xv = 1 << frob.bits, frob.rows[1]  # x and x^v mod f, packed
     pattern = None
     if y % G.pr:
@@ -375,14 +367,14 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     elif xv == x:
         pattern = (1,) * q
     elif frob.iterate(xv, q - 1) == x:  # degrees 1 and q are left, and x^v != x rules out 1^q
-        cands = tuple(classes[idx[GroupElement(x0, y)]] for x0 in _psi_orbit_reps(G))
+        cands = tuple(G.conj_class(GroupElement(x0, y)) for x0 in _psi_orbit_reps(G))
         order = cands[0].element_order
         if any(c.element_order != order for c in cands):
             raise _pattern_error(coeffs, v, (q,), y)
         return FrobeniusDatum(v, order, y, None, cands, (q,))
     if pattern is None:
         raise _pattern_error(coeffs, v, _distinct_degrees(frob), y)
-    cls = classes[idx[GroupElement(0, y)]]
+    cls = G.conj_class(GroupElement(0, y))
     return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
 
 

@@ -5,7 +5,9 @@ Elements are residue pairs (x, y) standing for a^x b^y, with the product
     (x1, y1) * (x2, y2) = (x1 + j^y1 * x2 mod q, y1 + y2 mod p^n).
 
 Everything downstream (conjugacy classes, the distinguished subgroup X, the
-tower subgroups) is computed from closed forms in (q, p, n, r).  A subgroup
+tower subgroups) is computed from closed forms in (q, p, n, r).  The class of
+any element is built from its representative (``conj_class``), so a caller
+that needs a few classes never lists all of them.  A subgroup
 is a descriptor (label, kind, level, order, generators), never a set of
 elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  Only the
 default j, iter_valid_groups, the orbit-minimum table of classes and the
@@ -176,6 +178,16 @@ class MetacyclicParams(NamedTuple):
             return GroupElement(0, g.y)
         return GroupElement(_orbit_mins(self)[g.x % self.q], g.y)
 
+    def conj_class(self, g: GroupElement) -> ConjClass:
+        """The class of g from its representative alone.
+
+        The class of (x, y) is {(j^v x + u(1 - j^y), y)}: all of (Z/q, y) when
+        p^r does not divide y, and the H-orbit {(Hx, y)} otherwise.
+        """
+        rep = self.class_of(g)
+        size = self.q if rep.y % self.pr else self.pr if rep.x else 1
+        return ConjClass(rep, size, self.element_order(rep))
+
     def to_json(self) -> dict:
         return {"q": self.q, "p": self.p, "n": self.n, "j": self.j, "r": self.r}
 
@@ -262,18 +274,13 @@ def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(G: MetacyclicParams) -> tuple[ConjClass, ...]:
-    """All conjugacy classes, ordered by (y, x) of the minimal representative.
-
-    The class of (x, y) is {(j^v x + u(1 - j^y), y)}: all of (Z/q, y) when
-    p^r does not divide y, and the H-orbit {(Hx, y)} otherwise.
-    """
-    out = []
-    for y in range(G.pn):
-        central = y % G.pr == 0
-        for x in (0, *_psi_orbit_reps(G)) if central else (0,):
-            e = GroupElement(x, y)
-            size = (G.pr if x else 1) if central else G.q
-            out.append(ConjClass(e, size, G.element_order(e)))
+    """All conjugacy classes, ordered by (y, x) of the minimal representative."""
+    reps = (0, *_psi_orbit_reps(G))
+    out = [
+        G.conj_class(GroupElement(x, y))
+        for y in range(G.pn)
+        for x in (reps if y % G.pr == 0 else (0,))
+    ]
     total = sum(c.size for c in out)
     if total != G.order:
         raise InternalCheckError(f"class sizes sum to {total}, expected {G.order} ({G.spec})")

@@ -15,12 +15,14 @@ independent trace sources feed it, and the tower identity compares them:
     factorization patterns and the compositum splitting formula, with no
     character theory, and everything stays in the integers.
 
+The Frobenius-ambiguity check (order-q part) assembles a series only when
+every candidate class gives the same one, unless the caller picks a
+candidate.  Candidates are keyed by the values chi(g^s) that the traces
+read, so equal keys share one series and no character is inverted.
 Eigenvalue multiplicities of tau(g) come from the same values by integer
-Fourier inversion on <g>, one fold per eigenvalue.  They validate chi at a
-class and key the Frobenius-ambiguity check (order-q part): a series is only
-assembled when every candidate class gives the same one, unless the caller
-picks a candidate.  Candidates with equal element order and multiplicities
-have equal traces and share one series.
+Fourier inversion on <g>, one fold per eigenvalue; only the full Euler
+factors (``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) need
+them, to refuse a virtual character with negative parts.
 
 Each prime is decided once.  One smallest-prime-factor sieve per X gives
 the primes; v is good when it is odd, not p or q, and divides neither disc(E)
@@ -38,13 +40,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CyclotomicNumber, _fold
 from .groups import ConjClass, InternalCheckError, MetacyclicParams, _class_index
 from .characters import QuotientIdentity, quotient_identity_virtual_character
-from .elliptic import EllipticCurveQ, EulerFactor, a_v
-from .frobenius import FrobeniusDatum, _discriminant, frobenius_datum
+
+# elliptic and frobenius are imported where they are used: the symbolic factor needs neither
+if TYPE_CHECKING:
+    from .elliptic import EllipticCurveQ, EulerFactor
+    from .frobenius import FrobeniusDatum
 
 __all__ = [
     "DirichletSeries",
@@ -193,6 +198,8 @@ def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
     determined by a_v and v, so the coefficients stay in Q(zeta).  For a
     genuine character the degree is 2 * chi(1); constant term is 1.
     """
+    from .elliptic import EulerFactor
+
     refusal = "twisted Euler factor of a virtual character with negative parts; use the series machinery instead"
     return EulerFactor(v, tuple(_determinant(chi, cls, av, v, _ONE, refusal)))
 
@@ -394,6 +401,8 @@ def _kmax(v: int, X: int) -> int:
 
 def good_primes(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int) -> list[int]:
     """Primes <= X that are good for the curve and unramified for the field data."""
+    from .frobenius import _discriminant
+
     # a prime divides the product iff it divides a factor; a zero field discriminant excludes none
     bad = E.discriminant * (_discriminant(tuple(field_coeffs)) or 1)
     spf = _spf(X)
@@ -406,6 +415,9 @@ def _local_data(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int):
     Both series routes start here, so X is checked here, before any work:
     1 <= X <= 10^5.
     """
+    from .elliptic import a_v
+    from .frobenius import frobenius_datum
+
     if X < 1:
         raise ValueError("X must be at least 1")
     if X > 10 ** 5:
@@ -424,10 +436,10 @@ def _resolve_local_factor(
     candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
     if pick_first:
         candidates = candidates[:1]
-    # the multiplicities validate chi at every candidate; equal ones give equal traces
+    # the traces read chi(g^s) and nothing else, so equal values give equal series
     distinct: dict = {}
     for cls in candidates:
-        distinct.setdefault((cls.element_order, _multiplicities(chi, cls)), cls)
+        distinct.setdefault(_powers(chi, cls), cls)
     sums = _power_sums(av, v, kmax)
     series = [_newton(_traces(sums, chi, cls, kmax), kmax, 1, _ONE) for cls in distinct.values()]
     if any(b != series[0] for b in series[1:]):

@@ -363,7 +363,7 @@ def _cli(*argv):
     )
 
 
-# commands that once walked an order, trial-divided or ran on unvalidated X;
+# commands that once walked an order, trial-divided or ran on an unvalidated X or --max;
 # each must now end in well under the timeout
 @pytest.mark.parametrize("argv, code, needle", [
     ("schur -q 1000000000000000003 -p 3 -n 1", 0, '"global": 1'),
@@ -374,6 +374,8 @@ def _cli(*argv):
     ("identity --curve 0,0,0,-1,0 -n 1 -X 0", 2, "X must be at least 1"),
     ("identity --curve 0,0,0,-1,0 -n 1 -X -5", 2, "X must be at least 1"),
     ("identity --curve 0,0,0,-1,0 -n 1 -X 1000000", 2, "X capped at 10^5"),
+    ("sweep --max 0", 2, "max must be at least 1, got 0"),
+    ("sweep --max -5", 2, "max must be at least 1, got -5"),
 ])
 def test_closed_form_commands_end_at_once(argv, code, needle):
     out = _cli(*argv.split(), "--format", "json")

@@ -10,7 +10,7 @@ from oracles import (
     cyclotomic_exponent_walk, frobenius_datum_by_factoring, sympy_factor_degrees,
     sympy_is_squarefree,
 )
-from schurgate.groups import GroupElement, is_prime, make_group
+from schurgate.groups import GroupElement, conjugacy_classes, is_prime, make_group
 from schurgate.frobenius import (
     EXAMPLE_F1,
     _frobenius_map,
@@ -340,6 +340,20 @@ def test_certified_datum_matches_the_factoring_oracle(G, coeffs, bound, shapes):
         assert (d.order_in_G, d.cyclotomic_component, d.conj_class, d.candidates, d.pattern) == want
         accepted.add(d.pattern)
     assert accepted == shapes
+
+
+def test_datum_reads_no_class_list():
+    G = make_group(7, 3, 8)
+    disc = poly_discriminant(EXAMPLE_F1)
+    primes = [v for v in PRIMES_2000 if v < 500 and v not in (3, 7) and disc % v]
+    conjugacy_classes.cache_clear()
+    data = [frobenius_datum(EXAMPLE_F1, G, v) for v in primes]
+    assert conjugacy_classes.cache_info().misses == 0
+    # the oracle reads the list, as an independent route to the same classes
+    for v, d in zip(primes, data):
+        want = frobenius_datum_by_factoring(EXAMPLE_F1, G, v)
+        assert (d.order_in_G, d.cyclotomic_component, d.conj_class, d.candidates, d.pattern) == want
+    assert {d.pattern for d in data} == {(1,) * 7, (7,), (1, 3, 3)}
 
 
 def test_root_count_by_trace_is_the_gcd_degree():

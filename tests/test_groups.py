@@ -21,6 +21,7 @@ from schurgate.groups import (
     _MR_BASES,
     _MR_PSI,
     GroupElement,
+    _class_index,
     conjugacy_classes,
     is_prime,
     iter_valid_groups,
@@ -127,6 +128,16 @@ def test_class_of_agrees_with_membership():
         assert G.class_of(g) in reps
         # conjugating never changes the class
         assert G.class_of(conjugate(G, g, GroupElement(3, 1))) == G.class_of(g)
+
+
+def test_conj_class_of_every_element_is_its_listed_class():
+    checked = 0
+    for G in iter_valid_groups(300):
+        classes, idx = conjugacy_classes(G), _class_index(G)
+        for g in elements(G):
+            assert G.conj_class(g) == classes[idx[G.class_of(g)]], (G, g)
+            checked += 1
+    assert checked > 10000
 
 
 def test_subgroup_X_examples():

@@ -48,6 +48,7 @@ from schurgate.lseries import (
     twisted_euler_factor,
     _assemble,
     _kmax,
+    _multiplicities,
     _newton,
     _power_sums,
     _resolve_local_factor,
@@ -478,6 +479,13 @@ def test_tower_series_integrality_error_names_group_and_prime(monkeypatch):
     with pytest.raises(InternalCheckError, match="not integral") as err:
         _tower_series(G21, datum, -2, 5, 2)
     assert "v = 5" in str(err.value) and "(7, 3, 1, 2)" in str(err.value)
+
+
+def test_series_and_identity_invert_no_character():
+    _multiplicities.cache_clear()
+    dirichlet_partial(E_MINUS_X, G63, trivial_character(G63), EXAMPLE_F1, 300)
+    assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G63, 300).holds
+    assert _multiplicities.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
