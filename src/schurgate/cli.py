@@ -11,6 +11,7 @@ cannot be opened, a stdout closed early), 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from _json import encode_basestring_ascii as _encode_str  # the C encoder json.encoder binds
@@ -340,11 +341,7 @@ def cmd_identity(args) -> int:
     return 0
 
 
-def _sweep_one(G) -> dict:
-    from .predictions import faithful_count
-    from .schur import qadic_class_order
-
-    idx, details = qadic_class_order(G.q, G.p, G.n, G.r)
+def _sweep_one(G, idx: int, faithful: int) -> dict:
     divisible = (G.q - 1) % G.pn == 0
     consistent = (idx == 1) == divisible
     power_ok = idx == 1 or (idx > 1 and G.pr % idx == 0)
@@ -357,15 +354,18 @@ def _sweep_one(G) -> dict:
         "index": idx,
         "pn_divides_q_minus_1": divisible,
         "consistent": consistent and power_ok,
-        "faithful_count": faithful_count(G),
+        "faithful_count": faithful,
     }
 
 
 def cmd_sweep(args) -> int:
+    from .predictions import faithful_count
+    from .schur import qadic_class_order
+
     if args.max < 1:
         raise ValueError(f"max must be at least 1, got {args.max}")
     groups = list(iter_valid_groups(args.max))
-    rows = [_sweep_one(G) for G in groups]
+    rows = [_sweep_one(G, qadic_class_order(G.q, G.p, G.n, G.r)[0], faithful_count(G)) for G in groups]
     bad = [row for row in rows if not row["consistent"]]
     table_checked = 0
     if args.tables:
@@ -427,6 +427,12 @@ def cmd_sweep(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+_COMMANDS = {  # the handler of each command
+    "table": cmd_table, "schur": cmd_schur, "predict": cmd_predict, "frobenius": cmd_frobenius,
+    "euler": cmd_euler, "series": cmd_series, "identity": cmd_identity, "sweep": cmd_sweep,
+}
+
+
 def _add_group_args(sp, q_default=None, p_default=None):
     sp.add_argument("-q", type=int, required=q_default is None, default=q_default,
                     help="the odd prime q")
@@ -442,7 +448,8 @@ def _add_common(sp):
     sp.add_argument("--out", default=None, help="write output to a file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command alone (a job's parser in main)."""
     ap = argparse.ArgumentParser(
         prog="schurgate",
         description=(
@@ -452,77 +459,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("table", help="full character table with fields and decompositions")
-    _add_group_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_table)
+    if command in (None, "table"):
+        sp = sub.add_parser("table", help="full character table with fields and decompositions")
+        _add_group_args(sp)
 
-    sp = sub.add_parser("schur", help="local and global Schur index reports")
-    _add_group_args(sp)
-    sp.add_argument("--all", action="store_true", help="report every faithful character")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_schur)
+    if command in (None, "schur"):
+        sp = sub.add_parser("schur", help="local and global Schur index reports")
+        _add_group_args(sp)
+        sp.add_argument("--all", action="store_true", help="report every faithful character")
 
-    sp = sub.add_parser("predict", help="conditional rank and Selmer predictions")
-    _add_group_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_predict)
+    if command in (None, "predict"):
+        sp = sub.add_parser("predict", help="conditional rank and Selmer predictions")
+        _add_group_args(sp)
 
-    sp = sub.add_parser("frobenius", help="Frobenius class data at an unramified prime")
-    _add_group_args(sp)
-    sp.add_argument("--field", default="example-F1")
-    sp.add_argument("-v", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_frobenius)
+    if command in (None, "frobenius"):
+        sp = sub.add_parser("frobenius", help="Frobenius class data at an unramified prime")
+        _add_group_args(sp)
+        sp.add_argument("--field", default="example-F1")
+        sp.add_argument("-v", type=int, required=True)
 
-    sp = sub.add_parser("euler", help="twisted local Euler factors")
-    _add_group_args(sp, q_default=7, p_default=3)
-    sp.add_argument("--curve", default=None, help="a1,a2,a3,a4,a6")
-    sp.add_argument("-v", type=int, default=None)
-    sp.add_argument("--trivial", action="store_true", help="untwisted factor")
-    sp.add_argument("--symbolic", action="store_true",
-                    help="leave a_v and v as formal symbols")
-    sp.add_argument("--order7-class", dest="order7_class", default=None,
-                    help="H for the orbit of a, or an explicit exponent x")
-    sp.add_argument("--field", default="example-F1")
-    sp.add_argument("--pick-first", action="store_true",
-                    help="resolve an ambiguous Frobenius class to the smallest candidate")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_euler)
+    if command in (None, "euler"):
+        sp = sub.add_parser("euler", help="twisted local Euler factors")
+        _add_group_args(sp, q_default=7, p_default=3)
+        sp.add_argument("--curve", default=None, help="a1,a2,a3,a4,a6")
+        sp.add_argument("-v", type=int, default=None)
+        sp.add_argument("--trivial", action="store_true", help="untwisted factor")
+        sp.add_argument("--symbolic", action="store_true",
+                        help="leave a_v and v as formal symbols")
+        sp.add_argument("--order7-class", dest="order7_class", default=None,
+                        help="H for the orbit of a, or an explicit exponent x")
+        sp.add_argument("--field", default="example-F1")
+        sp.add_argument("--pick-first", action="store_true",
+                        help="resolve an ambiguous Frobenius class to the smallest candidate")
 
-    sp = sub.add_parser("series", help="truncated twisted Dirichlet series")
-    _add_group_args(sp, q_default=7, p_default=3)
-    sp.add_argument("--curve", required=True)
-    sp.add_argument("--field", default="example-F1")
-    sp.add_argument("--character", default="trivial", help="trivial, lin:e or ind:u,w")
-    sp.add_argument("-X", type=int, default=100)
-    sp.add_argument("--pick-first", action="store_true",
-                    help="resolve ambiguous Frobenius classes to the smallest candidate")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_series)
+    if command in (None, "series"):
+        sp = sub.add_parser("series", help="truncated twisted Dirichlet series")
+        _add_group_args(sp, q_default=7, p_default=3)
+        sp.add_argument("--curve", required=True)
+        sp.add_argument("--field", default="example-F1")
+        sp.add_argument("--character", default="trivial", help="trivial, lin:e or ind:u,w")
+        sp.add_argument("-X", type=int, default=100)
+        sp.add_argument("--pick-first", action="store_true",
+                        help="resolve ambiguous Frobenius classes to the smallest candidate")
 
-    sp = sub.add_parser("identity", help="tower L-identity, characters and coefficients")
-    _add_group_args(sp, q_default=7, p_default=3)
-    sp.add_argument("--curve", required=True)
-    sp.add_argument("--field", default="example-F1")
-    sp.add_argument("-X", type=int, default=500)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_identity)
+    if command in (None, "identity"):
+        sp = sub.add_parser("identity", help="tower L-identity, characters and coefficients")
+        _add_group_args(sp, q_default=7, p_default=3)
+        sp.add_argument("--curve", required=True)
+        sp.add_argument("--field", default="example-F1")
+        sp.add_argument("-X", type=int, default=500)
 
-    sp = sub.add_parser("sweep", help="index = 1 iff p^n | q-1, over all small groups")
-    sp.add_argument("--max", type=int, default=10 ** 4, help="bound on q * p^n")
-    sp.add_argument("--tables", action="store_true",
-                    help="also run table-level checks on small groups")
-    sp.add_argument("--table-max", dest="table_max", type=int, default=300)
-    sp.add_argument("--verbose-rows", dest="verbose_rows", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
+    if command in (None, "sweep"):
+        sp = sub.add_parser("sweep", help="index = 1 iff p^n | q-1, over all small groups")
+        sp.add_argument("--max", type=int, default=10 ** 4, help="bound on q * p^n")
+        sp.add_argument("--tables", action="store_true",
+                        help="also run table-level checks on small groups")
+        sp.add_argument("--table-max", dest="table_max", type=int, default=300)
+        sp.add_argument("--verbose-rows", dest="verbose_rows", action="store_true")
 
+    for name, sp in sub.choices.items():
+        _add_common(sp)
+        sp.set_defaults(func=_COMMANDS[name])
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
+    if extra:  # "unrecognized arguments" comes with the usage that lists every command
+        build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
@@ -543,5 +548,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: main on sys.argv, then exit with its code."""
+    code = main()
+    gc.freeze()  # a job's objects live until exit: skip the final collections, not atexit or flushes
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,11 +9,11 @@ tower subgroups) is computed from closed forms in (q, p, n, r).  The class of
 any element is built from its representative (``conj_class``), so a caller
 that needs a few classes never lists all of them.  A subgroup
 is a descriptor (label, kind, level, order, generators), never a set of
-elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  Only the
-default j, iter_valid_groups, the orbit-minimum table of classes and the
-Gaussian periods list the order-p^s subgroup of (Z/q)^x (H = <j> at s = r),
-all through one cached _p_power_subgroup; elsewhere x in H is the power test
-x^{p^r} = 1.  The group law itself (mul, elements) lives in the test oracles.
+elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  Only
+iter_valid_groups, a default j that a scan of p^s residues misses, the
+orbit-minimum table and the Gaussian periods list the order-p^s subgroup
+of (Z/q)^x (H = <j> at s = r), through one cached _p_power_subgroup;
+elsewhere x in H is the test x^{p^r} = 1.  The group law is in the test oracles.
 
 The psi calculus (which psi = (u, w) of X induce the irreducibles, and the
 tower coefficient) is closed-form too and lives here, so that the Schur
@@ -204,7 +204,8 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
     """Validate parameters and derive r = log_p(order of j mod q) by p-power tests.
 
     When j is omitted the canonical choice with the largest possible action
-    is used: the smallest residue of order p^{min(n, v_p(q-1))}.  Even primes
+    is used: the smallest residue of order p^s, s = min(n, v_p(q-1)), found by
+    a scan of the first p^s residues, or else in the listed subgroup.  Even primes
     are rejected: the engine covers only odd p and q, so classical even-order
     phenomena (e.g. the quaternion group, whose 2-dimensional character has
     Schur index 2) are out of range by design.
@@ -222,7 +223,9 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
         if not v:
             raise ValueError(f"no element of order {p} mod {q}: need p | q-1")
         s = min(n, v)
-        j = next(x for x in _p_power_subgroup(q, p, s) if pow(x, p ** (s - 1), q) != 1)
+        ps = p ** s
+        scan = (x for x in range(2, min(q, ps + 2)) if pow(x, ps, q) == 1 and pow(x, ps // p, q) != 1)
+        j = next(scan, None) or next(x for x in _p_power_subgroup(q, p, s) if pow(x, ps // p, q) != 1)
     j %= q
     if j == 0:
         raise ValueError("j must be a unit mod q")

@@ -374,6 +374,7 @@ def _cli(*argv):
     ("identity --curve 0,0,0,-1,0 -n 1 -X 0", 2, "X must be at least 1"),
     ("identity --curve 0,0,0,-1,0 -n 1 -X -5", 2, "X must be at least 1"),
     ("identity --curve 0,0,0,-1,0 -n 1 -X 1000000", 2, "X capped at 10^5"),
+    ("schur -q 57395629 -p 3 -n 15", 0, '"n": 15, "j": 5, "r": 15'),  # default j by a short scan
     ("sweep --max 0", 2, "max must be at least 1, got 0"),
     ("sweep --max -5", 2, "max must be at least 1, got -5"),
 ])
@@ -699,3 +700,97 @@ def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
     assert head == '{\n  "group'
     _one_error_line(out)
     assert "Exception ignored" not in out.stderr and "Traceback" not in out.stderr
+
+
+# a job builds only its command's subparser (build_parser(command)); help and
+# usage errors must read as they do from the full parser
+COMMANDS = ["table", "schur", "predict", "frobenius", "euler", "series", "identity", "sweep"]
+
+
+def _parse(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_gives_the_full_parsers_help_and_usage_errors(capsys, command):
+    from schurgate.cli import build_parser
+
+    for argv in ([command, "-h"], [command, "--format", "xml"]):
+        got = _parse(capsys, build_parser(command), argv)
+        assert got == _parse(capsys, build_parser(), argv)
+        assert got[0] in (0, 2) and f"usage: schurgate {command} " in got[1] + got[2]
+
+
+def test_a_job_builds_one_subparser(capsys, monkeypatch):
+    import argparse
+
+    from schurgate.cli import build_parser
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")[0] == 0
+    assert built == ["schur"]
+    # an unrecognized argument is reported by the full parser, whose usage lists every command
+    argv = ["schur", "-q", "7", "-p", "3", "-n", "1", "--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "{table,schur," in err and "unrecognized arguments: --bogus" in err
+    assert (2, "", err) == _parse(capsys, build_parser(), argv)
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+# the process entry point freezes the heap before sys.exit, to skip the final
+# collections; every byte must still be written, and the exit code kept
+def test_entry_point_writes_all_output_before_it_exits(tmp_path, capsys):
+    argv = ["table", "-q", "19", "-p", "3", "-n", "3", "--format", "json"]  # about 250 kB
+    out = _cli(*argv)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == run(capsys, *argv)[1] and len(out.stdout) > 250_000
+    target = tmp_path / "out.json"
+    written = _cli(*argv, "--out", str(target))
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert target.read_text() == out.stdout
+    _one_error_line(_cli("schur", "-q", "9", "-p", "3", "-n", "1"))
+
+
+EXIT_3_PROBE = """
+import atexit, gc, runpy, sys
+import schurgate.schur as schur
+from schurgate.groups import InternalCheckError
+
+def broken(*args):
+    raise InternalCheckError("qadic_class_order patched to fail")
+
+schur.qadic_class_order = broken
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+sys.argv = ["schurgate", "schur", "-q", "7", "-p", "3", "-n", "1"]
+runpy.run_module("schurgate.cli", run_name="__main__")
+"""
+
+
+def test_entry_point_exits_3_on_an_internal_check_error():
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-c", EXIT_3_PROBE], capture_output=True, text=True,
+                         timeout=10)
+    assert out.returncode == 3
+    assert out.stderr == "internal invariant violation: qadic_class_order patched to fail\n"
+    assert out.stdout == "frozen at exit: True\n"

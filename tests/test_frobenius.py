@@ -248,7 +248,7 @@ def cli_run(monkeypatch):
     import schurgate.cli as cli
 
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda *_: parser)
 
     def run(*argv):
         out, err = io.StringIO(), io.StringIO()

@@ -22,6 +22,7 @@ from schurgate.groups import (
     _MR_PSI,
     GroupElement,
     _class_index,
+    _p_power_subgroup,
     conjugacy_classes,
     is_prime,
     iter_valid_groups,
@@ -318,6 +319,15 @@ def test_default_j_is_the_smallest_residue_of_the_largest_action():
                 want = min(j for j in range(2, q) if sympy.n_order(j, q) == p ** s)
                 G = make_group(q, p, n)
                 assert (G.j, G.r) == (want, s), (q, p, n)
+
+
+def test_default_j_scan_agrees_with_the_listed_subgroup():
+    # make_group scans p^s residues before it lists the subgroup; both give the same j
+    for q in sympy.primerange(7, 20000):
+        for p in [p for p in sympy.primefactors(q - 1) if 2 < p <= 13]:
+            for s in range(1, sympy.multiplicity(p, q - 1) + 1):
+                listed = next(x for x in _p_power_subgroup(q, p, s) if pow(x, p ** (s - 1), q) != 1)
+                assert make_group(q, p, s).j == listed, (q, p, s)
 
 
 def test_iter_valid_groups_matches_n_order_enumeration():
