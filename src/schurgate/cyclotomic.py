@@ -241,7 +241,7 @@ def _fmt(c: int, den: int) -> str:
 class CyclotomicNumber:
     """An exact element of Q(zeta_m), canonicalized to its minimal conductor."""
 
-    __slots__ = ("conductor", "den", "num", "_terms", "_hash", "_lifts")
+    __slots__ = ("conductor", "den", "num", "_terms", "_hash")
 
     def __init__(self, conductor: int, coeffs):
         m = _check_conductor(int(conductor), "the CyclotomicNumber constructor")
@@ -251,13 +251,13 @@ class CyclotomicNumber:
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
         self.conductor, self.den, self.num = _canonical(m, den, num)
-        self._terms = self._hash = self._lifts = None
+        self._terms = self._hash = None
 
     @classmethod
     def _make(cls, m: int, den: int, num: tuple[int, ...]) -> "CyclotomicNumber":
         obj = object.__new__(cls)
         obj.conductor, obj.den, obj.num = m, den, num
-        obj._terms = obj._hash = obj._lifts = None
+        obj._terms = obj._hash = None
         return obj
 
     @property
@@ -271,15 +271,6 @@ class CyclotomicNumber:
         if terms is None:
             terms = self._terms = tuple((i, c) for i, c in enumerate(self.num) if c)
         return terms
-
-    def _lifted(self, M: int) -> tuple[int, tuple[int, ...]]:
-        """(denominator, integer vector) of this value at conductor M; memoized."""
-        if self._lifts is None:
-            self._lifts = {}
-        hit = self._lifts.get(M)
-        if hit is None:
-            hit = self._lifts[M] = (self.den, tuple(_image(M, self._nz(), M // self.conductor)))
-        return hit
 
     @classmethod
     def from_rational(cls, x) -> "CyclotomicNumber":

@@ -218,6 +218,12 @@ def make_group(q: int, p: int, n: int, j: int | None = None) -> MetacyclicParams
         raise ValueError("p and q must be distinct")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    # p^n has more than 4,300 digits, CPython's default int-to-str limit, iff p^n >= 10^4300.
+    # As 2^(b-1) <= p < 2^b and 2^14284 < 10^4300 < 2^14285, bit lengths decide it
+    # outside a band where p^n has fewer than 2 * 14285 bits.
+    b = p.bit_length()
+    if n * b > 14284 and (n * (b - 1) >= 14285 or p ** n >= 10 ** 4300):
+        raise ValueError(f"n = {n} is too large for p = {p}: p^n would have more than 4300 digits")
     v = vp(q - 1, p)
     if j is None:
         if not v:

@@ -9,7 +9,8 @@ independent trace sources feed it, and the tower identity compares them:
   * characters: for M = A_v (x) tau(g), tr(M^s) = (alpha^s + beta^s) chi(g^s),
     with alpha, beta the roots of T^2 - a_v T + v.  Their power sums are
     integers (or polynomials in formal symbols a, v), so every coefficient
-    stays in Q(zeta); chi(g^s) is read once per (character, class).
+    stays in Q(zeta); chi(g^s) is read, uncached, only for the s <= kmax
+    that the recursion uses, so a prime costs the same at any order of g.
   * residue degrees: a prime of residue degree f over v contributes
     f (alpha^s + beta^s) to tr_s whenever f | s.  The degrees come from
     factorization patterns and the compositum splitting formula, with no
@@ -17,12 +18,13 @@ independent trace sources feed it, and the tower identity compares them:
 
 The Frobenius-ambiguity check (order-q part) assembles a series only when
 every candidate class gives the same one, unless the caller picks a
-candidate.  Candidates are keyed by the values chi(g^s) that the traces
-read, so equal keys share one series and no character is inverted.
-Eigenvalue multiplicities of tau(g) come from the same values by integer
-Fourier inversion on <g>, one fold per eigenvalue; only the full Euler
-factors (``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) need
-them, to refuse a virtual character with negative parts.
+candidate.  Candidates are compared by their traces: Newton's identities give
+the traces back from the series, so equal traces share one series, unequal
+ones are refused, and no character is inverted.  Eigenvalue multiplicities
+of tau(g) come from chi(g^i), 0 <= i < d, by integer Fourier inversion on
+<g>, one fold per eigenvalue; only the full Euler factors
+(``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) need them, to
+refuse a virtual character with negative parts.
 
 Each prime is decided once.  One smallest-prime-factor sieve per X gives
 the primes; v is good when it is odd, not p or q, and divides neither disc(E)
@@ -42,7 +44,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import CyclotomicNumber, _fold
+from .cyclotomic import CyclotomicNumber, _fold, _image
 from .groups import ConjClass, InternalCheckError, MetacyclicParams, _class_index
 from .characters import QuotientIdentity, quotient_identity_virtual_character
 
@@ -89,18 +91,21 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
     folded integer buffer, den = lcm(den_i); every other coordinate is 0.
     """
     d = cls.element_order
-    values = _powers(chi, cls)
+    values = _values_at_powers(chi, cls, d)
     M = d
     for val in values:
         if not val.is_zero():
             M = M * val.conductor // gcd(M, val.conductor)
-    lifted = [(i, val._lifted(M)) for i, val in enumerate(values) if not val.is_zero()]
+    lifted = [
+        (i, val.den, _image(M, val._nz(), M // val.conductor))
+        for i, val in enumerate(values) if not val.is_zero()
+    ]
     den = 1
-    for _, (di, _) in lifted:
+    for _, di, _ in lifted:
         den = den * di // gcd(den, di)
     terms = [
         (i * (M // d), [(e, c * (den // di)) for e, c in enumerate(vec) if c])
-        for i, (di, vec) in lifted
+        for i, di, vec in lifted
     ]
     out = []
     for k in range(d):
@@ -121,14 +126,11 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _powers(chi, cls: ConjClass) -> tuple[CyclotomicNumber, ...]:
-    """chi(g^s) for 0 <= s < d, with g the class representative and d its order."""
+def _values_at_powers(chi, cls: ConjClass, count: int) -> list[CyclotomicNumber]:
+    """chi(g^s) for 0 <= s < count, with g the class representative."""
     G = chi.group
     idx = _class_index(G)
-    return tuple(
-        chi.values[idx[G.class_of(G.power(cls.rep, s))]] for s in range(cls.element_order)
-    )
+    return [chi.values[idx[G.class_of(G.power(cls.rep, s))]] for s in range(count)]
 
 
 def _where(chi, cls: ConjClass) -> str:
@@ -178,8 +180,7 @@ def _power_sums(a, v, kmax: int) -> list:
 
 def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
     """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 0 <= s <= kmax."""
-    pw = _powers(chi, cls)
-    return [sums[s] * pw[s % len(pw)] for s in range(kmax + 1)]
+    return [sums[s] * x for s, x in enumerate(_values_at_powers(chi, cls, kmax + 1))]
 
 
 def _determinant(chi, cls: ConjClass, a, v, one, refusal: str) -> list:
@@ -436,18 +437,16 @@ def _resolve_local_factor(
     candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
     if pick_first:
         candidates = candidates[:1]
-    # the traces read chi(g^s) and nothing else, so equal values give equal series
-    distinct: dict = {}
-    for cls in candidates:
-        distinct.setdefault(_powers(chi, cls), cls)
     sums = _power_sums(av, v, kmax)
-    series = [_newton(_traces(sums, chi, cls, kmax), kmax, 1, _ONE) for cls in distinct.values()]
-    if any(b != series[0] for b in series[1:]):
+    # Newton's identities give each trace back from the series, so candidates
+    # give the same series exactly when they give the same traces
+    traces = [_traces(sums, chi, cls, kmax) for cls in candidates]
+    if any(t != traces[0] for t in traces[1:]):
         raise ValueError(
             f"Frobenius ambiguity at v={v} changes the factor; pass an explicit "
             f"class choice (candidates {[list(c.rep) for c in datum.candidates]})"
         )
-    return series[0]
+    return _newton(traces[0], kmax, 1, _ONE)
 
 
 def dirichlet_partial(

@@ -273,6 +273,13 @@ SERIES_JSON_SHA256 = {
         "1e4aff87ac75c90d0f28c10a065e6625c167b1570b0f600e593c1a8b2886aca2",
     "series -n 1 -X 8000":
         "2f4d97f00311750a85baccb03285cc6b2ec2280f65ff8c440c7710cc38962ed2",
+    # recorded while every local factor read chi(g^s) for all s below the order of g
+    "series -n 8 -X 100":
+        "71a87fb98405956fac1d4763c63666a95d7a3fec14874180ddcde6ee0c5e0ae9",
+    "series -n 4 -X 300 --character lin:5":
+        "747943cad4094dd1262b01cc7fd4e5d67557b0b0ec04f68a17c7456f1d28ab74",
+    "identity -n 3 -X 100":
+        "910a99eda43fdbdbdedb121399af70c36d258a87f0306733584fecdb478a066d",
 }
 
 
@@ -281,6 +288,14 @@ def test_series_command_json_is_byte_identical(capsys, command):
     code, out, _ = run(capsys, *shlex.split(command), "--curve", "0,0,0,-1,0", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[command]
+
+
+def test_ambiguous_series_is_refused_at_the_first_prime_that_tells_the_candidates_apart(capsys):
+    argv = "series -n 2 -X 200 --character ind:1,1 --curve 0,0,0,-1,0 --format json"
+    assert run(capsys, *argv.split()) == (2, "", (
+        "error: Frobenius ambiguity at v=17 changes the factor; pass an explicit "
+        "class choice (candidates [[1, 3], [3, 3]])\n"
+    ))
 
 
 # sha256 of the stdout of `table` on the two largest benchmark groups,
@@ -375,6 +390,8 @@ def _cli(*argv):
     ("identity --curve 0,0,0,-1,0 -n 1 -X -5", 2, "X must be at least 1"),
     ("identity --curve 0,0,0,-1,0 -n 1 -X 1000000", 2, "X capped at 10^5"),
     ("schur -q 57395629 -p 3 -n 15", 0, '"n": 15, "j": 5, "r": 15'),  # default j by a short scan
+    ("schur -q 7 -p 3 -n 1000000000", 2, "n = 1000000000 is too large for p = 3"),
+    ("frobenius -q 7 -p 3 -n 100000 -v 53", 2, "n = 100000 is too large for p = 3"),
     ("sweep --max 0", 2, "max must be at least 1, got 0"),
     ("sweep --max -5", 2, "max must be at least 1, got -5"),
 ])
@@ -386,6 +403,28 @@ def test_closed_form_commands_end_at_once(argv, code, needle):
     else:
         assert out.stdout == "" and out.stderr.count("\n") == 1
         assert out.stderr.startswith("error: ") and needle in out.stderr
+
+
+# sha256 of the stdout of `schur` at the largest n whose p^n has at most 4,300 digits,
+# CPython's default int-to-str limit, recorded before n was capped
+SCHUR_AT_THE_DIGIT_LIMIT_SHA256 = {
+    ("-q 7 -p 3", 9012, "json"): "25836da3b18821dbbd696ddfc4c8eeb8638587e8f6f86fa91177faf163640653",
+    ("-q 7 -p 3", 9012, "text"): "592080943e6674d308ac69896843811b416a21abe359bc2b656d94b5c8ea0e52",
+    ("-q 19 -p 3", 9012, "json"): "60a3c156c771f15003396eacf8427e987045cd7f53040214966e3731a21e55c3",
+    ("-q 11 -p 5", 6151, "json"): "623b887c82986e77095537d748e30292ea94595955afe11efa318464c6a8b0b5",
+    ("-q 11 -p 5", 6151, "text"): "aea0274440fc6f52ee3f631c98e3a70630e4e15e34ff4dd98c92273340bb2af0",
+}
+
+
+@pytest.mark.parametrize("group, n, fmt", sorted(SCHUR_AT_THE_DIGIT_LIMIT_SHA256))
+def test_n_is_capped_one_past_the_digit_limit(capsys, group, n, fmt):
+    code, out, err = run(capsys, "schur", *group.split(), "-n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHUR_AT_THE_DIGIT_LIMIT_SHA256[group, n, fmt]
+    p = group.split()[-1]
+    assert run(capsys, "schur", *group.split(), "-n", str(n + 1), "--format", fmt) == (2, "", (
+        f"error: n = {n + 1} is too large for p = {p}: p^n would have more than 4300 digits\n"
+    ))
 
 
 def test_schur_tests_membership_in_H_without_listing_it():

@@ -14,6 +14,7 @@ from schurgate.cyclotomic import (
     field_of_values,
     max_conductor,
     _cyclo,
+    _image,
 )
 from schurgate.characters import _weighted_dot, inner_product, one_faithful_character
 from schurgate.groups import make_group
@@ -286,7 +287,8 @@ def test_descent_conductor_matches_field_of_values(mc):
 @given(conductor_and_coeffs())
 def test_descent_lifts_back_to_the_input(mc):
     m, coeffs = mc
-    den, vec = C(m, coeffs)._lifted(m)
+    x = C(m, coeffs)
+    den, vec = x.den, _image(m, x._nz(), m // x.conductor)
     assert [Fraction(c, den) for c in vec] == coeffs
 
 

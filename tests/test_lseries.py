@@ -24,9 +24,12 @@ from oracles import (
 )
 from schurgate.cyclotomic import InternalCheckError, prime_factors
 from schurgate.cyclotomic import CyclotomicNumber as C
-from schurgate.groups import GroupElement, _class_index, conjugacy_classes, is_prime, make_group, tower_subgroups
+from schurgate.groups import (
+    GroupElement, MetacyclicParams, _class_index, conjugacy_classes, is_prime, make_group, tower_subgroups,
+)
 from schurgate.characters import (
     VirtualCharacter,
+    _linear_character,
     faithful_characters,
     irreducible_characters,
     one_faithful_character,
@@ -48,6 +51,7 @@ from schurgate.lseries import (
     twisted_euler_factor,
     _assemble,
     _kmax,
+    _local_data,
     _multiplicities,
     _newton,
     _power_sums,
@@ -486,6 +490,28 @@ def test_series_and_identity_invert_no_character():
     dirichlet_partial(E_MINUS_X, G63, trivial_character(G63), EXAMPLE_F1, 300)
     assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G63, 300).holds
     assert _multiplicities.cache_info().misses == 0
+
+
+def test_local_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
+    """Each candidate class costs kmax + 1 powers g^s at v, however large p^n is."""
+    G = make_group(7, 3, 8)
+    chi = _linear_character(G, 1)
+    X = 100
+    bound = sum(
+        (kmax + 1) * (1 if datum.conj_class else len(datum.candidates))
+        for _, kmax, datum, _ in _local_data(E_MINUS_X, EXAMPLE_F1, G, X)
+    )
+    calls = 0
+    power = MetacyclicParams.power
+
+    def counted(self, g, k):
+        nonlocal calls
+        calls += 1
+        return power(self, g, k)
+
+    monkeypatch.setattr(MetacyclicParams, "power", counted)
+    dirichlet_partial(E_MINUS_X, G, chi, EXAMPLE_F1, X)
+    assert 0 < calls <= bound
 
 
 @pytest.mark.parametrize("n", [2, 3])
