@@ -7,10 +7,12 @@ A faithful character is the induction of a faithful one-dimensional psi of
 the self-centralizing subgroup X = <a, b^{p^r}> = C_q x C_{p^{n-r}}, written
 psi(a^x b^{p^r y}) = zeta_q^{u x} * zeta_{p^{n-r}}^{w y}.
 
-Induced values vanish off X and on X equal a Gaussian period times a root of
-unity, so the whole table is exact and cheap.  Inner products accumulate an
-integer convolution buffer at the common conductor and reduce once, which is
-what makes full-table orthogonality sweeps affordable.
+A character is its descriptor plus a closed-form evaluator at a class:
+induced values vanish off X and on X equal a Gaussian period times a root of
+unity.  A factor or a series reads the classes it names, at any n; the table
+over all classes is built only when ``values`` is first read.  Inner products
+accumulate an integer convolution buffer at the common conductor and reduce
+once, which is what makes full-table orthogonality sweeps affordable.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .cyclotomic import AbelianField, CyclotomicNumber, _check_conductor, _from_
 # the psi calculus (PsiDescriptor to tower_coefficient) reads only (q, p, n, r)
 # and the H-orbits, so it lives in groups; it is re-exported from here
 from .groups import (  # noqa: F401
-    InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup, _class_index,
-    _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_descriptors,
+    ConjClass, GroupElement, InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup,
+    _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_descriptors,
     one_faithful_descriptor, psi_is_faithful, tower_coefficient, tower_subgroups,
 )
 
@@ -54,27 +56,59 @@ def _zeta(m: int, k: int) -> CyclotomicNumber:
 
 
 _ZERO = CyclotomicNumber.from_rational(0)
-_ONE = CyclotomicNumber.from_rational(1)
+_IDENTITY = ConjClass(GroupElement(0, 0), 1, 1)
 
 
-class Character:
-    """A class function on G with cyclotomic values, indexed by conjugacy class.
+class _ClassFunction:
+    """What characters and virtual characters share: chi(g) read at the class of g,
+    value-wise equality, and a hash that reads only the value at 1, so agrees with it."""
+
+    __slots__ = ()
+
+    def __call__(self, g: GroupElement) -> CyclotomicNumber:
+        return self.at(self.group.conj_class(g))
+
+    def __eq__(self, other):
+        if not isinstance(other, _ClassFunction):
+            return NotImplemented
+        # one provenance gives one evaluator, so equal provenances need no values
+        same = self.provenance is not None and self.provenance == other.provenance
+        return self.group == other.group and (same or self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.group, self.at(_IDENTITY)))
+
+
+class Character(_ClassFunction):
+    """A class function on G with cyclotomic values, read at a class in closed form.
 
     ``provenance`` records how the character arose:
     ("one_dimensional", e), ("lifted_from_quotient", level, u, w),
-    ("induced", u, w), ("permutation", label) or ("regular",).
+    ("induced", u, w), ("permutation", label) or ("regular",).  ``at`` maps a
+    ConjClass to the value there; ``values``, the table over conjugacy_classes,
+    is built from it on first use and kept.
     """
 
-    __slots__ = ("group", "values", "degree", "provenance")
+    __slots__ = ("group", "provenance", "at", "_values")
 
-    def __init__(self, group: MetacyclicParams, values, provenance):
+    def __init__(self, group: MetacyclicParams, provenance, at):
         self.group = group
-        self.values = tuple(values)
         self.provenance = tuple(provenance)
-        v0 = self.values[0]
+        self.at = at
+        self._values = None
+
+    @property
+    def values(self) -> tuple[CyclotomicNumber, ...]:
+        if self._values is None:
+            self._values = tuple(map(self.at, conjugacy_classes(self.group)))
+        return self._values
+
+    @property
+    def degree(self) -> int:
+        v0 = self.at(_IDENTITY)
         if not v0.is_rational() or v0.rational_value().denominator != 1:
             raise ValueError("character degree must be a rational integer")
-        self.degree = int(v0.rational_value())
+        return int(v0.rational_value())
 
     @property
     def char_id(self) -> str:
@@ -88,14 +122,6 @@ class Character:
             return PsiDescriptor(*self.provenance[1:]).char_id
         return kind
 
-    def __eq__(self, other):
-        if not isinstance(other, (Character, VirtualCharacter)):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
     def __repr__(self):
         return f"<Character {self.char_id} of {self.group}, degree {self.degree}>"
 
@@ -108,19 +134,22 @@ class Character:
         }
 
 
-class VirtualCharacter:
-    """Integer linear combination of characters, stored value-wise."""
+class VirtualCharacter(_ClassFunction):
+    """Integer linear combination of characters, stored value-wise and read by class."""
 
     __slots__ = ("group", "values")
+    provenance = None  # a value table has no descriptor
 
     def __init__(self, group: MetacyclicParams, values):
         self.group = group
         self.values = tuple(values)
 
+    def at(self, cls: ConjClass) -> CyclotomicNumber:
+        return self.values[_class_index(self.group)[cls.rep]]
+
     @classmethod
     def zero(cls, group: MetacyclicParams) -> "VirtualCharacter":
-        k = len(conjugacy_classes(group))
-        return cls(group, (_ZERO,) * k)
+        return cls(group, (_ZERO,) * len(conjugacy_classes(group)))
 
     @classmethod
     def of(cls, chi: Character) -> "VirtualCharacter":
@@ -142,14 +171,6 @@ class VirtualCharacter:
         if not isinstance(k, int):
             return NotImplemented
         return VirtualCharacter(self.group, tuple(k * v for v in self.values))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Character, VirtualCharacter)):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.values))
 
     @property
     def degree(self) -> Fraction:
@@ -180,28 +201,22 @@ def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
 
 
 def _linear_character(G: MetacyclicParams, e: int) -> Character:
-    pn = G.pn
-    vals = [_zeta(pn, e * c.rep.y % pn) for c in conjugacy_classes(G)]
-    return Character(G, vals, ("one_dimensional", e % pn))
+    pn, e = G.pn, e % G.pn
+    return Character(G, ("one_dimensional", e), lambda c: _zeta(pn, e * c.rep.y % pn))
 
 
 def _induced_character(G: MetacyclicParams, level: int, u: int, w: int) -> Character:
     """The degree-p^r character at quotient level m: zero off X, Gaussian on X."""
-    pr = G.pr
-    pmr = G.p ** (level - G.r)
-    gauss = _gauss_periods(G)
-    vals = []
-    for c in conjugacy_classes(G):
+    pr, pmr, gauss = G.pr, G.p ** (level - G.r), _gauss_periods(G)
+
+    def at(c: ConjClass) -> CyclotomicNumber:
         x, y = c.rep
-        if y % pr != 0:
-            vals.append(_ZERO)
-            continue
+        if y % pr:
+            return _ZERO
         g = gauss[u * x % G.q]
-        if pmr > 1:
-            g = g * _zeta(pmr, w * (y // pr) % pmr)
-        vals.append(g)
+        return g * _zeta(pmr, w * (y // pr) % pmr) if pmr > 1 else g
     prov = ("induced", u, w) if level == G.n else ("lifted_from_quotient", level, u, w)
-    return Character(G, vals, prov)
+    return Character(G, prov, at)
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +257,8 @@ def trivial_character(G: MetacyclicParams) -> Character:
 
 
 def regular_character(G: MetacyclicParams) -> Character:
-    vals = [
-        CyclotomicNumber.from_rational(G.order if i == 0 else 0)
-        for i in range(len(conjugacy_classes(G)))
-    ]
-    return Character(G, vals, ("regular",))
+    order = CyclotomicNumber.from_rational(G.order)
+    return Character(G, ("regular",), lambda c: _ZERO if any(c.rep) else order)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +306,10 @@ def inner_product(chi1, chi2) -> Fraction:
     """
     if chi1.group != chi2.group:
         raise ValueError("characters live on different groups")
-    G = chi1.group
+    G, v1, v2 = chi1.group, chi1.values, chi2.values
     cls = conjugacy_classes(G)
     inv_map = _inverse_class_map(G)
-    raw = _weighted_dot(
-        (cls[i].size, chi1.values[i], chi2.values[inv_map[i]])
-        for i in range(len(cls))
-    )
+    raw = _weighted_dot((cls[i].size, v1[i], v2[inv_map[i]]) for i in range(len(cls)))
     if not raw.is_rational():
         raise ValueError("inner product is not rational for these class functions")
     return raw.rational_value() / G.order
@@ -308,13 +317,7 @@ def inner_product(chi1, chi2) -> Fraction:
 
 def is_faithful(chi: Character) -> bool:
     """Trivial-kernel test: the kernel is the union of classes where chi = chi(1)."""
-    deg = CyclotomicNumber.from_rational(chi.degree)
-    for i, c in enumerate(conjugacy_classes(chi.group)):
-        if i == 0:
-            continue
-        if chi.values[i] == deg:
-            return False
-    return True
+    return chi.values[0] not in chi.values[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +391,12 @@ def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     if H.kind not in ("K", "F"):
         raise ValueError(f"unknown subgroup kind {H.kind!r} of {H.label} ({G.spec})")
     pk = G.p ** H.level
-    vals = []
-    for c in conjugacy_classes(G):
-        if c.rep.y % pk:
-            fixed = 0
-        elif H.kind == "K":
-            fixed = pk
-        else:
-            fixed = G.q * pk // c.size if c.rep.x == 0 else 0
-        vals.append(CyclotomicNumber.from_rational(fixed))
-    return Character(G, vals, ("permutation", H.label))
+
+    def at(c: ConjClass) -> CyclotomicNumber:
+        if c.rep.y % pk or H.kind == "F" and c.rep.x:
+            return _ZERO
+        return CyclotomicNumber.from_rational(pk if H.kind == "K" else G.q * pk // c.size)
+    return Character(G, ("permutation", H.label), at)
 
 
 class QuotientIdentity(NamedTuple):

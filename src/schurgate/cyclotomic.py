@@ -279,7 +279,9 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
-        """The root of unity zeta_m^k (k arbitrary; the result is canonicalized)."""
+        """The root of unity zeta_m^k = zeta_(m/g)^(k/g), g = gcd(m, k), built at conductor m/g."""
+        g = gcd(m, k)
+        m, k = m // g, k // g
         _check_conductor(m, "zeta")
         buf = [0] * m
         buf[k % m] = 1

@@ -10,7 +10,8 @@ independent trace sources feed it, and the tower identity compares them:
     with alpha, beta the roots of T^2 - a_v T + v.  Their power sums are
     integers (or polynomials in formal symbols a, v), so every coefficient
     stays in Q(zeta); chi(g^s) is read, uncached, only for the s <= kmax
-    that the recursion uses, so a prime costs the same at any order of g.
+    that the recursion uses, by the character's evaluator at the class of
+    g^s (no value table is built), so a prime costs the same at any n.
   * residue degrees: a prime of residue degree f over v contributes
     f (alpha^s + beta^s) to tr_s whenever f | s.  The degrees come from
     factorization patterns and the compositum splitting formula, with no
@@ -45,7 +46,7 @@ from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CyclotomicNumber, _fold, _image
-from .groups import ConjClass, InternalCheckError, MetacyclicParams, _class_index
+from .groups import ConjClass, InternalCheckError, MetacyclicParams
 from .characters import QuotientIdentity, quotient_identity_virtual_character
 
 # elliptic and frobenius are imported where they are used: the symbolic factor needs neither
@@ -127,10 +128,8 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
 
 
 def _values_at_powers(chi, cls: ConjClass, count: int) -> list[CyclotomicNumber]:
-    """chi(g^s) for 0 <= s < count, with g the class representative."""
-    G = chi.group
-    idx = _class_index(G)
-    return [chi.values[idx[G.class_of(G.power(cls.rep, s))]] for s in range(count)]
+    """chi(g^s) for 0 <= s < count, with g the class representative, each read at its class."""
+    return [chi(chi.group.power(cls.rep, s)) for s in range(count)]
 
 
 def _where(chi, cls: ConjClass) -> str:

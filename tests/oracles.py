@@ -43,7 +43,7 @@ from schurgate.groups import (
     subgroup_X,
     vp,
 )
-from schurgate.characters import Character, PsiDescriptor, inner_product, irreducible_characters
+from schurgate.characters import Character, PsiDescriptor, VirtualCharacter, inner_product, irreducible_characters
 from schurgate.lseries import DirichletSeries
 
 BRUTE_FORCE_LIMIT = 10 ** 4
@@ -185,8 +185,8 @@ def commutator_subgroup(G: MetacyclicParams) -> set[GroupElement]:
     return closure
 
 
-def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
-    """Induction by the general formula, summing over all of G; test oracle."""
+def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> VirtualCharacter:
+    """Induction by the general formula, summing over all of G, as a value table; test oracle."""
     if G.order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force gated to order <= {BRUTE_FORCE_LIMIT}")
     X = subgroup_elements(G, subgroup_X(G))
@@ -200,7 +200,7 @@ def induce_brute(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
                 acc = acc + psi_value(G, PsiDescriptor(psi.u, psi.w), t)
         acc = acc * Fraction(1, order_X)
         vals.append(acc)
-    return Character(G, vals, ("induced_brute", psi.u, psi.w))
+    return VirtualCharacter(G, vals)
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -225,8 +225,8 @@ def qadic_class_order_direct(q: int, p: int, n: int, r: int) -> int:
     return e // gcd(e, N // d)
 
 
-def permutation_character_brute(G: MetacyclicParams, H) -> Character:
-    """The character of G on the cosets G/H, by enumerating the cosets; test oracle.
+def permutation_character_brute(G: MetacyclicParams, H) -> VirtualCharacter:
+    """The character of G on the cosets G/H, by enumerating the cosets, as a value table; test oracle.
 
     g fixes the coset xH iff g lies in its stabilizer x H x^-1, so each class
     representative is counted once per coset stabilizer it lies in.
@@ -246,7 +246,7 @@ def permutation_character_brute(G: MetacyclicParams, H) -> Character:
             i = index.get(mul(G, mul(G, x, h), x_inv))
             if i is not None:
                 fixed[i] += 1
-    return Character(G, [CyclotomicNumber.from_rational(f) for f in fixed], ("permutation", H.label))
+    return VirtualCharacter(G, [CyclotomicNumber.from_rational(f) for f in fixed])
 
 
 def eigenvalue_multiplicities_direct(chi, cls: ConjClass) -> dict[int, int]:

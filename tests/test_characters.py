@@ -7,6 +7,7 @@ from oracles import (
     conjugate_psi,
     decompose,
     dense_galois,
+    elements,
     field_of_values_all_units,
     index_in,
     induce_brute,
@@ -289,6 +290,16 @@ def test_permutation_character_matches_coset_enumeration():
     for G in iter_valid_groups(700):
         for sub in tower_subgroups(G) + [subgroup_X(G)]:
             assert permutation_character(G, sub) == permutation_character_brute(G, sub)
+
+
+def test_evaluator_agrees_with_the_table_at_every_element():
+    # chi(g) goes through the class of g, which class representatives alone never exercise
+    for G in iter_valid_groups(300):
+        perms = [permutation_character(G, s) for s in tower_subgroups(G) + [subgroup_X(G)]]
+        chars = [*irreducible_characters(G), *perms, regular_character(G)]
+        for chi in chars:
+            for g in elements(G):
+                assert chi(g) == value_at(chi, g), (G, chi.char_id, g)
 
 
 def test_permutation_character_error_names_group_and_subgroup():

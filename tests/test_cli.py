@@ -280,6 +280,11 @@ SERIES_JSON_SHA256 = {
         "747943cad4094dd1262b01cc7fd4e5d67557b0b0ec04f68a17c7456f1d28ab74",
     "identity -n 3 -X 100":
         "910a99eda43fdbdbdedb121399af70c36d258a87f0306733584fecdb478a066d",
+    # recorded while every character was built as its full table of class values
+    "series -n 9 -X 100 --character lin:1":
+        "42a05cd47cd3d06f5e5825e4821c04ba5e1158b61e82ef27d4a8fe735713ab38",
+    "series -n 6 -X 100 --character ind:1,2 --pick-first":
+        "9a60a5571d218241c054afea46775707f71ce2f588492e97d1c42b515551d145",
 }
 
 
@@ -288,6 +293,42 @@ def test_series_command_json_is_byte_identical(capsys, command):
     code, out, _ = run(capsys, *shlex.split(command), "--curve", "0,0,0,-1,0", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[command]
+
+
+# sha256 of the text stdout of twisted Euler factors, recorded while every
+# character was built as its full table of class values
+EULER_SHA256 = {
+    "euler --order7-class H -q 7 -p 3 -n 9 --symbolic":
+        "f2f539d8e062e9ed6ebcbbafb1c52db2f14d4826916a070dc06340fc8bcd8480",
+    "euler --curve 0,0,0,-1,0 -v 53 -n 6 --pick-first":
+        "882776a2f1d90ea05e9133f5777f511f23319c5b151e25f85de6e0739a8e8b1d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EULER_SHA256))
+def test_euler_command_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EULER_SHA256[command]
+
+
+def test_few_class_commands_build_no_class_list(capsys, monkeypatch):
+    import schurgate.characters as characters
+    import schurgate.groups as groups
+    from schurgate.characters import one_faithful_character
+
+    def refuse(G):
+        raise AssertionError(f"class list of {G} built")
+
+    for module in (groups, characters):
+        monkeypatch.setattr(module, "conjugacy_classes", refuse)
+    symbolic = "euler --order7-class H -q 7 -p 3 -n 9 --symbolic"
+    code, out, _ = run(capsys, *symbolic.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == EULER_SHA256[symbolic]
+    series = "series -n 9 -X 100 --character lin:1"
+    code, out, _ = run(capsys, *series.split(), "--curve", "0,0,0,-1,0", "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[series]
+    hash(one_faithful_character(make_group(7, 3, 12)))  # reads the value at 1 alone
 
 
 def test_ambiguous_series_is_refused_at_the_first_prime_that_tells_the_candidates_apart(capsys):
@@ -392,6 +433,10 @@ def _cli(*argv):
     ("schur -q 57395629 -p 3 -n 15", 0, '"n": 15, "j": 5, "r": 15'),  # default j by a short scan
     ("schur -q 7 -p 3 -n 1000000000", 2, "n = 1000000000 is too large for p = 3"),
     ("frobenius -q 7 -p 3 -n 100000 -v 53", 2, "n = 100000 is too large for p = 3"),
+    ("euler --order7-class H -q 7 -p 3 -n 40 --symbolic", 0, '"character": "ind[u=1,w=1]"'),
+    ("series --curve 0,0,0,-1,0 -n 30 -X 100", 0, '"character": "lin[0]"'),
+    ("series --curve 0,0,0,-1,0 -n 30 -X 100 --character lin:1", 2,
+     "conductor 205891132094649 exceeds the cap 1000000 in zeta"),
     ("sweep --max 0", 2, "max must be at least 1, got 0"),
     ("sweep --max -5", 2, "max must be at least 1, got -5"),
 ])

@@ -91,6 +91,12 @@ def test_conductor_overflow(monkeypatch):
     assert C.zeta(101) * C.zeta(101, 100) == 1
 
 
+def test_zeta_works_at_the_reduced_conductor():
+    # zeta_m^k = zeta_(m/g)^(k/g) with g = gcd(m, k), so neither needs conductor m
+    assert C.zeta(3 ** 39, 0) == 1
+    assert C.zeta(7 * 3 ** 20, 3 ** 20) == C.zeta(7)
+
+
 @pytest.fixture
 def lower_cap(monkeypatch):
     """Sets SCHURGATE_MAX_CONDUCTOR for one test; the cached cap is reread before and after."""
@@ -107,6 +113,7 @@ def lower_cap(monkeypatch):
 ])
 def test_conductor_overflow_names_the_operation(lower_cap, op):
     tau = one_faithful_character(make_group(7, 3, 2))  # values at conductors 1, 3, 7 and 21
+    tau.values  # the table is built on first use: build it under the default cap
     a, b = C.zeta(5), C.zeta(7)  # each below the cap, together at conductor 35
     conductor, call = {
         "add": (35, lambda: a + b),
