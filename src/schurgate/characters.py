@@ -71,9 +71,7 @@ class _ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, _ClassFunction):
             return NotImplemented
-        # one provenance gives one evaluator, so equal provenances need no values
-        same = self.provenance is not None and self.provenance == other.provenance
-        return self.group == other.group and (same or self.values == other.values)
+        return self.group == other.group and self.values == other.values
 
     def __hash__(self):
         return hash((self.group, self.at(_IDENTITY)))
@@ -138,7 +136,6 @@ class VirtualCharacter(_ClassFunction):
     """Integer linear combination of characters, stored value-wise and read by class."""
 
     __slots__ = ("group", "values")
-    provenance = None  # a value table has no descriptor
 
     def __init__(self, group: MetacyclicParams, values):
         self.group = group

@@ -216,6 +216,10 @@ def cmd_euler(args) -> int:
         from .lseries import cube_of_quadratic_defect, symbolic_twisted_euler_factor
 
         G = _group_from_args(args)
+        if G.pr != 3:  # the cube test reads a degree-6 factor, 2 tau(1) = 2 p^r
+            raise ValueError(
+                f"euler --symbolic needs a faithful character of degree 3, but those of {G.spec} have degree {G.pr}"
+            )
         tau = one_faithful_character(G)
         try:
             x_rep = 1 if args.order7_class in (None, "H") else int(args.order7_class)
@@ -303,7 +307,7 @@ def cmd_series(args) -> int:
     payload = {
         "group": G.to_json(),
         "curve": E.to_json(),
-        "character": getattr(chi, "char_id", args.character),
+        "character": chi.char_id,
         **series.to_json(),
     }
     shown = []

@@ -21,11 +21,12 @@ The Frobenius-ambiguity check (order-q part) assembles a series only when
 every candidate class gives the same one, unless the caller picks a
 candidate.  Candidates are compared by their traces: Newton's identities give
 the traces back from the series, so equal traces share one series, unequal
-ones are refused, and no character is inverted.  Eigenvalue multiplicities
-of tau(g) come from chi(g^i), 0 <= i < d, by integer Fourier inversion on
-<g>, one fold per eigenvalue; only the full Euler factors
-(``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) need them, to
-refuse a virtual character with negative parts.
+ones are refused, and no character is inverted.  The full Euler factors
+(``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) take the same
+recursion with sign -1 up to D = 2 chi(1), the degree of det(1 - M T), so
+they read chi(g^s) only for s <= D and never compute an eigenvalue of
+tau(g).  A Character is genuine; a virtual character is accepted only when
+its inner product with every irreducible is a nonnegative integer.
 
 Each prime is decided once.  One smallest-prime-factor sieve per X gives
 the primes; v is good when it is odd, not p or q, and divides neither disc(E)
@@ -45,9 +46,11 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import CyclotomicNumber, _fold, _image
+from .cyclotomic import CyclotomicNumber
 from .groups import ConjClass, InternalCheckError, MetacyclicParams
-from .characters import QuotientIdentity, quotient_identity_virtual_character
+from .characters import (
+    Character, QuotientIdentity, inner_product, irreducible_characters, quotient_identity_virtual_character,
+)
 
 # elliptic and frobenius are imported where they are used: the symbolic factor needs neither
 if TYPE_CHECKING:
@@ -57,7 +60,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DirichletSeries",
     "SymbolicPoly",
-    "eigenvalue_multiplicities",
     "twisted_euler_factor",
     "symbolic_twisted_euler_factor",
     "cube_of_quadratic_defect",
@@ -68,75 +70,6 @@ __all__ = [
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues from character values
-
-def eigenvalue_multiplicities(chi, cls: ConjClass) -> dict[int, int]:
-    """Multiplicity of each eigenvalue zeta_d^k of chi at the class, d = element order.
-
-    Fourier inversion on <g>: m_k = (1/d) sum_i chi(g^i) zeta_d^{-ki}.
-    Works for genuine and virtual characters (integer multiplicities).
-    """
-    return dict(_multiplicities(chi, cls))
-
-
-@lru_cache(maxsize=None)
-def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
-    """Sorted (k, m_k) pairs with m_k != 0, by integer Fourier inversion.
-
-    Every nonzero chi(g^i) is lifted once to M = lcm(d, its conductors) as
-    den_i^-1 * vec_i.  Multiplying by zeta_d^{-ki} = zeta_M^{-ki M/d} rotates
-    the power-basis vector, so d * den * m_k is the constant term of one
-    folded integer buffer, den = lcm(den_i); every other coordinate is 0.
-    """
-    d = cls.element_order
-    values = _values_at_powers(chi, cls, d)
-    M = d
-    for val in values:
-        if not val.is_zero():
-            M = M * val.conductor // gcd(M, val.conductor)
-    lifted = [
-        (i, val.den, _image(M, val._nz(), M // val.conductor))
-        for i, val in enumerate(values) if not val.is_zero()
-    ]
-    den = 1
-    for _, di, _ in lifted:
-        den = den * di // gcd(den, di)
-    terms = [
-        (i * (M // d), [(e, c * (den // di)) for e, c in enumerate(vec) if c])
-        for i, di, vec in lifted
-    ]
-    out = []
-    for k in range(d):
-        buf = [0] * M
-        for step, vec in terms:
-            shift = -k * step
-            for e, c in vec:
-                buf[(e + shift) % M] += c
-        red = _fold(M, buf)
-        if not any(red):
-            continue
-        if any(red[1:]):
-            raise InternalCheckError(f"eigenvalue multiplicity is not rational ({_where(chi, cls)})")
-        m, rem = divmod(red[0], d * den)
-        if rem:
-            raise InternalCheckError(f"eigenvalue multiplicity is not an integer ({_where(chi, cls)})")
-        out.append((k, m))
-    return tuple(out)
-
-
-def _values_at_powers(chi, cls: ConjClass, count: int) -> list[CyclotomicNumber]:
-    """chi(g^s) for 0 <= s < count, with g the class representative, each read at its class."""
-    return [chi(chi.group.power(cls.rep, s)) for s in range(count)]
-
-
-def _where(chi, cls: ConjClass) -> str:
-    return (
-        f"{chi.group.spec}, "
-        f"character {getattr(chi, 'char_id', 'virtual')}, class rep {tuple(cls.rep)}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +111,23 @@ def _power_sums(a, v, kmax: int) -> list:
 
 
 def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
-    """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 0 <= s <= kmax."""
-    return [sums[s] * x for s, x in enumerate(_values_at_powers(chi, cls, kmax + 1))]
+    """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 0 <= s <= kmax;
+    each chi(g^s) is read at the class of g^s, g the class representative."""
+    G = chi.group
+    return [sums[s] * chi(G.power(cls.rep, s)) for s in range(kmax + 1)]
 
 
 def _determinant(chi, cls: ConjClass, a, v, one, refusal: str) -> list:
-    """det(1 - (A_v (x) chi(g)) T) in full, degree 2 chi(1); refused for negative multiplicities."""
-    mults = eigenvalue_multiplicities(chi, cls)
-    if any(m < 0 for m in mults.values()):
-        raise ValueError(refusal)
-    D = 2 * sum(mults.values())
+    """det(1 - (A_v (x) chi(g)) T) in full, degree D = 2 chi(1), from the traces tr_s, s <= D.
+
+    A Character is genuine; a virtual character must have a nonnegative
+    integer multiplicity of every irreducible, or it is refused.
+    """
+    if not isinstance(chi, Character):
+        parts = [inner_product(chi, psi) for psi in irreducible_characters(chi.group)]
+        if any(m < 0 or m.denominator != 1 for m in parts):
+            raise ValueError(refusal)
+    D = 2 * int(chi.degree)
     return _newton(_traces(_power_sums(a, v, D), chi, cls, D), D, -1, one)
 
 
@@ -195,8 +135,8 @@ def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
     """det(1 - (A_v (x) chi(g)) T) at a good unramified v, exactly.
 
     A_v enters only through the power sums of its eigenvalues, integers
-    determined by a_v and v, so the coefficients stay in Q(zeta).  For a
-    genuine character the degree is 2 * chi(1); constant term is 1.
+    determined by a_v and v, so the coefficients stay in Q(zeta).  The
+    degree is 2 * chi(1); constant term is 1.
     """
     from .elliptic import EulerFactor
 
@@ -535,7 +475,7 @@ def identity_series_check(
 
     Left side: L(E/F_n) L(E/K_{n-1}) / (L(E/K_n) L(E/F_{n-1})) built purely
     from splitting patterns (pattern route).  Right side: the product over
-    faithful tau of L(E, tau)^coefficient via character data (eigenvalue
+    faithful tau of L(E, tau)^coefficient via character values (character
     route).  Good primes only; both sides are symmetric under the Frobenius
     class ambiguity, which is verified, not assumed.
     """

@@ -6,7 +6,7 @@ gated to order <= BRUTE_FORCE_LIMIT.  The package describes a subgroup only
 by its generators, so its elements are found here by closing them under
 the group law (mul), and psi and the restriction to X are evaluated element by element.
 The L-series ones are the package's earlier direct routes: Fourier
-inversion in CyclotomicNumber arithmetic, Dirichlet assembly by one
+inversion, in integers and in CyclotomicNumber arithmetic, Dirichlet assembly by one
 convolution pass per prime, local factors as products of quadratic blocks
 (one per eigenvalue, or one per residue degree) expanded by power-series
 inversion, evaluation of symbolic factors, and explicit monomial matrices
@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 import sympy
 
-from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError, prime_factors
+from schurgate.cyclotomic import AbelianField, CyclotomicNumber, InternalCheckError, _fold, _image, prime_factors
 from schurgate.elliptic import EulerFactor, a_v
 from schurgate.frobenius import poly_discriminant
 from schurgate.groups import (
@@ -247,6 +247,56 @@ def permutation_character_brute(G: MetacyclicParams, H) -> VirtualCharacter:
             if i is not None:
                 fixed[i] += 1
     return VirtualCharacter(G, [CyclotomicNumber.from_rational(f) for f in fixed])
+
+
+def eigenvalue_multiplicities(chi, cls: ConjClass) -> dict[int, int]:
+    """Multiplicity of each eigenvalue zeta_d^k of chi at the class, d = element order.
+
+    Fourier inversion on <g>: m_k = (1/d) sum_i chi(g^i) zeta_d^{-ki}, in
+    integers; works for genuine and virtual characters.  The reference that
+    the block-product oracles read; test oracle.
+    """
+    return dict(_multiplicities(chi, cls))
+
+
+@lru_cache(maxsize=None)
+def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
+    """Sorted (k, m_k) pairs with m_k != 0, by integer Fourier inversion.
+
+    Every nonzero chi(g^i) is lifted once to M = lcm(d, its conductors) as
+    den_i^-1 * vec_i.  Multiplying by zeta_d^{-ki} = zeta_M^{-ki M/d} rotates
+    the power-basis vector, so d * den * m_k is the constant term of one
+    folded integer buffer, den = lcm(den_i); every other coordinate is 0.
+    """
+    d = cls.element_order
+    values = [chi(chi.group.power(cls.rep, i)) for i in range(d)]
+    M = lcm(d, *(val.conductor for val in values if not val.is_zero()))
+    lifted = [
+        (i, val.den, _image(M, val._nz(), M // val.conductor))
+        for i, val in enumerate(values) if not val.is_zero()
+    ]
+    den = lcm(*(di for _, di, _ in lifted))
+    terms = [
+        (i * (M // d), [(e, c * (den // di)) for e, c in enumerate(vec) if c])
+        for i, di, vec in lifted
+    ]
+    out = []
+    for k in range(d):
+        buf = [0] * M
+        for step, vec in terms:
+            shift = -k * step
+            for e, c in vec:
+                buf[(e + shift) % M] += c
+        red = _fold(M, buf)
+        if not any(red):
+            continue
+        if any(red[1:]):
+            raise InternalCheckError("eigenvalue multiplicity is not rational")
+        m, rem = divmod(red[0], d * den)
+        if rem:
+            raise InternalCheckError("eigenvalue multiplicity is not an integer")
+        out.append((k, m))
+    return tuple(out)
 
 
 def eigenvalue_multiplicities_direct(chi, cls: ConjClass) -> dict[int, int]:

@@ -302,6 +302,8 @@ EULER_SHA256 = {
         "f2f539d8e062e9ed6ebcbbafb1c52db2f14d4826916a070dc06340fc8bcd8480",
     "euler --curve 0,0,0,-1,0 -v 53 -n 6 --pick-first":
         "882776a2f1d90ea05e9133f5777f511f23319c5b151e25f85de6e0739a8e8b1d",
+    "euler --curve 0,0,0,-1,0 -v 53 -n 7 --pick-first":
+        "d00f1745e79acaf99fb2fc53c77ce3f2313a38916202afedb8c971e6eeebf7f5",
 }
 
 
@@ -434,6 +436,13 @@ def _cli(*argv):
     ("schur -q 7 -p 3 -n 1000000000", 2, "n = 1000000000 is too large for p = 3"),
     ("frobenius -q 7 -p 3 -n 100000 -v 53", 2, "n = 100000 is too large for p = 3"),
     ("euler --order7-class H -q 7 -p 3 -n 40 --symbolic", 0, '"character": "ind[u=1,w=1]"'),
+    ("euler --curve 0,0,0,-1,0 -v 53 -n 9 --pick-first", 0, '"a_v": 14, "character": "ind[u=1,w=1]"'),
+    ("euler --curve 0,0,0,-1,0 -v 53 -n 40 --pick-first", 2,
+     "conductor 1350851717672992089 exceeds the cap 1000000 in zeta"),
+    ("euler --order7-class H -q 19 -p 3 -n 2 --symbolic", 2, "euler --symbolic needs a faithful character of "
+     "degree 3, but those of group (q, p, n, j) = (19, 3, 2, 4) have degree 9"),
+    ("euler --order7-class H -q 11 -p 5 -n 1 --symbolic", 2, "euler --symbolic needs a faithful character of "
+     "degree 3, but those of group (q, p, n, j) = (11, 5, 1, 3) have degree 5"),
     ("series --curve 0,0,0,-1,0 -n 30 -X 100", 0, '"character": "lin[0]"'),
     ("series --curve 0,0,0,-1,0 -n 30 -X 100 --character lin:1", 2,
      "conductor 205891132094649 exceeds the cap 1000000 in zeta"),

@@ -1,6 +1,5 @@
 import cmath
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from oracles import (
     assemble_by_convolution,
     block_euler_factor,
     block_local_factor,
+    eigenvalue_multiplicities,
     eigenvalue_multiplicities_direct,
     element_matrix,
     evaluate_symbolic,
@@ -43,7 +43,6 @@ from schurgate.lseries import (
     SymbolicPoly,
     cube_of_quadratic_defect,
     dirichlet_partial,
-    eigenvalue_multiplicities,
     good_primes,
     identity_series_check,
     symbolic_twisted_euler_factor,
@@ -52,12 +51,12 @@ from schurgate.lseries import (
     _assemble,
     _kmax,
     _local_data,
-    _multiplicities,
     _newton,
     _power_sums,
     _resolve_local_factor,
     _spf,
     _tower_series,
+    _tpoly_mul,
     _traces,
 )
 
@@ -290,13 +289,6 @@ def test_integer_multiplicities_match_direct_inversion(q, n):
             assert eigenvalue_multiplicities(chi, cls) == direct[key]
 
 
-def test_multiplicities_are_a_fresh_dict():
-    tau = one_faithful_character(G63)
-    cls = order7_class(G63)
-    eigenvalue_multiplicities(tau, cls)[1] = 99
-    assert eigenvalue_multiplicities(tau, cls) == {1: 1, 2: 1, 4: 1}
-
-
 def test_multiplicities_match_numeric_eigenvalues():
     """Independent route: complex eigenvalues of the monomial matrices, rounded to roots of unity."""
     for G in (G21, G63):
@@ -312,25 +304,6 @@ def test_multiplicities_match_numeric_eigenvalues():
                     assert abs(lam - cmath.exp(2j * cmath.pi * k / d)) < 1e-9
                     counts[k] = counts.get(k, 0) + 1
                 assert counts == eigenvalue_multiplicities(tau, cls)
-
-
-def test_multiplicity_errors_name_group_character_and_class():
-    classes = conjugacy_classes(G21)
-    # 1 at the identity and 0 elsewhere: m_k = 1/7 at an element of order 7
-    delta = VirtualCharacter(G21, [C.from_rational(1)] + [C.from_rational(0)] * (len(classes) - 1))
-    with pytest.raises(InternalCheckError, match="not an integer") as err:
-        eigenvalue_multiplicities(delta, order7_class(G21))
-    assert "(7, 3, 1, 2)" in str(err.value) and "character virtual" in str(err.value)
-    assert "class rep (1, 0)" in str(err.value)
-    # 1/2 at the identity: a fractional value gives m_0 = 1/2
-    half = VirtualCharacter(G21, [C.from_rational(Fraction(1, 2))] + [C.from_rational(0)] * (len(classes) - 1))
-    with pytest.raises(InternalCheckError, match="not an integer"):
-        eigenvalue_multiplicities(half, classes[0])
-    # zeta_7 at the identity: m_0 = zeta_7 is not rational
-    skew = VirtualCharacter(G21, [C.zeta(7)] + [C.from_rational(0)] * (len(classes) - 1))
-    with pytest.raises(InternalCheckError, match="not rational") as err:
-        eigenvalue_multiplicities(skew, classes[0])
-    assert "(7, 3, 1, 2)" in str(err.value) and "class rep (0, 0)" in str(err.value)
 
 
 def test_ambiguity_fast_path_matches_each_candidate():
@@ -455,6 +428,52 @@ def test_negative_multiplicities_are_refused_by_the_factors():
         symbolic_twisted_euler_factor(rhs, cls)
 
 
+def test_virtual_characters_give_the_factors_of_their_constituents():
+    tau1, tau2 = faithful_characters(G63)[:2]
+    once, twice = VirtualCharacter.of(tau1), 2 * VirtualCharacter.of(tau1)
+    for cls in conjugacy_classes(G63):
+        f = twisted_euler_factor(-2, 5, tau1, cls).poly
+        assert twisted_euler_factor(-2, 5, once, cls).poly == f
+        assert list(twisted_euler_factor(-2, 5, twice, cls).poly) == _tpoly_mul(list(f), list(f))
+        s = symbolic_twisted_euler_factor(tau1, cls)
+        assert symbolic_twisted_euler_factor(once, cls) == s
+        assert symbolic_twisted_euler_factor(twice, cls) == _tpoly_mul(s, s)
+    # tau1 - tau2 holds tau2 -1 times; delta, 1 at the identity and 0 elsewhere,
+    # is the regular character over |G| and holds each psi psi(1) / 63 times
+    classes = conjugacy_classes(G63)
+    delta = VirtualCharacter(G63, [C.from_rational(1)] + [C.from_rational(0)] * (len(classes) - 1))
+    for chi in (VirtualCharacter.of(tau1) - tau2, delta):
+        for cls in (classes[0], order7_class(G63)):
+            with pytest.raises(ValueError, match="negative parts"):
+                twisted_euler_factor(-2, 5, chi, cls)
+            with pytest.raises(ValueError, match="genuine character"):
+                symbolic_twisted_euler_factor(chi, cls)
+
+
+def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
+    """det(1 - M T) has degree D = 2 chi(1), so a full factor reads chi(g^s) for s <= D alone."""
+    G = make_group(31, 3, 2)  # no other test reads a factor on this group
+    tau = one_faithful_character(G)
+    calls = 0
+    power = MetacyclicParams.power
+
+    def counted(self, g, k):
+        nonlocal calls
+        calls += 1
+        return power(self, g, k)
+
+    monkeypatch.setattr(MetacyclicParams, "power", counted)
+    for x, y in ((1, 0), (1, 1), (0, 1)):
+        cls = G.conj_class(GroupElement(x, y))
+        assert cls.element_order > 7
+        calls = 0
+        assert twisted_euler_factor(-2, 5, tau, cls).degree == 6
+        assert calls == 7
+        calls = 0
+        assert len(symbolic_twisted_euler_factor(tau, cls)) == 7
+        assert calls == 7
+
+
 @pytest.mark.parametrize("G", [G21, G63, make_group(7, 3, 3)], ids=str)
 def test_integer_tower_series_matches_field_factors(G):
     n = G.n
@@ -483,13 +502,6 @@ def test_tower_series_integrality_error_names_group_and_prime(monkeypatch):
     with pytest.raises(InternalCheckError, match="not integral") as err:
         _tower_series(G21, datum, -2, 5, 2)
     assert "v = 5" in str(err.value) and "(7, 3, 1, 2)" in str(err.value)
-
-
-def test_series_and_identity_invert_no_character():
-    _multiplicities.cache_clear()
-    dirichlet_partial(E_MINUS_X, G63, trivial_character(G63), EXAMPLE_F1, 300)
-    assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G63, 300).holds
-    assert _multiplicities.cache_info().misses == 0
 
 
 def test_local_factors_read_chi_only_at_the_powers_they_use(monkeypatch):

@@ -1,11 +1,12 @@
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from schurgate.cyclotomic import CyclotomicNumber
+from schurgate.cyclotomic import CyclotomicNumber, InternalCheckError
 from schurgate.groups import (
     conjugacy_classes,
     iter_valid_groups,
@@ -195,6 +196,13 @@ def test_multiplicity_divisibility_scaled_regular():
     rho = 2 * VirtualCharacter.of(regular_character(G1539))
     chk = multiplicity_divisibility_check(G1539, tau, rho)
     assert chk == (18, 9, True)
+
+
+def test_multiplicity_divisibility_names_a_virtual_character_with_a_fractional_part():
+    tau = one_faithful_character(G21)
+    half = VirtualCharacter(G21, [c * Fraction(1, 2) for c in regular_character(G21).values])
+    with pytest.raises(InternalCheckError, match=r"multiplicity 3/2 in a virtual character must be an integer"):
+        multiplicity_divisibility_check(G21, tau, half)
 
 
 def test_multiplicity_divisibility_rejects_irrational():
