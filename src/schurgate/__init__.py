@@ -11,7 +11,7 @@ _EXPORTS = {
     "cyclotomic": "AbelianField ConductorOverflowError CyclotomicNumber euler_phi field_of_values",
     "groups": "ConjClass GroupElement InternalCheckError MetacyclicParams PsiDescriptor Subgroup "
               "conjugacy_classes iter_valid_groups make_group subgroup_X tower_subgroups",
-    "characters": "Character VirtualCharacter character_field faithful_characters "
+    "characters": "Character character_field faithful_characters "
                   "formula_field induce_from_X inner_product irreducible_characters is_faithful "
                   "one_faithful_character permutation_character "
                   "quotient_identity_virtual_character regular_character tensor_decompose "

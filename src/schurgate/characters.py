@@ -10,7 +10,11 @@ psi(a^x b^{p^r y}) = zeta_q^{u x} * zeta_{p^{n-r}}^{w y}.
 A character is its descriptor plus a closed-form evaluator at a class:
 induced values vanish off X and on X equal a Gaussian period times a root of
 unity.  A factor or a series reads the classes it names, at any n; the table
-over all classes is built only when ``values`` is first read.  Inner products
+over all classes is built only when ``values`` is first read.  The two sides
+of the tower identity are characters of the same kind: four permutation
+characters added at a class, and the tower coefficient times the faithful
+sum, a product of two Ramanujan sums.  They are compared at one class per
+type, at most 2(n + 1), so the identity reads no table either.  Inner products
 accumulate an integer convolution buffer at the common conductor and reduce
 once, which is what makes full-table orthogonality sweeps affordable.
 """
@@ -23,17 +27,16 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .cyclotomic import AbelianField, CyclotomicNumber, _check_conductor, _from_buffer, _mul_into
-# the psi calculus (PsiDescriptor to tower_coefficient) reads only (q, p, n, r)
+# the psi calculus (PsiDescriptor to faithful_count) reads only (q, p, n, r)
 # and the H-orbits, so it lives in groups; it is re-exported from here
 from .groups import (  # noqa: F401
     ConjClass, GroupElement, InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup,
     _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_descriptors,
-    one_faithful_descriptor, psi_is_faithful, tower_coefficient, tower_subgroups,
+    faithful_count, one_faithful_descriptor, psi_is_faithful, tower_coefficient, tower_subgroups,
 )
 
 __all__ = [
     "Character",
-    "VirtualCharacter",
     "irreducible_characters",
     "faithful_characters",
     "induce_from_X",
@@ -59,32 +62,17 @@ _ZERO = CyclotomicNumber.from_rational(0)
 _IDENTITY = ConjClass(GroupElement(0, 0), 1, 1)
 
 
-class _ClassFunction:
-    """What characters and virtual characters share: chi(g) read at the class of g,
-    value-wise equality, and a hash that reads only the value at 1, so agrees with it."""
-
-    __slots__ = ()
-
-    def __call__(self, g: GroupElement) -> CyclotomicNumber:
-        return self.at(self.group.conj_class(g))
-
-    def __eq__(self, other):
-        if not isinstance(other, _ClassFunction):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.at(_IDENTITY)))
-
-
-class Character(_ClassFunction):
+class Character:
     """A class function on G with cyclotomic values, read at a class in closed form.
 
     ``provenance`` records how the character arose:
     ("one_dimensional", e), ("lifted_from_quotient", level, u, w),
-    ("induced", u, w), ("permutation", label) or ("regular",).  ``at`` maps a
-    ConjClass to the value there; ``values``, the table over conjugacy_classes,
-    is built from it on first use and kept.
+    ("induced", u, w), ("permutation", label), ("regular",), or a side of
+    the tower identity, ("tower_quotient",) or ("faithful_sum", coefficient).
+    ``at`` maps a ConjClass to the value there; chi(g) reads it at the class
+    of g.  ``values``, the table over conjugacy_classes, is built from it on
+    first use and kept.  Equality is value-wise, and the hash reads only the
+    value at 1, so agrees with it.
     """
 
     __slots__ = ("group", "provenance", "at", "_values")
@@ -94,6 +82,17 @@ class Character(_ClassFunction):
         self.provenance = tuple(provenance)
         self.at = at
         self._values = None
+
+    def __call__(self, g: GroupElement) -> CyclotomicNumber:
+        return self.at(self.group.conj_class(g))
+
+    def __eq__(self, other):
+        if not isinstance(other, Character):
+            return NotImplemented
+        return self.group == other.group and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.group, self.at(_IDENTITY)))
 
     @property
     def values(self) -> tuple[CyclotomicNumber, ...]:
@@ -130,48 +129,6 @@ class Character(_ClassFunction):
             "provenance": list(self.provenance),
             "values": [v.to_json() for v in self.values],
         }
-
-
-class VirtualCharacter(_ClassFunction):
-    """Integer linear combination of characters, stored value-wise and read by class."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: MetacyclicParams, values):
-        self.group = group
-        self.values = tuple(values)
-
-    def at(self, cls: ConjClass) -> CyclotomicNumber:
-        return self.values[_class_index(self.group)[cls.rep]]
-
-    @classmethod
-    def zero(cls, group: MetacyclicParams) -> "VirtualCharacter":
-        return cls(group, (_ZERO,) * len(conjugacy_classes(group)))
-
-    @classmethod
-    def of(cls, chi: Character) -> "VirtualCharacter":
-        return cls(chi.group, chi.values)
-
-    def _pairs(self, other):
-        """Value pairs with a character or virtual character on the same group."""
-        if self.group != other.group:
-            raise ValueError("virtual characters live on different groups")
-        return zip(self.values, other.values)
-
-    def __add__(self, other):
-        return VirtualCharacter(self.group, tuple(a + b for a, b in self._pairs(other)))
-
-    def __sub__(self, other):
-        return VirtualCharacter(self.group, tuple(a - b for a, b in self._pairs(other)))
-
-    def __rmul__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        return VirtualCharacter(self.group, tuple(k * v for v in self.values))
-
-    @property
-    def degree(self) -> Fraction:
-        return self.values[0].rational_value()
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +353,55 @@ def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     return Character(G, ("permutation", H.label), at)
 
 
+def _ramanujan_sum(pk: int, p: int, m: int) -> int:
+    """c_{p^k}(m), the sum of zeta_{p^k}^{w m} over the units w mod pk = p^k (c_1 = 1).
+
+    It is p^k - p^{k-1} when p^k | m, -p^{k-1} when p^{k-1} | m but p^k does
+    not, and 0 otherwise; for a prime q, c_q(x) is q - 1 at x = 0 and -1 elsewhere.
+    """
+    if m % pk == 0:
+        return pk - pk // p if pk > 1 else 1
+    return -(pk // p) if m % (pk // p) == 0 else 0
+
+
+def _faithful_sum(G: MetacyclicParams, coefficient: int) -> Character:
+    """coefficient times the sum of the faithful irreducibles, as a product of Ramanujan sums.
+
+    The faithful characters are induced from psi = (u, w), u over the minimal
+    H-orbit representatives of the units mod q and w over the units mod
+    p^{n-r} (w = 0 when n = r).  Each vanishes off X, that is at (x, y) with
+    p^r not dividing y, and at (x, y) in X equals
+    sum_{h in H} zeta_q^{u h x} * zeta_{p^{n-r}}^{w y / p^r}.  As u runs over
+    the representatives and h over H, u h runs over every unit mod q once,
+    and w runs over every unit mod p^{n-r}, so the sum is the product
+    c_q(x) * c_{p^{n-r}}(y / p^r) of two Ramanujan sums (Hardy and Wright,
+    An Introduction to the Theory of Numbers, 16.6).  It is a rational integer.
+    """
+    q, p, pr, pmr = G.q, G.p, G.pr, G.pn // G.pr
+
+    def at(c: ConjClass) -> CyclotomicNumber:
+        x, y = c.rep
+        if y % pr:
+            return _ZERO
+        return CyclotomicNumber.from_rational(
+            coefficient * _ramanujan_sum(q, q, x) * _ramanujan_sum(pmr, p, y // pr)
+        )
+    return Character(G, ("faithful_sum", coefficient), at)
+
+
 class QuotientIdentity(NamedTuple):
-    """Both sides of the tower permutation-character identity.
+    """Both sides of the tower permutation-character identity, each a character in closed form.
 
     lhs = reg + perm(K_{n-1}) - perm(K_n) - perm(F_{n-1}) decomposes as
-    ``coefficient`` times the sum of all faithful irreducibles.  The
+    ``coefficient`` times the sum of all faithful irreducibles, the rhs.  The
     coefficient is p^r for n > r; in the degenerate tower base n = r it drops
     to p^r - p^{r-1}, because perm(F_{n-1}) already contains each faithful
     character p^{r-1} times.
     """
 
     group: MetacyclicParams
-    lhs: VirtualCharacter
-    rhs: VirtualCharacter
+    lhs: Character
+    rhs: Character
     equal: bool
     coefficient: int
     faithful_count: int
@@ -424,22 +417,30 @@ class QuotientIdentity(NamedTuple):
 
 
 def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity:
+    """The tower identity, its two sides compared at one class of each type they tell apart.
+
+    The lhs adds the four permutation characters at a class (reg is perm(F_n));
+    the rhs is ``_faithful_sum``.  Both depend on the class of (x, y) only
+    through whether x = 0 and through v_p(y): the permutation characters by
+    the ``permutation_character`` docstring, the rhs by its Ramanujan sums.
+    So they agree everywhere iff they agree at (0, p^k) for k = 0..n, and at
+    (1, p^k) when p^r | p^k (x != 0 is its own class only on X): at most
+    2(n + 1) classes, whatever the class count.
+    """
     towers = {s.label: s for s in tower_subgroups(G)}
     n = G.n
-    lhs = (
-        VirtualCharacter.of(permutation_character(G, towers[f"F{n}"]))
-        + permutation_character(G, towers[f"K{n - 1}"])
-        - permutation_character(G, towers[f"K{n}"])
-        - permutation_character(G, towers[f"F{n - 1}"])
+    reg, k_below, k_top, f_below = (
+        permutation_character(G, towers[label]) for label in (f"F{n}", f"K{n - 1}", f"K{n}", f"F{n - 1}")
     )
-    faith = faithful_characters(G)
+    lhs = Character(G, ("tower_quotient",), lambda c: reg.at(c) + k_below.at(c) - k_top.at(c) - f_below.at(c))
     coeff = tower_coefficient(G)
-    rhs = coeff * sum(faith, VirtualCharacter.zero(G))
+    rhs = _faithful_sum(G, coeff)
+    types = (GroupElement(x, G.p ** k % G.pn) for k in range(n + 1) for x in ((0, 1) if k >= G.r else (0,)))
     return QuotientIdentity(
         group=G,
         lhs=lhs,
         rhs=rhs,
-        equal=lhs == rhs,
+        equal=all(lhs.at(c) == rhs.at(c) for c in map(G.conj_class, types)),
         coefficient=coeff,
-        faithful_count=len(faith),
+        faithful_count=faithful_count(G),
     )

@@ -17,8 +17,8 @@ import sys
 from _json import encode_basestring_ascii as _encode_str  # the C encoder json.encoder binds
 
 from .groups import (
-    GroupElement, InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_descriptors,
-    iter_valid_groups, make_group, one_faithful_descriptor, tower_subgroups,
+    GroupElement, InternalCheckError, PsiDescriptor, conjugacy_classes, faithful_count,
+    faithful_descriptors, iter_valid_groups, make_group, one_faithful_descriptor, tower_subgroups,
 )
 
 # every other module is imported by the handlers that use it, so that a job
@@ -296,12 +296,13 @@ def _parse_character(G, spec: str):
 
 
 def cmd_series(args) -> int:
-    from .frobenius import resolve_field_poly
+    from .frobenius import check_field_degree, resolve_field_poly
     from .lseries import dirichlet_partial
 
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
+    check_field_degree(poly, G)  # before the character, whose Gauss periods cost O(q^2)
     chi = _parse_character(G, args.character)
     series = dirichlet_partial(E, G, chi, poly, args.X, pick_first=args.pick_first)
     payload = {
@@ -319,12 +320,13 @@ def cmd_series(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    from .frobenius import resolve_field_poly
+    from .frobenius import check_field_degree, resolve_field_poly
     from .lseries import identity_series_check
 
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
+    check_field_degree(poly, G)
     chk = identity_series_check(E, poly, G, args.X)
     qi = chk.quotient
     where = f"{G.spec}, curve {args.curve}, field {args.field}, X = {args.X}"
@@ -363,7 +365,6 @@ def _sweep_one(G, idx: int, faithful: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from .predictions import faithful_count
     from .schur import qadic_class_order
 
     if args.max < 1:

@@ -29,13 +29,12 @@ closed forms that ``characters`` reads fields off.  It works by orbit-stabilizer
 each value's orbit under generators of the units fixing the values before it
 gives Schreier generators of its stabilizer, not a scan of all phi(m) units.
 
-No floating point is used anywhere except ``CyclotomicNumber.to_complex``,
-which exists for display and numeric sanity checks only.
+No floating point is used anywhere: the complex embedding that numeric
+sanity checks compare against is a test oracle, not part of the package.
 """
 
 from __future__ import annotations
 
-import cmath
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -401,21 +400,7 @@ class CyclotomicNumber:
         # an automorphism of Z[zeta_m] keeps the minimal conductor and the content
         return CyclotomicNumber._make(m, self.den, tuple(_image(m, self._nz(), k)))
 
-    def conjugate(self) -> "CyclotomicNumber":
-        return self.galois(-1)
-
     # -- misc -----------------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        """Float embedding with zeta_m = exp(2*pi*i/m); display and diagnostics only."""
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        acc = 0j
-        pw = 1 + 0j
-        for c in self.num:
-            if c:
-                acc += (c / self.den) * pw
-            pw *= z
-        return acc
 
     def to_json(self) -> dict:
         den = self.den

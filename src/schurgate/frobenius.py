@@ -35,6 +35,7 @@ from .groups import ConjClass, GroupElement, MetacyclicParams, _psi_orbit_reps, 
 __all__ = [
     "EXAMPLE_F1",
     "FrobeniusDatum",
+    "check_field_degree",
     "frobenius_datum",
     "factor_pattern",
     "cyclotomic_exponent",
@@ -316,6 +317,12 @@ def cyclotomic_exponent(v: int, p: int, n: int) -> int:
     return e * pow(unit * (p - 1), -1, pn) % pn
 
 
+def check_field_degree(coeffs, G: MetacyclicParams) -> None:
+    """Refuse a field polynomial whose degree is not q; it needs no other work, so callers run it first."""
+    if len(coeffs) - 1 != G.q:
+        raise ValueError(f"field polynomial has degree {len(coeffs) - 1}, expected q = {G.q}")
+
+
 class FrobeniusDatum(NamedTuple):
     v: int
     order_in_G: int
@@ -349,10 +356,7 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     factors f, to name the pattern in the error.
     """
     q = G.q
-    if len(coeffs) - 1 != q:
-        raise ValueError(
-            f"field polynomial has degree {len(coeffs) - 1}, expected q = {q}"
-        )
+    check_field_degree(coeffs, G)
     if v in (G.p, q):
         raise ValueError(f"{v} is a ramified structural prime for this group")
     frob = _frobenius_map(coeffs, v)

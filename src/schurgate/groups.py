@@ -48,6 +48,7 @@ __all__ = [
     "faithful_descriptors",
     "one_faithful_descriptor",
     "tower_coefficient",
+    "faithful_count",
 ]
 
 
@@ -402,3 +403,10 @@ def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:
 def tower_coefficient(G: MetacyclicParams) -> int:
     """Multiple of the faithful sum in the tower identity: p^r, or p^r - p^{r-1} if n = r."""
     return G.pr if G.n > G.r else G.pr - G.pr // G.p
+
+
+def faithful_count(G: MetacyclicParams) -> int:
+    """(q-1) phi(p^{n-r}) / p^r: the number of faithful irreducible characters."""
+    pmr = G.pn // G.pr
+    phi = pmr - pmr // G.p if pmr > 1 else 1
+    return (G.q - 1) * phi // G.pr

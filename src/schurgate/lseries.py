@@ -25,8 +25,9 @@ ones are refused, and no character is inverted.  The full Euler factors
 (``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) take the same
 recursion with sign -1 up to D = 2 chi(1), the degree of det(1 - M T), so
 they read chi(g^s) only for s <= D and never compute an eigenvalue of
-tau(g).  A Character is genuine; a virtual character is accepted only when
-its inner product with every irreducible is a nonnegative integer.
+tau(g).  A Character is genuine, the tower identity's rhs included; any
+other class function is accepted only when its inner product with every
+irreducible is a nonnegative integer.
 
 Each prime is decided once.  One smallest-prime-factor sieve per X gives
 the primes; v is good when it is odd, not p or q, and divides neither disc(E)
@@ -120,8 +121,9 @@ def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
 def _determinant(chi, cls: ConjClass, a, v, one, refusal: str) -> list:
     """det(1 - (A_v (x) chi(g)) T) in full, degree D = 2 chi(1), from the traces tr_s, s <= D.
 
-    A Character is genuine; a virtual character must have a nonnegative
-    integer multiplicity of every irreducible, or it is refused.
+    A Character is genuine; any other class function (a value table passed
+    through the Python API) must have a nonnegative integer multiplicity of
+    every irreducible, or it is refused.
     """
     if not isinstance(chi, Character):
         parts = [inner_product(chi, psi) for psi in irreducible_characters(chi.group)]
@@ -371,7 +373,7 @@ def _local_data(E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int):
 def _resolve_local_factor(
     chi, datum: FrobeniusDatum, av: int, v: int, kmax: int, pick_first: bool = False
 ) -> list:
-    """b_0..b_kmax of the local L-series of a (virtual) character twist at v;
+    """b_0..b_kmax of the local L-series of a character twist at v;
     every candidate class must agree unless pick_first takes the smallest."""
     candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
     if pick_first:
@@ -393,7 +395,7 @@ def dirichlet_partial(
 ) -> DirichletSeries:
     """Coefficients of the twisted L-series over good primes up to X.
 
-    chi may be a Character or VirtualCharacter on G.  Bad and ramified
+    chi is a Character on G, or a class function read the same way.  Bad and ramified
     primes contribute the factor 1.  An ambiguous Frobenius class must give
     the same factor at every candidate, unless pick_first takes the smallest.
     """
@@ -455,7 +457,7 @@ class IdentityCheck(NamedTuple):
     holds: bool
     primes_used: int
     first_mismatch: int | None
-    quotient: QuotientIdentity  # the virtual-character side; not part of the JSON
+    quotient: QuotientIdentity  # the closed-form character side; not part of the JSON
 
     def to_json(self) -> dict:
         return {
@@ -475,8 +477,9 @@ def identity_series_check(
 
     Left side: L(E/F_n) L(E/K_{n-1}) / (L(E/K_n) L(E/F_{n-1})) built purely
     from splitting patterns (pattern route).  Right side: the product over
-    faithful tau of L(E, tau)^coefficient via character values (character
-    route).  Good primes only; both sides are symmetric under the Frobenius
+    faithful tau of L(E, tau)^coefficient, one twist by the closed-form rhs
+    of the character identity, whose values are integers (character route).
+    Good primes only; both sides are symmetric under the Frobenius
     class ambiguity, which is verified, not assumed.
     """
     local = _local_data(E, field_coeffs, G, X)

@@ -22,6 +22,7 @@ from .groups import (
     InternalCheckError,
     MetacyclicParams,
     PsiDescriptor,
+    faithful_count,
     faithful_descriptors,
     one_faithful_descriptor,
     tower_coefficient,
@@ -31,18 +32,11 @@ from .schur import global_index
 if TYPE_CHECKING:
     from .characters import Character
 
-__all__ = ["PredictionReport", "prediction_report", "faithful_count", "tower_modulus"]
+__all__ = ["PredictionReport", "prediction_report", "tower_modulus"]
 
 HYP_BSD = "BSD-Deligne-Gross"
 HYP_SHA = "Sha-finite"
 HYP_GALOIS_EQUIV = "Galois-equivariance-of-L-values"
-
-
-def faithful_count(G: MetacyclicParams) -> int:
-    """(q-1) phi(p^{n-r}) / p^r: the number of faithful irreducible characters."""
-    pmr = G.pn // G.pr
-    phi = pmr - pmr // G.p if pmr > 1 else 1
-    return (G.q - 1) * phi // G.pr
 
 
 def tower_modulus(G: MetacyclicParams) -> int:

@@ -5,14 +5,17 @@ integers, what the package derives in closed form; the group-level ones are
 gated to order <= BRUTE_FORCE_LIMIT.  The package describes a subgroup only
 by its generators, so its elements are found here by closing them under
 the group law (mul), and psi and the restriction to X are evaluated element by element.
-The L-series ones are the package's earlier direct routes: Fourier
+A virtual character here is a value table (VirtualCharacter): induction,
+permutation characters and the tower identity's faithful sum are returned
+as tables summed class by class.  The L-series ones are the package's earlier direct routes: Fourier
 inversion, in integers and in CyclotomicNumber arithmetic, Dirichlet assembly by one
 convolution pass per prime, local factors as products of quadratic blocks
 (one per eigenvalue, or one per residue degree) expanded by power-series
 inversion, evaluation of symbolic factors, and explicit monomial matrices
 for a faithful character.  The cyclotomic ones lift values densely,
 multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
-values by applying every unit.  The local ones count points naively, one
+values by applying every unit; to_complex embeds a value in the complex
+numbers for numeric checks.  The local ones count points naively, one
 quadratic in y per x, factor polynomials mod v with sympy, and find good
 primes by trial division.  The group-law helpers (identity, mul, elements,
 conjugate, index_in, value_at) are the element-level views that the
@@ -22,6 +25,7 @@ multiplicative order by stepping through powers, and the cyclotomic
 exponent by stepping through the powers of 1 + p.
 """
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -41,9 +45,12 @@ from schurgate.groups import (
     conjugacy_classes,
     is_prime,
     subgroup_X,
+    tower_coefficient,
     vp,
 )
-from schurgate.characters import Character, PsiDescriptor, VirtualCharacter, inner_product, irreducible_characters
+from schurgate.characters import (
+    Character, PsiDescriptor, faithful_characters, inner_product, irreducible_characters,
+)
 from schurgate.lseries import DirichletSeries
 
 BRUTE_FORCE_LIMIT = 10 ** 4
@@ -81,6 +88,65 @@ def value_at(chi, g: GroupElement) -> CyclotomicNumber:
     """chi(g), read from the class of g."""
     G = chi.group
     return chi.values[_class_index(G)[G.class_of(g)]]
+
+
+class VirtualCharacter:
+    """Integer linear combination of characters, stored value-wise and read by class.
+
+    It reads like a Character (group, values, at, chi(g), degree), so the
+    package's inner products and factors take it; equality is value-wise.
+    """
+
+    __slots__ = ("group", "values")
+
+    def __init__(self, group: MetacyclicParams, values):
+        self.group = group
+        self.values = tuple(values)
+
+    def at(self, cls: ConjClass) -> CyclotomicNumber:
+        return self.values[_class_index(self.group)[cls.rep]]
+
+    def __call__(self, g: GroupElement) -> CyclotomicNumber:
+        return self.at(self.group.conj_class(g))
+
+    def __eq__(self, other):
+        if not isinstance(other, VirtualCharacter):
+            return NotImplemented
+        return self.group == other.group and self.values == other.values
+
+    @classmethod
+    def zero(cls, group: MetacyclicParams) -> "VirtualCharacter":
+        return cls(group, (_ZERO,) * len(conjugacy_classes(group)))
+
+    @classmethod
+    def of(cls, chi: Character) -> "VirtualCharacter":
+        return cls(chi.group, chi.values)
+
+    def _pairs(self, other):
+        """Value pairs with a character or virtual character on the same group."""
+        if self.group != other.group:
+            raise ValueError("virtual characters live on different groups")
+        return zip(self.values, other.values)
+
+    def __add__(self, other):
+        return VirtualCharacter(self.group, tuple(a + b for a, b in self._pairs(other)))
+
+    def __sub__(self, other):
+        return VirtualCharacter(self.group, tuple(a - b for a, b in self._pairs(other)))
+
+    def __rmul__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        return VirtualCharacter(self.group, tuple(k * v for v in self.values))
+
+    @property
+    def degree(self) -> Fraction:
+        return self.values[0].rational_value()
+
+
+def faithful_sum_by_values(G: MetacyclicParams) -> VirtualCharacter:
+    """tower_coefficient(G) times the sum of the faithful irreducibles, added up value by value."""
+    return tower_coefficient(G) * sum(faithful_characters(G), VirtualCharacter.zero(G))
 
 
 def subgroup_elements(G: MetacyclicParams, H: Subgroup) -> frozenset[GroupElement]:
@@ -561,11 +627,28 @@ def mat_trace(A) -> CyclotomicNumber:
     return acc
 
 
+def to_complex(x: CyclotomicNumber) -> complex:
+    """Float embedding with zeta_m = exp(2*pi*i/m); numeric sanity checks only."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    acc = 0j
+    pw = 1 + 0j
+    for c in x.num:
+        if c:
+            acc += (c / x.den) * pw
+        pw *= z
+    return acc
+
+
+def complex_conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
+    """The complex conjugate of x: its image under zeta_m -> zeta_m^-1."""
+    return x.galois(-1)
+
+
 def reciprocal_root_magnitudes(factor: EulerFactor) -> list[float]:
     """|lambda| for the reciprocal roots of the factor, in floating point."""
     import numpy as np
 
-    coeffs = [c.to_complex() for c in factor.poly]
+    coeffs = [to_complex(c) for c in factor.poly]
     roots = np.roots(list(reversed(coeffs)))
     return sorted(abs(1.0 / r) for r in roots)
 

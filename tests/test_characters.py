@@ -4,10 +4,12 @@ from math import gcd, lcm
 import pytest
 
 from oracles import (
+    VirtualCharacter,
     conjugate_psi,
     decompose,
     dense_galois,
     elements,
+    faithful_sum_by_values,
     field_of_values_all_units,
     index_in,
     induce_brute,
@@ -28,7 +30,6 @@ from schurgate.groups import (
 )
 from schurgate.characters import (
     PsiDescriptor,
-    VirtualCharacter,
     character_field,
     faithful_characters,
     formula_field,
@@ -289,7 +290,7 @@ def test_permutation_character_rationality_and_tower():
 def test_permutation_character_matches_coset_enumeration():
     for G in iter_valid_groups(700):
         for sub in tower_subgroups(G) + [subgroup_X(G)]:
-            assert permutation_character(G, sub) == permutation_character_brute(G, sub)
+            assert permutation_character(G, sub).values == permutation_character_brute(G, sub).values
 
 
 def test_evaluator_agrees_with_the_table_at_every_element():
@@ -326,6 +327,32 @@ def test_quotient_identity_r2():
     Gd = make_group(19, 3, 2, 4)  # degenerate n = r = 2
     qid = quotient_identity_virtual_character(Gd)
     assert qid.equal and qid.coefficient == 6  # p^r - p^{r-1}
+
+
+def test_closed_form_identity_matches_the_value_wise_faithful_sum():
+    # 116 groups, r = 1 and 2, with 96 of them in the degenerate case n = r
+    for G in iter_valid_groups(500):
+        qi = quotient_identity_virtual_character(G)
+        want = faithful_sum_by_values(G).values
+        assert qi.equal and qi.rhs.values == want and qi.lhs.values == want, G
+        assert qi.faithful_count == len(faithful_characters(G)), G
+
+
+def test_identity_compares_the_sides_at_few_classes_and_sees_a_broken_side(monkeypatch):
+    import schurgate.characters as characters
+    from schurgate.groups import MetacyclicParams
+
+    G = make_group(7, 3, 12)  # 265,721 classes
+    seen = []
+    conj_class = MetacyclicParams.conj_class
+    monkeypatch.setattr(MetacyclicParams, "conj_class", lambda self, g: seen.append(g) or conj_class(self, g))
+    assert quotient_identity_virtual_character(G).equal
+    # one class per type: (0, 3^k) for k = 0..n, and (1, 3^k) where 3^r = 3 divides 3^k
+    want = [(x, 3 ** k % G.pn) for k in range(G.n + 1) for x in ((0, 1) if k else (0,))]
+    assert sorted(seen) == sorted(want)
+    faithful_sum = characters._faithful_sum
+    monkeypatch.setattr(characters, "_faithful_sum", lambda G, c: faithful_sum(G, c + 1))
+    assert not quotient_identity_virtual_character(G21).equal
 
 
 def test_virtual_character_algebra_and_decompose():

@@ -285,6 +285,15 @@ SERIES_JSON_SHA256 = {
         "42a05cd47cd3d06f5e5825e4821c04ba5e1158b61e82ef27d4a8fe735713ab38",
     "series -n 6 -X 100 --character ind:1,2 --pick-first":
         "9a60a5571d218241c054afea46775707f71ce2f588492e97d1c42b515551d145",
+    # recorded while the rhs of the character identity was a value-wise sum of the faithful characters
+    "identity -n 1 -X 100":
+        "c7a1c93371e34b143882ff6232126462e417411fc8695aa1c3c9fd11e72f7986",
+    "identity -n 2 -X 100":
+        "36b01e369a9a194517e6cc8a3ef2b5c7a22665af03fc5f34250bca53812a377d",
+    "identity -n 4 -X 100":
+        "2bf4c3ab15e77b8e4126dd3482721ef9bf90d7c602443b008dcb27b2f96acd82",
+    "identity -n 5 -X 100":
+        "73f55f5c453fda70c24fb05fb294d719a5d0eddd2baa1674477fb33093770034",
 }
 
 
@@ -331,6 +340,26 @@ def test_few_class_commands_build_no_class_list(capsys, monkeypatch):
     code, out, _ = run(capsys, *series.split(), "--curve", "0,0,0,-1,0", "--format", "json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[series]
     hash(one_faithful_character(make_group(7, 3, 12)))  # reads the value at 1 alone
+    # the identity reads its two sides in closed form, and no irreducible table either
+    monkeypatch.setattr(characters, "irreducible_characters", refuse)
+    code, out, _ = run(capsys, *"identity -n 12 -X 100 --curve 0,0,0,-1,0 --format json".split())
+    payload = json.loads(out)
+    assert code == 0 and payload["virtual_character_identity"]["equal"] and payload["series_identity"]["holds"]
+
+
+@pytest.mark.parametrize("command", [
+    "series --character ind:1,0 --pick-first",
+    "identity",
+])
+def test_field_degree_is_refused_before_any_character_is_built(capsys, monkeypatch, command):
+    import schurgate.characters as characters
+
+    def refuse(G):
+        raise AssertionError(f"Gauss periods of {G} built")
+
+    monkeypatch.setattr(characters, "_gauss_periods", refuse)
+    argv = [*command.split(), "--curve", "0,0,0,-1,0", "-q", "1009", "-p", "3", "-n", "1", "-X", "100"]
+    assert run(capsys, *argv) == (2, "", "error: field polynomial has degree 7, expected q = 1009\n")
 
 
 def test_ambiguous_series_is_refused_at_the_first_prime_that_tells_the_candidates_apart(capsys):
@@ -568,7 +597,7 @@ def test_decompose_error_names_group_and_character(monkeypatch):
     from schurgate.cyclotomic import InternalCheckError
 
     G = make_group(7, 3, 1, 2)
-    v = characters.VirtualCharacter.of(characters.trivial_character(G))
+    v = oracles.VirtualCharacter.of(characters.trivial_character(G))
     monkeypatch.setattr(oracles, "inner_product", lambda a, b: Fraction(1, 2))
     with pytest.raises(InternalCheckError, match=r"1/2 of lin\[0\].*\(q, p, n, j\) = \(7, 3, 1, 2\)"):
         oracles.decompose(v)

@@ -1,10 +1,12 @@
 import cmath
+import functools
 import random
 
 import numpy as np
 import pytest
 
 from oracles import (
+    VirtualCharacter,
     assemble_by_convolution,
     block_euler_factor,
     block_local_factor,
@@ -20,6 +22,7 @@ from oracles import (
     mat_trace,
     monomial_model,
     reciprocal_root_magnitudes,
+    to_complex,
     tpoly_mul,
 )
 from schurgate.cyclotomic import InternalCheckError, prime_factors
@@ -28,7 +31,6 @@ from schurgate.groups import (
     GroupElement, MetacyclicParams, _class_index, conjugacy_classes, is_prime, make_group, tower_subgroups,
 )
 from schurgate.characters import (
-    VirtualCharacter,
     _linear_character,
     faithful_characters,
     irreducible_characters,
@@ -297,7 +299,7 @@ def test_multiplicities_match_numeric_eigenvalues():
             for cls in conjugacy_classes(G):
                 d = cls.element_order
                 mat = element_matrix(G, model, cls.rep)
-                eig = np.linalg.eigvals(np.array([[c.to_complex() for c in row] for row in mat]))
+                eig = np.linalg.eigvals(np.array([[to_complex(c) for c in row] for row in mat]))
                 counts: dict[int, int] = {}
                 for lam in eig:
                     k = round(cmath.phase(lam) * d / (2 * cmath.pi)) % d
@@ -448,6 +450,27 @@ def test_virtual_characters_give_the_factors_of_their_constituents():
                 twisted_euler_factor(-2, 5, chi, cls)
             with pytest.raises(ValueError, match="genuine character"):
                 symbolic_twisted_euler_factor(chi, cls)
+
+
+def test_identity_rhs_factors_are_the_faithful_factors_to_the_coefficient():
+    """The rhs is a genuine reducible Character, taken by the factors without an inner product.
+
+    Numeric factors are compared at every class of C7:C3 and C7:C9, symbolic
+    ones at every class of C7:C3 and at the classes of C7:C9 off X: on X the
+    degree-72 symbolic factor costs seconds per class.
+    """
+    for G in (G21, G63):
+        qi = quotient_identity_virtual_character(G)
+        faithful = faithful_characters(G)
+        for cls in conjugacy_classes(G):
+            want = functools.reduce(_tpoly_mul, [list(twisted_euler_factor(-2, 5, tau, cls).poly) for tau in faithful])
+            want = functools.reduce(_tpoly_mul, [want] * qi.coefficient)
+            assert list(twisted_euler_factor(-2, 5, qi.rhs, cls).poly) == want, (G, cls)
+            if G is G63 and cls.rep.y % G.pr == 0:
+                continue
+            want = functools.reduce(_tpoly_mul, [symbolic_twisted_euler_factor(tau, cls) for tau in faithful])
+            want = functools.reduce(_tpoly_mul, [want] * qi.coefficient)
+            assert symbolic_twisted_euler_factor(qi.rhs, cls) == want, (G, cls)
 
 
 def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):

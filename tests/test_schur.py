@@ -14,8 +14,8 @@ from schurgate.groups import (
     subgroup_X,
     tower_subgroups,
 )
+from oracles import VirtualCharacter
 from schurgate.characters import (
-    VirtualCharacter,
     _inverse_class_map,
     character_field,
     faithful_characters,
