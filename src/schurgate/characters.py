@@ -9,12 +9,13 @@ psi(a^x b^{p^r y}) = zeta_q^{u x} * zeta_{p^{n-r}}^{w y}.
 
 A character is its descriptor plus a closed-form evaluator at a class:
 induced values vanish off X and on X equal a Gaussian period times a root of
-unity.  A factor or a series reads the classes it names, at any n; the table
-over all classes is built only when ``values`` is first read.  The two sides
-of the tower identity are characters of the same kind: four permutation
-characters added at a class, and the tower coefficient times the faithful
-sum, a product of two Ramanujan sums.  They are compared at one class per
-type, at most 2(n + 1), so the identity reads no table either.  Inner products
+unity, each period built and kept on the first read of its index.  A factor
+or a series reads the classes it names, at any n and q; the table over all
+classes is built only when ``values`` is first read.  The two sides of the
+tower identity are characters of the same kind: four permutation characters
+added at a class, and the tower coefficient times the faithful sum, a
+product of two Ramanujan sums.  They are compared at one class per type, at
+most 2(n + 1), so the identity reads no table either.  Inner products
 accumulate an integer convolution buffer at the common conductor and reduce
 once, which is what makes full-table orthogonality sweeps affordable.
 """
@@ -142,16 +143,12 @@ def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gauss_periods(G: MetacyclicParams) -> tuple[CyclotomicNumber, ...]:
-    """gauss[t] = sum over the order-p^r subgroup H of zeta_q^{t s}."""
-    H = _p_power_subgroup(G.q, G.p, G.r)
-    out = [CyclotomicNumber.from_rational(G.pr)]
-    for t in range(1, G.q):
-        buf = [0] * G.q
-        for s in H:
-            buf[t * s % G.q] += 1
-        out.append(_from_buffer(G.q, 1, buf))
-    return tuple(out)
+def _gauss_period(G: MetacyclicParams, t: int) -> CyclotomicNumber:
+    """The sum over the order-p^r subgroup H of zeta_q^{t h} (p^r at t = 0), 0 <= t < q."""
+    buf = [0] * G.q
+    for h in _p_power_subgroup(G.q, G.p, G.r):
+        buf[t * h % G.q] += 1
+    return _from_buffer(G.q, 1, buf)
 
 
 def _linear_character(G: MetacyclicParams, e: int) -> Character:
@@ -161,13 +158,13 @@ def _linear_character(G: MetacyclicParams, e: int) -> Character:
 
 def _induced_character(G: MetacyclicParams, level: int, u: int, w: int) -> Character:
     """The degree-p^r character at quotient level m: zero off X, Gaussian on X."""
-    pr, pmr, gauss = G.pr, G.p ** (level - G.r), _gauss_periods(G)
+    pr, pmr = G.pr, G.p ** (level - G.r)
 
     def at(c: ConjClass) -> CyclotomicNumber:
         x, y = c.rep
         if y % pr:
             return _ZERO
-        g = gauss[u * x % G.q]
+        g = _gauss_period(G, u * x % G.q)
         return g * _zeta(pmr, w * (y // pr) % pmr) if pmr > 1 else g
     prov = ("induced", u, w) if level == G.n else ("lifted_from_quotient", level, u, w)
     return Character(G, prov, at)
@@ -207,7 +204,7 @@ def one_faithful_character(G: MetacyclicParams) -> Character:
 
 
 def trivial_character(G: MetacyclicParams) -> Character:
-    return irreducible_characters(G)[0]
+    return _linear_character(G, 0)
 
 
 def regular_character(G: MetacyclicParams) -> Character:

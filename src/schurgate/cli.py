@@ -220,7 +220,6 @@ def cmd_euler(args) -> int:
             raise ValueError(
                 f"euler --symbolic needs a faithful character of degree 3, but those of {G.spec} have degree {G.pr}"
             )
-        tau = one_faithful_character(G)
         try:
             x_rep = 1 if args.order7_class in (None, "H") else int(args.order7_class)
         except ValueError:
@@ -228,6 +227,7 @@ def cmd_euler(args) -> int:
         cls = G.conj_class(GroupElement(x_rep % G.q, 0))
         if cls.rep.x != x_rep or cls.size == 1:
             raise ValueError(f"no order-q class with representative a^{x_rep}")
+        tau = one_faithful_character(G)
         poly = symbolic_twisted_euler_factor(tau, cls)
         cube = cube_of_quadratic_defect(poly)
         payload = {
@@ -302,7 +302,7 @@ def cmd_series(args) -> int:
     G = _group_from_args(args)
     E = _parse_curve(args.curve)
     poly = resolve_field_poly(args.field)
-    check_field_degree(poly, G)  # before the character, whose Gauss periods cost O(q^2)
+    check_field_degree(poly, G)  # before any work: an induced series reads periods at conductor q
     chi = _parse_character(G, args.character)
     series = dirichlet_partial(E, G, chi, poly, args.X, pick_first=args.pick_first)
     payload = {

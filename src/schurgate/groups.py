@@ -9,11 +9,11 @@ tower subgroups) is computed from closed forms in (q, p, n, r).  The class of
 any element is built from its representative (``conj_class``), so a caller
 that needs a few classes never lists all of them.  A subgroup
 is a descriptor (label, kind, level, order, generators), never a set of
-elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  Only
-iter_valid_groups, a default j that a scan of p^s residues misses, the
-orbit-minimum table and the Gaussian periods list the order-p^s subgroup
-of (Z/q)^x (H = <j> at s = r), through one cached _p_power_subgroup;
-elsewhere x in H is the test x^{p^r} = 1.  The group law is in the test oracles.
+elements: K_k = <a, b^{p^k}> and F_k = <b^{p^k}>, with X = K_r.  One
+cached _p_power_subgroup lists the order-p^s subgroup of (Z/q)^x (H = <j> at
+s = r) for class minima, Gaussian periods, iter_valid_groups and a default j;
+only the H-orbit representatives sweep all of Z/q, and elsewhere x in H is
+the test x^{p^r} = 1.  The group law is in the test oracles.
 
 The psi calculus (which psi = (u, w) of X induce the irreducibles, and the
 tower coefficient) is closed-form too and lives here, so that the Schur
@@ -174,13 +174,14 @@ class MetacyclicParams(NamedTuple):
         return self.q * ord_y
 
     def class_of(self, g: GroupElement) -> GroupElement:
-        """Representative (lexicographically minimal element) of the class of g."""
-        if g.y % self.pr != 0:
-            return GroupElement(0, g.y)
-        return GroupElement(_orbit_mins(self)[g.x % self.q], g.y)
+        """Representative (lexicographically minimal element) of the class of g: (min(xH), y) on X, else (0, y)."""
+        x = g.x % self.q if g.y % self.pr == 0 else 0
+        if x:
+            x = min(x * h % self.q for h in _p_power_subgroup(self.q, self.p, self.r))
+        return GroupElement(x, g.y)
 
     def conj_class(self, g: GroupElement) -> ConjClass:
-        """The class of g from its representative alone.
+        """The class of g from its representative alone, in O(p^r) steps at any q.
 
         The class of (x, y) is {(j^v x + u(1 - j^y), y)}: all of (Z/q, y) when
         p^r does not divide y, and the H-orbit {(Hx, y)} otherwise.
@@ -265,21 +266,16 @@ def _p_power_subgroup(q: int, p: int, s: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_mins(G: MetacyclicParams) -> tuple[int, ...]:
-    """mins[x] = min(x h mod q for h in H): the smallest member of the H-orbit of x."""
-    mins = [0] * G.q
-    H = _p_power_subgroup(G.q, G.p, G.r)
-    for x in range(1, G.q):
-        if not mins[x]:  # x is the first of its orbit, hence the smallest
-            for h in H:
-                mins[x * h % G.q] = x
-    return tuple(mins)
-
-
-@lru_cache(maxsize=None)
 def _psi_orbit_reps(G: MetacyclicParams) -> tuple[int, ...]:
-    """Minimal representatives of the H-orbits on units mod q, sorted."""
-    return tuple(x for x, m in enumerate(_orbit_mins(G)) if x and m == x)
+    """Minimal representatives of the H-orbits on units mod q, sorted: one sweep over Z/q."""
+    q, H = G.q, _p_power_subgroup(G.q, G.p, G.r)
+    seen, reps = bytearray(q), []
+    for x in range(1, q):
+        if not seen[x]:  # x is the first of its orbit, hence the smallest
+            reps.append(x)
+            for h in H:
+                seen[x * h % q] = 1
+    return tuple(reps)
 
 
 @lru_cache(maxsize=None)
@@ -390,9 +386,9 @@ def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescript
                 yield level, PsiDescriptor(u, w)
 
 
-def faithful_descriptors(G: MetacyclicParams) -> list[PsiDescriptor]:
-    """The psi of the faithful irreducibles, in the order of faithful_characters."""
-    return [psi for level, psi in _induced_descriptors(G) if level == G.n]
+def faithful_descriptors(G: MetacyclicParams) -> Iterator[PsiDescriptor]:
+    """The psi of the faithful irreducibles, in the order of faithful_characters, one at a time."""
+    return (psi for level, psi in _induced_descriptors(G) if level == G.n)
 
 
 def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:

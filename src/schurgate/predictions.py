@@ -76,7 +76,7 @@ def prediction_report(
     rep = global_index(G, one_faithful_descriptor(G) if tau is None else tau)
     m = rep.global_index
     count = faithful_count(G)
-    if len(faithful_descriptors(G)) != count:
+    if sum(1 for _ in faithful_descriptors(G)) != count:  # one at a time: millions at q ~ 10^7
         raise InternalCheckError(f"faithful character count formula disagrees with the enumeration ({G.spec})")
     if m == 1:
         return PredictionReport(

@@ -58,6 +58,17 @@ def test_table_c7_c3():
     assert len(faithful_characters(G21)) == 2
 
 
+def test_a_faithful_character_builds_each_gauss_period_on_its_first_read():
+    import schurgate.characters as characters
+
+    G = make_group(20011, 3, 1)
+    characters._gauss_period.cache_clear()
+    tau = one_faithful_character(G)
+    assert characters._gauss_period.cache_info().currsize == 0
+    assert tau.degree == 3
+    assert characters._gauss_period.cache_info().currsize == 1
+
+
 def test_table_c7_c9():
     tab = irreducible_characters(G63)
     assert len(tab) == 15

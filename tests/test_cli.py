@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 
 import pytest
+import sympy
+from hypothesis import example, given, seed, settings, strategies as st
 
 from schurgate.cli import main
 from schurgate.characters import faithful_characters
@@ -354,10 +358,10 @@ def test_few_class_commands_build_no_class_list(capsys, monkeypatch):
 def test_field_degree_is_refused_before_any_character_is_built(capsys, monkeypatch, command):
     import schurgate.characters as characters
 
-    def refuse(G):
-        raise AssertionError(f"Gauss periods of {G} built")
+    def refuse(G, *args):
+        raise AssertionError(f"a character of {G} built")
 
-    monkeypatch.setattr(characters, "_gauss_periods", refuse)
+    monkeypatch.setattr(characters, "Character", refuse)  # every character is built through it
     argv = [*command.split(), "--curve", "0,0,0,-1,0", "-q", "1009", "-p", "3", "-n", "1", "-X", "100"]
     assert run(capsys, *argv) == (2, "", "error: field polynomial has degree 7, expected q = 1009\n")
 
@@ -916,3 +920,142 @@ def test_entry_point_exits_3_on_an_internal_check_error():
     assert out.returncode == 3
     assert out.stderr == "internal invariant violation: qadic_class_order patched to fail\n"
     assert out.stdout == "frozen at exit: True\n"
+
+
+@pytest.mark.parametrize("order7_class, message", [
+    ("foo", "bad --order7-class 'foo': use H or an exponent x"),
+    ("0", "no order-q class with representative a^0"),
+])
+def test_symbolic_euler_refuses_its_class_before_building_a_character(capsys, monkeypatch, order7_class, message):
+    import schurgate.characters as characters
+
+    def refuse(G):
+        raise AssertionError(f"a faithful character of {G} built")
+
+    monkeypatch.setattr(characters, "one_faithful_character", refuse)
+    argv = ["euler", "--symbolic", "-q", "20011", "-p", "3", "-n", "1", "--order7-class", order7_class]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# -- the exit contract on argv drawn from a grammar of the eight commands -----
+#
+# A drawn group has q * p^n <= 2000 (200 for `table`, which costs classes^2
+# values), X <= 200, `sweep --max` <= 2000 and `--table-max` <= 100, except
+# where a slot draws a value refused before any work: a non-positive
+# integer, 10^30 (past every cap), 2^127 - 1 (a prime past the deterministic
+# primality range), a composite q or p, or no integer at all.
+
+_MALFORMED = ["", "7x", "0x7", "1e3", "7.0", "--"]
+_REFUSED = ["0", "-7", str(10 ** 30), str(2 ** 127 - 1), *_MALFORMED]
+
+
+def _one_in(k, usual, rare):
+    """A draw from rare one time in k, else from usual (st.integers would favour its bounds)."""
+    return st.tuples(st.sampled_from(range(k)), usual, rare).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def _int(valid, refused=_REFUSED):
+    return _one_in(10, valid.map(str), st.sampled_from(refused))
+
+
+def _opt(flag, values):
+    """The option with a drawn value, or nothing one time in six.
+
+    A long option takes its value after "=", so that a spec such as a curve
+    with a negative first coefficient is not read as an option.
+    """
+    return _one_in(6, values.map(lambda v: [f"{flag}={v}"] if flag[1] == "-" else [flag, v]), st.just([]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [token for part in ps for token in part])
+
+
+def _group(max_order, only_q=None):
+    """-q, -p, -n and -j (or its default): usually a valid group, of q = only_q if given, else any small one."""
+    valid = sorted({tuple(G) for G in iter_valid_groups(max_order) if only_q in (None, G.q)})
+    wild = [(q, p, n, j) for q in (3, 5, 7, 9, 11, 13, 21) for p in (2, 3, 5, 7, 9) for n in range(1, 4)
+            for j in (-1, 2, 3, 4, 10) if q * p ** n <= max_order]
+    refused = {"-q": [*_REFUSED, "21"], "-p": [*_REFUSED, "21"], "-n": _REFUSED}  # n = 21 is no refusal
+    return _one_in(4, st.sampled_from(valid), st.sampled_from(wild)).flatmap(lambda t: _command(
+        *(_int(st.just(x), refused[flag]).map(lambda v, f=flag: [f, v]) for flag, x in zip(refused, t)),
+        _one_in(2, st.just([]), _int(st.just(t[3])).map(lambda v: ["-j", v])),
+    ))
+
+
+_CURVE = _one_in(
+    4,
+    st.one_of(st.just("0,0,0,-1,0"), st.lists(st.integers(-9, 9).map(str), min_size=5, max_size=5).map(",".join)),
+    st.sampled_from(["0,0,0,0,0", "0,0,0,-1", "1,2,3,4,5,6", "a,b,c,d,e", "", f"0,0,0,{10 ** 30},1"]),
+)
+_FIELD = _one_in(  # example-F1, the default, has degree 7, so only q = 7 passes it
+    4,
+    st.just("example-F1"),
+    st.one_of(
+        st.sampled_from(["-1,0,0,0,0,0,0,1", "0,0,0,0,0,0,0,1", "1,0,1", "5,1", "1,0", "x", ""]),
+        st.lists(st.integers(-50, 50).map(str), min_size=1, max_size=9).map(",".join),
+    ),
+)
+_BIG = st.integers(-10 ** 40, 10 ** 40).map(str)
+_CHARACTER = st.one_of(
+    st.sampled_from(["trivial", "lin:", "ind:1", "ind:a,b", "foo", "lin:1,2"]),
+    st.integers(-10, 10).map("lin:{}".format),
+    st.tuples(st.integers(-10, 10), st.integers(-10, 10)).map("ind:{0[0]},{0[1]}".format),
+    st.tuples(_BIG, _BIG).map("ind:{0[0]},{0[1]}".format),
+)
+_X = _int(st.integers(1, 200), ["0", "-3", str(10 ** 5 + 1), str(10 ** 30), *_MALFORMED])
+_V = _int(
+    st.one_of(st.sampled_from(list(sympy.primerange(3, 1200))), st.integers(-5, 1200)),
+    [str(10 ** 6 + 3), str(2 ** 127 - 1), str(10 ** 30), *_MALFORMED],
+)
+_ORDER7_CLASS = st.one_of(st.just("H"), st.integers(-30, 60).map(str), st.sampled_from(["foo", "", str(10 ** 30)]))
+
+_ARGV = _command(
+    st.one_of(
+        _command(st.just(["table"]), _group(200)),
+        _command(st.just(["schur"]), _group(2000), _flag("--all")),
+        _command(st.just(["predict"]), _group(2000)),
+        _command(st.just(["frobenius"]), _group(2000, 7), _opt("--field", _FIELD), _opt("-v", _V)),
+        _command(st.just(["euler", "--symbolic"]), _group(2000), _opt("--order7-class", _ORDER7_CLASS)),
+        _command(st.just(["euler"]), _group(2000, 7), _opt("--curve", _CURVE), _opt("-v", _V),
+                 _opt("--field", _FIELD), _flag("--trivial"), _flag("--pick-first")),
+        _command(st.just(["series"]), _group(2000, 7), _opt("--curve", _CURVE), _opt("--field", _FIELD),
+                 _opt("--character", _CHARACTER), _opt("-X", _X), _flag("--pick-first")),
+        _command(st.just(["identity"]), _group(2000, 7), _opt("--curve", _CURVE), _opt("--field", _FIELD),
+                 _opt("-X", _X)),
+        _command(
+            st.just(["sweep", "--max"]), _int(st.integers(-3, 2000), ["0", "-7", *_MALFORMED]).map(lambda m: [m]),
+            _one_in(2, st.just([]), _int(st.integers(-3, 100), ["-7", *_MALFORMED]).map(
+                lambda t: ["--tables", "--table-max", t]
+            )),
+            _flag("--verbose-rows"),
+        ),
+    ),
+    _one_in(8, st.sampled_from([[], ["--format", "json"], ["--format", "text"]]),
+            st.sampled_from([["--format", "xml"], ["--bogus"], ["-X"]])),
+)
+
+
+@seed(20011)
+@settings(max_examples=150, deadline=None, database=None)
+@example(["euler", "--symbolic", "-q", "20011", "-p", "3", "-n", "1", "--order7-class", "foo"])
+@given(_ARGV)
+def test_every_drawn_argv_exits_0_2_or_3_with_at_most_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage = False
+        except SystemExit as exc:  # argparse's own refusals print the usage before their error line
+            code, usage = exc.code, True
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, code, lines)
+    assert not any(line.startswith("Traceback") for line in lines), argv
+    if usage:
+        assert code == 2 and lines[0].startswith("usage: ") and ": error: " in lines[-1], (argv, lines)
+    elif code == 2:
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), (argv, lines)

@@ -141,6 +141,17 @@ def test_conj_class_of_every_element_is_its_listed_class():
     assert checked > 10000
 
 
+def test_conj_class_at_a_large_q_lists_no_orbit_representatives():
+    import schurgate.groups as groups
+
+    G = make_group(1000003, 3, 1)
+    groups._psi_orbit_reps.cache_clear()
+    cls = G.conj_class(GroupElement(5, 0))
+    assert groups._psi_orbit_reps.cache_info().currsize == 0
+    orbit = sorted(5 * h % G.q for h in sympy.nthroot_mod(1, 3, G.q, all_roots=True))
+    assert len(orbit) == 3 and cls == (GroupElement(orbit[0], 0), 3, G.q)
+
+
 def test_subgroup_X_examples():
     G1 = make_group(7, 3, 1, 2)
     X1 = subgroup_X(G1)
