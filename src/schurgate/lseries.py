@@ -71,21 +71,11 @@ __all__ = [
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
+_THIRD = CyclotomicNumber.from_rational(Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
 # Euler factors
-
-def _tpoly_mul(a: list, b: list) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
 
 def _newton(traces, kmax: int, sign: int, one) -> list:
     """c_0..c_kmax of exp(sign * sum_s traces[s] T^s / s), by Newton's identities:
@@ -180,6 +170,8 @@ class SymbolicPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, _ZERO) + c
@@ -191,13 +183,17 @@ class SymbolicPoly:
         return SymbolicPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         out: dict[tuple[int, int], CyclotomicNumber] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -256,29 +252,27 @@ def cube_of_quadratic_defect(poly: list) -> dict:
     """Certificate that a degree-6 T-polynomial with constant 1 is not a cube.
 
     If poly = Q^3 for a quadratic Q = e + cT + dT^2 over any field extension,
-    then e^3 = 1 and c, d are forced by the T and T^2 coefficients.  All
-    three cube roots of unity are tried; for each, the forced Q is cubed and
-    compared.  A mismatch for all three proves the polynomial is not the
-    cube of any quadratic.  Returns {"is_cube": bool, "witness": ...}.
+    then e^3 = 1, and the T and T^2 coefficients force c = e c_1 and d = e d_1,
+    with c_1 = poly_1 / 3 and d_1 = (poly_2 - 3 c_1^2) / 3.  So Q = e Q_1 for
+    Q_1 = 1 + c_1 T + d_1 T^2, and every cube root of unity e gives the same
+    cube Q^3 = Q_1^3: comparing Q_1^3 with poly decides the question, at the
+    conductor of poly itself.  Its coefficients are compared in order and the
+    first mismatch proves the polynomial is not the cube of any quadratic; it
+    is reported under each of the three roots, since all three share it.  A
+    constant term other than 1 mismatches at index 0.
+    Returns {"is_cube": bool, "witness": ...}.
     """
     if len(poly) != 7:
         raise ValueError("expected a degree-6 polynomial")
-    mismatches = {}
-    for name, e in (("1", _ONE), ("zeta3", CyclotomicNumber.zeta(3)), ("zeta3^2", CyclotomicNumber.zeta(3, 2))):
-        inv3e2 = (CyclotomicNumber.from_rational(3) * e * e).inverse()
-        c = poly[1] * inv3e2
-        d = (poly[2] - 3 * e * (c * c)) * inv3e2
-        q_poly = [e, c, d]
-        cube = _tpoly_mul(_tpoly_mul(q_poly, q_poly), q_poly)
-        bad = None
-        for i in range(7):
-            if not (cube[i] - poly[i]).is_zero():
-                bad = i
-                break
-        if bad is None:
-            return {"is_cube": True, "witness": {"e": name}}
-        mismatches[name] = bad
-    return {"is_cube": False, "witness": {"first_mismatch_by_root": mismatches}}
+    c = poly[1] * _THIRD
+    q_poly = (_ONE, c, (poly[2] - 3 * (c * c)) * _THIRD)
+    for i in range(7):
+        cube = sum(q_poly[a] * q_poly[b] * q_poly[i - a - b]
+                   for a in range(3) for b in range(3) if 0 <= i - a - b <= 2)
+        if not (cube - poly[i]).is_zero():
+            mismatch = dict.fromkeys(("1", "zeta3", "zeta3^2"), i)
+            return {"is_cube": False, "witness": {"first_mismatch_by_root": mismatch}}
+    return {"is_cube": True, "witness": {"e": "1"}}
 
 
 # ---------------------------------------------------------------------------

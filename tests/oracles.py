@@ -11,7 +11,8 @@ as tables summed class by class.  The L-series ones are the package's earlier di
 inversion, in integers and in CyclotomicNumber arithmetic, Dirichlet assembly by one
 convolution pass per prime, local factors as products of quadratic blocks
 (one per eigenvalue, or one per residue degree) expanded by power-series
-inversion, evaluation of symbolic factors, and explicit monomial matrices
+inversion, evaluation of symbolic factors, the cube-of-a-quadratic test
+tried at each cube root of unity, and explicit monomial matrices
 for a faithful character.  The cyclotomic ones lift values densely,
 multiply them schoolbook and reduce by sympy's Phi_M, and find a field of
 values by applying every unit; to_complex embeds a value in the complex
@@ -500,6 +501,29 @@ def tpoly_mul(a: list, b: list, trunc: int | None = None) -> list:
             if i + j < n:
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def cube_of_quadratic_defect_three_roots(poly: list) -> dict:
+    """The cube-of-a-quadratic certificate tried once per cube root of unity e.
+
+    For each e, Q = e + cT + dT^2 with c and d solved from the T and T^2
+    coefficients by a field inverse, and Q^3 is multiplied out and compared
+    with poly; a cube reports the first e that works.
+    """
+    if len(poly) != 7:
+        raise ValueError("expected a degree-6 polynomial")
+    mismatches = {}
+    for name, e in (("1", _ONE), ("zeta3", CyclotomicNumber.zeta(3)), ("zeta3^2", CyclotomicNumber.zeta(3, 2))):
+        inv3e2 = (CyclotomicNumber.from_rational(3) * e * e).inverse()
+        c = poly[1] * inv3e2
+        d = (poly[2] - 3 * e * (c * c)) * inv3e2
+        q_poly = [e, c, d]
+        cube = tpoly_mul(tpoly_mul(q_poly, q_poly), q_poly)
+        bad = next((i for i in range(7) if not (cube[i] - poly[i]).is_zero()), None)
+        if bad is None:
+            return {"is_cube": True, "witness": {"e": name}}
+        mismatches[name] = bad
+    return {"is_cube": False, "witness": {"first_mismatch_by_root": mismatches}}
 
 
 def quadratic_block(zeta_k: CyclotomicNumber, av: int, v: int) -> list:

@@ -937,6 +937,30 @@ def test_symbolic_euler_refuses_its_class_before_building_a_character(capsys, mo
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_symbolic_euler_at_a_large_q_builds_no_cube_root_of_unity(capsys, monkeypatch):
+    """The cube test normalizes its quadratic to constant 1, so it stays at the factor's conductor q.
+
+    A cube root of unity as the constant would put every product at
+    conductor 3q, whose cost is quadratic in the conductor.
+    """
+    import schurgate.cyclotomic as cyclotomic
+
+    check = cyclotomic._check_conductor
+
+    def refuse_a_multiple_of_3(m, op):
+        if m % 3 == 0:
+            raise AssertionError(f"conductor {m} built in {op}")
+        return check(m, op)
+
+    monkeypatch.setattr(cyclotomic, "_check_conductor", refuse_a_multiple_of_3)
+    argv = ["euler", "--symbolic", "-q", "20011", "-p", "3", "-n", "1", "--order7-class", "H"]
+    code, payload, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert payload["cube_of_quadratic"] == {
+        "is_cube": False, "witness": {"first_mismatch_by_root": {"1": 3, "zeta3": 3, "zeta3^2": 3}},
+    }
+
+
 # -- the exit contract on argv drawn from a grammar of the eight commands -----
 #
 # A drawn group has q * p^n <= 2000 (200 for `table`, which costs classes^2

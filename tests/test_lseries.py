@@ -10,6 +10,7 @@ from oracles import (
     assemble_by_convolution,
     block_euler_factor,
     block_local_factor,
+    cube_of_quadratic_defect_three_roots,
     eigenvalue_multiplicities,
     eigenvalue_multiplicities_direct,
     element_matrix,
@@ -58,7 +59,6 @@ from schurgate.lseries import (
     _resolve_local_factor,
     _spf,
     _tower_series,
-    _tpoly_mul,
     _traces,
 )
 
@@ -184,6 +184,64 @@ def test_cube_detector_accepts_actual_cube():
                 new[i + j] = new[i + j] + x * y
         cube = new
     assert cube_of_quadratic_defect(cube)["is_cube"] is True
+
+
+def _cube(q_poly):
+    return tpoly_mul(tpoly_mul(q_poly, q_poly), q_poly)
+
+
+def _random_sextic(rng):
+    """A small-integer sextic: a random one, or the cube of a random quadratic, one coefficient perturbed or not."""
+    if rng.random() < 0.5:
+        return [rng.choice((1, 1, 1, rng.randint(-2, 2)))] + [rng.randint(-3, 3) for _ in range(6)]
+    poly = _cube([rng.choice((1, 1, -1)), rng.randint(-2, 2), rng.randint(-2, 2)])
+    if rng.random() < 0.5:
+        poly[rng.randrange(7)] += rng.choice((-1, 1))
+    return poly
+
+
+def test_cube_certificate_matches_the_three_root_oracle():
+    """One normalized quadratic decides what trying each cube root of unity as its constant decides.
+
+    Q_e = e Q_1 for every cube root e, so all three tries cube to Q_1^3 and
+    share the first mismatch; the dicts, key order included, are equal.
+    """
+    one, z3 = C.from_rational(1), C.zeta(3)
+    sym = symbolic_twisted_euler_factor(one_faithful_character(G63), order7_class(G63))
+    cases = [
+        sym,
+        [evaluate_symbolic(c, -2, 5) for c in sym],
+        _cube([one, C.from_rational(3), C.from_rational(-2)]),
+        _cube([z3, C.from_rational(2), C.from_rational(-1)]),
+        [C.from_rational(2)] + [C.from_rational(k) for k in (6, 9, 2, -3, 4, 1)],
+        [1, 6, 6, -16, -12, 24, -8],  # (1 + 2T - 2T^2)^3 as plain ints
+        [1, 6, 6, -16, -12, 24, -7],
+    ]
+    rng = random.Random(23)
+    cases += [_random_sextic(rng) for _ in range(200)]
+    for k in (3, 5):
+        assert cube_of_quadratic_defect(cases[k]) == {"is_cube": True, "witness": {"e": "1"}}
+    assert cube_of_quadratic_defect(cases[6])["witness"]["first_mismatch_by_root"] == {"1": 6, "zeta3": 6, "zeta3^2": 6}
+    assert cube_of_quadratic_defect(cases[4])["witness"]["first_mismatch_by_root"] == {"1": 0, "zeta3": 0, "zeta3^2": 0}
+    assert sum(cube_of_quadratic_defect(poly)["is_cube"] for poly in cases[7:]) > 20
+    for poly in cases:
+        got = cube_of_quadratic_defect(poly)
+        want = cube_of_quadratic_defect_three_roots(poly)
+        assert got == want and list(got["witness"]) == list(want["witness"]), poly
+        if not got["is_cube"]:
+            assert list(got["witness"]["first_mismatch_by_root"]) == ["1", "zeta3", "zeta3^2"]
+
+
+def test_symbolic_poly_refuses_operands_it_cannot_coerce():
+    """Python's own TypeError in either order, naming SymbolicPoly and never NotImplemented."""
+    a = SymbolicPoly.var_a()
+    for other in ("x", 1.5, None):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for x, y in ((a, other), (other, a)):
+                with pytest.raises(TypeError) as exc:
+                    op(x, y)
+                assert "SymbolicPoly" in str(exc.value) and "NotImplemented" not in str(exc.value)
+    assert a + 1 == 1 + a and a - 1 == -(1 - a) and 2 * a == a * 2
 
 
 def test_dirichlet_partial_x1_is_one():
@@ -436,10 +494,10 @@ def test_virtual_characters_give_the_factors_of_their_constituents():
     for cls in conjugacy_classes(G63):
         f = twisted_euler_factor(-2, 5, tau1, cls).poly
         assert twisted_euler_factor(-2, 5, once, cls).poly == f
-        assert list(twisted_euler_factor(-2, 5, twice, cls).poly) == _tpoly_mul(list(f), list(f))
+        assert list(twisted_euler_factor(-2, 5, twice, cls).poly) == tpoly_mul(list(f), list(f))
         s = symbolic_twisted_euler_factor(tau1, cls)
         assert symbolic_twisted_euler_factor(once, cls) == s
-        assert symbolic_twisted_euler_factor(twice, cls) == _tpoly_mul(s, s)
+        assert symbolic_twisted_euler_factor(twice, cls) == tpoly_mul(s, s)
     # tau1 - tau2 holds tau2 -1 times; delta, 1 at the identity and 0 elsewhere,
     # is the regular character over |G| and holds each psi psi(1) / 63 times
     classes = conjugacy_classes(G63)
@@ -463,13 +521,13 @@ def test_identity_rhs_factors_are_the_faithful_factors_to_the_coefficient():
         qi = quotient_identity_virtual_character(G)
         faithful = faithful_characters(G)
         for cls in conjugacy_classes(G):
-            want = functools.reduce(_tpoly_mul, [list(twisted_euler_factor(-2, 5, tau, cls).poly) for tau in faithful])
-            want = functools.reduce(_tpoly_mul, [want] * qi.coefficient)
+            want = functools.reduce(tpoly_mul, [list(twisted_euler_factor(-2, 5, tau, cls).poly) for tau in faithful])
+            want = functools.reduce(tpoly_mul, [want] * qi.coefficient)
             assert list(twisted_euler_factor(-2, 5, qi.rhs, cls).poly) == want, (G, cls)
             if G is G63 and cls.rep.y % G.pr == 0:
                 continue
-            want = functools.reduce(_tpoly_mul, [symbolic_twisted_euler_factor(tau, cls) for tau in faithful])
-            want = functools.reduce(_tpoly_mul, [want] * qi.coefficient)
+            want = functools.reduce(tpoly_mul, [symbolic_twisted_euler_factor(tau, cls) for tau in faithful])
+            want = functools.reduce(tpoly_mul, [want] * qi.coefficient)
             assert symbolic_twisted_euler_factor(qi.rhs, cls) == want, (G, cls)
 
 

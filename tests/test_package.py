@@ -1,6 +1,8 @@
 """What the package and each CLI command import, and the lazy package namespace."""
 
 import importlib
+import importlib.util
+import pathlib
 import subprocess
 import sys
 
@@ -150,6 +152,26 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from schurgate import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(schurgate.__all__)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """bench/tracer.py wraps the kernel methods and each module's __all__ by name.
+
+    A name missing from the package fails every traced benchmark job (a
+    KeyError on CyclotomicNumber.__dict__), so a method the package no longer
+    calls, such as __pow__ or inverse, stays while the tracer names it.
+    """
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("schurgate_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from schurgate.cyclotomic import CyclotomicNumber
+
+    assert [attr for attr in tracer.KERNEL_METHODS if attr not in CyclotomicNumber.__dict__] == []
+    for name in tracer.MODULES:
+        module = importlib.import_module(f"schurgate.{name}")
+        assert [attr for attr in module.__all__ if not hasattr(module, attr)] == [], name
+    assert callable(importlib.import_module("schurgate.cli")._emit)
 
 
 def test_singular_curve_rejected_on_direct_construction():
