@@ -14,10 +14,10 @@ _EXPORTS = {
     "characters": "Character character_field faithful_characters "
                   "formula_field induce_from_X inner_product irreducible_characters is_faithful "
                   "one_faithful_character permutation_character "
-                  "quotient_identity_virtual_character regular_character tensor_decompose "
+                  "quotient_identity_virtual_character tensor_decompose "
                   "trivial_character",
     "schur": "GlobalIndexReport LocalIndexReport global_index local_index "
-             "multiplicity_divisibility_check norm_criterion qadic_class_order",
+             "multiplicity_divisibility_check qadic_class_order",
     "elliptic": "EllipticCurveQ EulerFactor a_v",
     "frobenius": "EXAMPLE_F1 FrobeniusDatum frobenius_datum",
     "lseries": "DirichletSeries dirichlet_partial identity_series_check "

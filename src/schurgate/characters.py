@@ -47,7 +47,6 @@ __all__ = [
     "character_field",
     "formula_field",
     "permutation_character",
-    "regular_character",
     "trivial_character",
     "quotient_identity_virtual_character",
     "QuotientIdentity",
@@ -68,8 +67,8 @@ class Character:
 
     ``provenance`` records how the character arose:
     ("one_dimensional", e), ("lifted_from_quotient", level, u, w),
-    ("induced", u, w), ("permutation", label), ("regular",), or a side of
-    the tower identity, ("tower_quotient",) or ("faithful_sum", coefficient).
+    ("induced", u, w), ("permutation", label), or a side of the tower
+    identity, ("tower_quotient",) or ("faithful_sum", coefficient).
     ``at`` maps a ConjClass to the value there; chi(g) reads it at the class
     of g.  ``values``, the table over conjugacy_classes, is built from it on
     first use and kept.  Equality is value-wise, and the hash reads only the
@@ -207,11 +206,6 @@ def trivial_character(G: MetacyclicParams) -> Character:
     return _linear_character(G, 0)
 
 
-def regular_character(G: MetacyclicParams) -> Character:
-    order = CyclotomicNumber.from_rational(G.order)
-    return Character(G, ("regular",), lambda c: _ZERO if any(c.rep) else order)
-
-
 # ---------------------------------------------------------------------------
 # induction
 
@@ -304,8 +298,8 @@ def character_field(chi: Character) -> AbelianField:
 
     A linear character lin[e] has field Q(zeta_d), d = p^n / gcd(e, p^n).  One
     induced from psi = (u, w) at level m is Q(zeta_d, eta_H), or Q(zeta_d) when
-    q | u, with d = p^{m-r} / gcd(w, p^{m-r}).  Permutation and regular
-    characters are rational.
+    q | u, with d = p^{m-r} / gcd(w, p^{m-r}).  Permutation characters are
+    rational.
     """
     G, (kind, *args) = chi.group, chi.provenance
     if kind == "one_dimensional":
@@ -314,7 +308,7 @@ def character_field(chi: Character) -> AbelianField:
         level, u, w = (G.n, *args) if kind == "induced" else args
         pmr = G.p ** (level - G.r)
         return _eta_field(G, pmr // gcd(w, pmr), u % G.q != 0)
-    if kind in ("permutation", "regular"):
+    if kind == "permutation":
         return AbelianField.rationals()
     raise ValueError(f"no closed-form field for a {kind!r} character ({G.spec})")
 
@@ -389,11 +383,11 @@ def _faithful_sum(G: MetacyclicParams, coefficient: int) -> Character:
 class QuotientIdentity(NamedTuple):
     """Both sides of the tower permutation-character identity, each a character in closed form.
 
-    lhs = reg + perm(K_{n-1}) - perm(K_n) - perm(F_{n-1}) decomposes as
-    ``coefficient`` times the sum of all faithful irreducibles, the rhs.  The
-    coefficient is p^r for n > r; in the degenerate tower base n = r it drops
-    to p^r - p^{r-1}, because perm(F_{n-1}) already contains each faithful
-    character p^{r-1} times.
+    lhs = reg + perm(K_{n-1}) - perm(K_n) - perm(F_{n-1}), where reg = perm(F_n)
+    is the regular character, decomposes as ``coefficient`` times the sum of
+    all faithful irreducibles, the rhs.  The coefficient is p^r for n > r; in
+    the degenerate tower base n = r it drops to p^r - p^{r-1}, because
+    perm(F_{n-1}) already contains each faithful character p^{r-1} times.
     """
 
     group: MetacyclicParams

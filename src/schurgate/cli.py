@@ -150,19 +150,14 @@ def cmd_schur(args) -> int:
 
     G = _group_from_args(args)
     psis = faithful_descriptors(G) if args.all else [one_faithful_descriptor(G)]
-    reports = [global_index(G, psi) for psi in psis]
     payload = {
         "group": G.to_json(),
-        "reports": [rep.to_json() for rep in reports],
+        "reports": [global_index(G, psi).to_json() for psi in psis],
     }
     lines = []
-    for rep in reports:
-        locs = ", ".join(
-            f"{entry['place']}:{entry['index']}" for entry in rep.to_json()["local"]
-        )
-        lines.append(
-            f"{G} {rep.character_id}: global Schur index {rep.global_index} (local {locs})"
-        )
+    for rep in payload["reports"]:
+        locs = ", ".join(f"{entry['place']}:{entry['index']}" for entry in rep["local"])
+        lines.append(f"{G} {rep['character']}: global Schur index {rep['global']} (local {locs})")
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -25,9 +25,8 @@ ones are refused, and no character is inverted.  The full Euler factors
 (``twisted_euler_factor``, ``symbolic_twisted_euler_factor``) take the same
 recursion with sign -1 up to D = 2 chi(1), the degree of det(1 - M T), so
 they read chi(g^s) only for s <= D and never compute an eigenvalue of
-tau(g).  A Character is genuine, the tower identity's rhs included; any
-other class function is accepted only when its inner product with every
-irreducible is a nonnegative integer.
+tau(g).  They take only a Character, which is genuine, the tower
+identity's rhs included; any other class function is refused.
 
 Each prime is decided once.  One smallest-prime-factor sieve per X gives
 the primes; v is good when it is odd, not p or q, and divides neither disc(E)
@@ -49,9 +48,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CyclotomicNumber
 from .groups import ConjClass, InternalCheckError, MetacyclicParams
-from .characters import (
-    Character, QuotientIdentity, inner_product, irreducible_characters, quotient_identity_virtual_character,
-)
+from .characters import Character, QuotientIdentity, quotient_identity_virtual_character
 
 # elliptic and frobenius are imported where they are used: the symbolic factor needs neither
 if TYPE_CHECKING:
@@ -108,22 +105,19 @@ def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
     return [sums[s] * chi(G.power(cls.rep, s)) for s in range(kmax + 1)]
 
 
-def _determinant(chi, cls: ConjClass, a, v, one, refusal: str) -> list:
+def _determinant(chi: Character, cls: ConjClass, a, v, one) -> list:
     """det(1 - (A_v (x) chi(g)) T) in full, degree D = 2 chi(1), from the traces tr_s, s <= D.
 
-    A Character is genuine; any other class function (a value table passed
-    through the Python API) must have a nonnegative integer multiplicity of
-    every irreducible, or it is refused.
+    Only a Character, which is genuine, has such a determinant here: any
+    other class function is refused before a trace is read.
     """
     if not isinstance(chi, Character):
-        parts = [inner_product(chi, psi) for psi in irreducible_characters(chi.group)]
-        if any(m < 0 or m.denominator != 1 for m in parts):
-            raise ValueError(refusal)
-    D = 2 * int(chi.degree)
+        raise TypeError(f"a full Euler factor needs a Character, not {type(chi).__name__}")
+    D = 2 * chi.degree
     return _newton(_traces(_power_sums(a, v, D), chi, cls, D), D, -1, one)
 
 
-def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
+def twisted_euler_factor(av: int, v: int, chi: Character, cls: ConjClass) -> EulerFactor:
     """det(1 - (A_v (x) chi(g)) T) at a good unramified v, exactly.
 
     A_v enters only through the power sums of its eigenvalues, integers
@@ -132,8 +126,7 @@ def twisted_euler_factor(av: int, v: int, chi, cls: ConjClass) -> EulerFactor:
     """
     from .elliptic import EulerFactor
 
-    refusal = "twisted Euler factor of a virtual character with negative parts; use the series machinery instead"
-    return EulerFactor(v, tuple(_determinant(chi, cls, av, v, _ONE, refusal)))
+    return EulerFactor(v, tuple(_determinant(chi, cls, av, v, _ONE)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ class SymbolicPoly:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, _ZERO) + c
+            out[k] = out[k] + c if k in out else c
         return SymbolicPoly(out)
 
     __radd__ = __add__
@@ -199,7 +192,7 @@ class SymbolicPoly:
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
                 prod = c1 * c2
-                out[k] = out.get(k, _ZERO) + prod
+                out[k] = out[k] + prod if k in out else prod
         return SymbolicPoly(out)
 
     __rmul__ = __mul__
@@ -242,10 +235,10 @@ class SymbolicPoly:
     __repr__ = __str__
 
 
-def symbolic_twisted_euler_factor(chi, cls: ConjClass) -> list[SymbolicPoly]:
+def symbolic_twisted_euler_factor(chi: Character, cls: ConjClass) -> list[SymbolicPoly]:
     """The twisted factor with a_v and v left as formal symbols."""
     a, v = SymbolicPoly.var_a(), SymbolicPoly.var_v()
-    return _determinant(chi, cls, a, v, SymbolicPoly.scalar(1), "symbolic factor needs a genuine character")
+    return _determinant(chi, cls, a, v, SymbolicPoly.scalar(1))
 
 
 def cube_of_quadratic_defect(poly: list) -> dict:
@@ -265,10 +258,12 @@ def cube_of_quadratic_defect(poly: list) -> dict:
     if len(poly) != 7:
         raise ValueError("expected a degree-6 polynomial")
     c = poly[1] * _THIRD
-    q_poly = (_ONE, c, (poly[2] - 3 * (c * c)) * _THIRD)
+    quad = (_ONE, c, (poly[2] - 3 * (c * c)) * _THIRD)
+    square = []  # Q^2, one coefficient per step: a non-cube stops before it needs d^2
     for i in range(7):
-        cube = sum(q_poly[a] * q_poly[b] * q_poly[i - a - b]
-                   for a in range(3) for b in range(3) if 0 <= i - a - b <= 2)
+        if i <= 4:
+            square.append(sum(quad[a] * quad[i - a] for a in range(max(0, i - 2), min(i, 2) + 1)))
+        cube = sum(square[a] * quad[i - a] for a in range(max(0, i - 2), min(i, 4) + 1))
         if not (cube - poly[i]).is_zero():
             mismatch = dict.fromkeys(("1", "zeta3", "zeta3^2"), i)
             return {"is_cube": False, "witness": {"first_mismatch_by_root": mismatch}}
@@ -369,9 +364,7 @@ def _resolve_local_factor(
 ) -> list:
     """b_0..b_kmax of the local L-series of a character twist at v;
     every candidate class must agree unless pick_first takes the smallest."""
-    candidates = [datum.conj_class] if datum.conj_class else list(datum.candidates)
-    if pick_first:
-        candidates = candidates[:1]
+    candidates = datum.candidates[:1] if pick_first else datum.candidates
     sums = _power_sums(av, v, kmax)
     # Newton's identities give each trace back from the series, so candidates
     # give the same series exactly when they give the same traces

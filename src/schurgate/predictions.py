@@ -16,21 +16,17 @@ exact index refines the proved p | m bound; reports label it as derived.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .groups import (
     InternalCheckError,
     MetacyclicParams,
-    PsiDescriptor,
     faithful_count,
     faithful_descriptors,
     one_faithful_descriptor,
     tower_coefficient,
 )
 from .schur import global_index
-
-if TYPE_CHECKING:
-    from .characters import Character
 
 __all__ = ["PredictionReport", "prediction_report", "tower_modulus"]
 
@@ -61,10 +57,8 @@ class PredictionReport(NamedTuple):
         }
 
 
-def prediction_report(
-    G: MetacyclicParams, tau: Character | PsiDescriptor | None = None
-) -> PredictionReport:
-    """Assemble the conditional predictions attached to a faithful tau.
+def prediction_report(G: MetacyclicParams) -> PredictionReport:
+    """Assemble the conditional predictions for the faithful tau of G, which share one index.
 
     When p^n | q - 1 the Schur index is 1 and the report says so: no forced
     divisibility.  Otherwise the statements cover (a) the rank of the
@@ -73,7 +67,7 @@ def prediction_report(
     and (d) the reformulation of the twist as a Dirichlet twist of the base
     change to the degree-p^r cyclotomic layer.
     """
-    rep = global_index(G, one_faithful_descriptor(G) if tau is None else tau)
+    rep = global_index(G, one_faithful_descriptor(G))
     m = rep.global_index
     count = faithful_count(G)
     if sum(1 for _ in faithful_descriptors(G)) != count:  # one at a time: millions at q ~ 10^7

@@ -41,7 +41,6 @@ __all__ = [
     "GlobalIndexReport",
     "local_index",
     "global_index",
-    "norm_criterion",
     "multiplicity_divisibility_check",
     "qadic_class_order",
 ]
@@ -180,19 +179,6 @@ def global_index(G: MetacyclicParams, tau: Character | PsiDescriptor) -> GlobalI
     )
 
 
-def norm_criterion(G: MetacyclicParams, tau: Character | PsiDescriptor) -> bool:
-    """Whether zeta_{p^{n-r}} is a norm q-adically, i.e. the local index at q is 1.
-
-    Must coincide with p^n | q - 1; disagreement raises.
-    """
-    psi = _faithful_psi(G, tau)
-    order, _ = qadic_class_order(G.q, G.p, G.n, G.r)
-    is_norm = order == 1
-    if is_norm != ((G.q - 1) % G.pn == 0):
-        raise _violation(G, psi, "norm criterion disagrees with the p^n | q-1 test")
-    return is_norm
-
-
 class DivisibilityCheck(NamedTuple):
     multiplicity: int
     modulus: int
@@ -207,10 +193,10 @@ def multiplicity_divisibility_check(
 ) -> DivisibilityCheck:
     """Multiplicity of tau in a rational character rho, against the global index.
 
-    rho must take rational values (permutation characters, the regular
-    character, and their integer combinations qualify).  The divisibility
-    always holds for rationally realizable characters; a False outcome
-    signals an internal error upstream, not a mathematical finding.
+    rho must take rational values (permutation characters, the regular one
+    perm(F_n) among them, and their integer combinations qualify).  The
+    divisibility always holds for rationally realizable characters; a False
+    outcome signals an internal error upstream, not a mathematical finding.
     """
     from .characters import inner_product
 

@@ -41,7 +41,6 @@ from schurgate.characters import (
     permutation_character,
     psi_is_faithful,
     quotient_identity_virtual_character,
-    regular_character,
     tensor_decompose,
     trivial_character,
 )
@@ -181,7 +180,8 @@ def test_is_faithful_examples():
 def test_frobenius_reciprocity_examples():
     for G in (G21, G63):
         tau = one_faithful_character(G)
-        assert inner_product(regular_character(G), tau) == tau.degree
+        reg = permutation_character(G, tower_subgroups(G)[-1])  # F_n is trivial: the regular character
+        assert inner_product(reg, tau) == tau.degree
         perm_X = permutation_character(G, subgroup_X(G))
         assert inner_product(perm_X, tau) == 0
 
@@ -247,7 +247,6 @@ def test_character_field_matches_all_units_oracle(groups):
     (G63, induce_from_X(G63, PsiDescriptor(1, 3))),  # w not a unit: Q(eta_7)
     (G1539, induce_from_X(G1539, PsiDescriptor(0, 3))),
     *((G, permutation_character(G, sub)) for G in (G21, G63, G1539) for sub in tower_subgroups(G)),
-    *((G, regular_character(G)) for G in (G21, G63, G1539)),
 ], ids=lambda x: getattr(x, "char_id", str(x)))
 def test_character_field_of_characters_outside_the_table(G, chi):
     assert character_field(chi) == field_of_values_all_units(chi.values)
@@ -298,6 +297,15 @@ def test_permutation_character_rationality_and_tower():
             assert m.denominator == 1 and m >= 0
 
 
+def test_permutation_character_of_F_n_is_the_regular_character():
+    for G in iter_valid_groups(300):
+        F_n = tower_subgroups(G)[-1]
+        assert F_n.label == f"F{G.n}" and F_n.order == 1
+        reg = permutation_character(G, F_n)
+        assert reg.values[0] == C.from_rational(G.order), G
+        assert all(v.is_zero() for v in reg.values[1:]), G
+
+
 def test_permutation_character_matches_coset_enumeration():
     for G in iter_valid_groups(700):
         for sub in tower_subgroups(G) + [subgroup_X(G)]:
@@ -308,8 +316,7 @@ def test_evaluator_agrees_with_the_table_at_every_element():
     # chi(g) goes through the class of g, which class representatives alone never exercise
     for G in iter_valid_groups(300):
         perms = [permutation_character(G, s) for s in tower_subgroups(G) + [subgroup_X(G)]]
-        chars = [*irreducible_characters(G), *perms, regular_character(G)]
-        for chi in chars:
+        for chi in [*irreducible_characters(G), *perms]:
             for g in elements(G):
                 assert chi(g) == value_at(chi, g), (G, chi.char_id, g)
 

@@ -479,35 +479,19 @@ def test_symbolic_factor_matches_block_product_at_every_class():
             assert symbolic_twisted_euler_factor(tau, cls) == list(block.poly)
 
 
-def test_negative_multiplicities_are_refused_by_the_factors():
-    rhs = VirtualCharacter(G21, [-c for c in trivial_character(G21).values])
-    cls = conjugacy_classes(G21)[0]
-    with pytest.raises(ValueError, match="negative parts"):
-        twisted_euler_factor(-2, 5, rhs, cls)
-    with pytest.raises(ValueError, match="genuine character"):
-        symbolic_twisted_euler_factor(rhs, cls)
+def test_full_factors_refuse_a_value_table_before_reading_a_trace(monkeypatch):
+    import schurgate.lseries as lseries
 
+    def no_traces(*args):
+        raise AssertionError("a trace was read before the refusal")
 
-def test_virtual_characters_give_the_factors_of_their_constituents():
-    tau1, tau2 = faithful_characters(G63)[:2]
-    once, twice = VirtualCharacter.of(tau1), 2 * VirtualCharacter.of(tau1)
-    for cls in conjugacy_classes(G63):
-        f = twisted_euler_factor(-2, 5, tau1, cls).poly
-        assert twisted_euler_factor(-2, 5, once, cls).poly == f
-        assert list(twisted_euler_factor(-2, 5, twice, cls).poly) == tpoly_mul(list(f), list(f))
-        s = symbolic_twisted_euler_factor(tau1, cls)
-        assert symbolic_twisted_euler_factor(once, cls) == s
-        assert symbolic_twisted_euler_factor(twice, cls) == tpoly_mul(s, s)
-    # tau1 - tau2 holds tau2 -1 times; delta, 1 at the identity and 0 elsewhere,
-    # is the regular character over |G| and holds each psi psi(1) / 63 times
-    classes = conjugacy_classes(G63)
-    delta = VirtualCharacter(G63, [C.from_rational(1)] + [C.from_rational(0)] * (len(classes) - 1))
-    for chi in (VirtualCharacter.of(tau1) - tau2, delta):
-        for cls in (classes[0], order7_class(G63)):
-            with pytest.raises(ValueError, match="negative parts"):
-                twisted_euler_factor(-2, 5, chi, cls)
-            with pytest.raises(ValueError, match="genuine character"):
-                symbolic_twisted_euler_factor(chi, cls)
+    monkeypatch.setattr(lseries, "_traces", no_traces)
+    tau = VirtualCharacter.of(one_faithful_character(G63))
+    for cls in (conjugacy_classes(G63)[0], order7_class(G63)):
+        with pytest.raises(TypeError, match="a full Euler factor needs a Character, not VirtualCharacter"):
+            twisted_euler_factor(-2, 5, tau, cls)
+        with pytest.raises(TypeError, match="a full Euler factor needs a Character, not VirtualCharacter"):
+            symbolic_twisted_euler_factor(tau, cls)
 
 
 def test_identity_rhs_factors_are_the_faithful_factors_to_the_coefficient():

@@ -1,5 +1,6 @@
 """What the package and each CLI command import, and the lazy package namespace."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -112,9 +113,9 @@ HOMES = {
                    "faithful_characters", "formula_field", "induce_from_X", "inner_product",
                    "irreducible_characters", "is_faithful", "one_faithful_character",
                    "permutation_character", "quotient_identity_virtual_character",
-                   "regular_character", "tensor_decompose", "trivial_character"],
+                   "tensor_decompose", "trivial_character"],
     "schur": ["GlobalIndexReport", "LocalIndexReport", "global_index", "local_index",
-              "multiplicity_divisibility_check", "norm_criterion", "qadic_class_order"],
+              "multiplicity_divisibility_check", "qadic_class_order"],
     "elliptic": ["EllipticCurveQ", "EulerFactor", "a_v"],
     "frobenius": ["EXAMPLE_F1", "FrobeniusDatum", "frobenius_datum"],
     "lseries": ["DirichletSeries", "dirichlet_partial", "identity_series_check",
@@ -123,9 +124,9 @@ HOMES = {
 }
 
 
-def test_all_is_the_same_50_names():
+def test_all_is_the_same_48_names():
     assert schurgate.__all__ == [name for names in HOMES.values() for name in names]
-    assert len(schurgate.__all__) == 50 and schurgate.__version__ == "0.1.0"
+    assert len(schurgate.__all__) == 48 and schurgate.__version__ == "0.1.0"
 
 
 def test_each_name_is_the_object_its_module_defines():
@@ -172,6 +173,44 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
         module = importlib.import_module(f"schurgate.{name}")
         assert [attr for attr in module.__all__ if not hasattr(module, attr)] == [], name
     assert callable(importlib.import_module("schurgate.cli")._emit)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, as "name (line n)".
+
+    An import whose first line carries `# noqa: F401`, a name listed in
+    `__all__` and `from __future__` imports are exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read | exported]
+
+
+def test_unused_import_guard_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import b, c as d, e  # noqa: F401\n"
+        "from f import (g,\n    h)\n"
+        "__all__ = ['h']\n"
+        "def k():\n    from m import n, o\n    return os.path.join(n)\n"
+    )
+    assert _unused_imports(source) == ["g (line 4)", "o (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(schurgate.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert _unused_imports(path.read_text()) == []
 
 
 def test_singular_curve_rejected_on_direct_construction():

@@ -23,7 +23,6 @@ from schurgate.characters import (
     irreducible_characters,
     one_faithful_character,
     permutation_character,
-    regular_character,
     trivial_character,
 )
 from schurgate.schur import (
@@ -34,7 +33,6 @@ from schurgate.schur import (
     global_index,
     local_index,
     multiplicity_divisibility_check,
-    norm_criterion,
     qadic_class_order,
 )
 from schurgate.predictions import faithful_count, prediction_report
@@ -44,6 +42,11 @@ from test_acceptance import _table_sweep_reps
 G21 = make_group(7, 3, 1, 2)
 G63 = make_group(7, 3, 2, 2)
 G1539 = make_group(19, 3, 4, 4)
+
+
+def regular(G):
+    """perm(F_n): F_n is the trivial subgroup, so this is the regular character."""
+    return permutation_character(G, tower_subgroups(G)[-1])
 
 
 def test_local_index_at_q_examples():
@@ -88,13 +91,6 @@ def test_global_report_structure():
     assert js["divides_dimension"] is True
     places = {entry["place"]: entry["index"] for entry in js["local"]}
     assert places == {"inf": 1, 2: 1, "p": 1, "q": 3}
-
-
-def test_norm_criterion():
-    assert norm_criterion(G21, one_faithful_character(G21)) is True
-    assert norm_criterion(G63, one_faithful_character(G63)) is False
-    G19n4 = make_group(19, 3, 4, 7)  # j of order 3: r = 1
-    assert norm_criterion(G19n4, one_faithful_character(G19n4)) is False
 
 
 def test_qadic_formula_matches_direct_computation():
@@ -180,7 +176,7 @@ def test_faithful_characters_are_not_self_dual():
 
 def test_multiplicity_divisibility_regular():
     tau = one_faithful_character(G63)
-    chk = multiplicity_divisibility_check(G63, tau, regular_character(G63))
+    chk = multiplicity_divisibility_check(G63, tau, regular(G63))
     assert chk == (3, 3, True)
 
 
@@ -193,14 +189,14 @@ def test_multiplicity_divisibility_perm_of_X():
 
 def test_multiplicity_divisibility_scaled_regular():
     tau = one_faithful_character(G1539)
-    rho = 2 * VirtualCharacter.of(regular_character(G1539))
+    rho = 2 * VirtualCharacter.of(regular(G1539))
     chk = multiplicity_divisibility_check(G1539, tau, rho)
     assert chk == (18, 9, True)
 
 
 def test_multiplicity_divisibility_names_a_virtual_character_with_a_fractional_part():
     tau = one_faithful_character(G21)
-    half = VirtualCharacter(G21, [c * Fraction(1, 2) for c in regular_character(G21).values])
+    half = VirtualCharacter(G21, [c * Fraction(1, 2) for c in regular(G21).values])
     with pytest.raises(InternalCheckError, match=r"multiplicity 3/2 in a virtual character must be an integer"):
         multiplicity_divisibility_check(G21, tau, half)
 
