@@ -15,25 +15,22 @@ classes is built only when ``values`` is first read.  The two sides of the
 tower identity are characters of the same kind: four permutation characters
 added at a class, and the tower coefficient times the faithful sum, a
 product of two Ramanujan sums.  They are compared at one class per type, at
-most 2(n + 1), so the identity reads no table either.  Inner products
-accumulate an integer convolution buffer at the common conductor and reduce
-once, which is what makes full-table orthogonality sweeps affordable.
+most 2(n + 1), so the identity reads no table either.  An inner product is
+one ``cyclotomic.dot`` over the classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from math import gcd
+from typing import NamedTuple
 
-from .cyclotomic import AbelianField, CyclotomicNumber, _check_conductor, _from_buffer, _mul_into
-# the psi calculus (PsiDescriptor to faithful_count) reads only (q, p, n, r)
-# and the H-orbits, so it lives in groups; it is re-exported from here
-from .groups import (  # noqa: F401
+from .cyclotomic import AbelianField, CyclotomicNumber, dot
+from .groups import (
     ConjClass, GroupElement, InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup,
-    _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_descriptors,
-    faithful_count, one_faithful_descriptor, psi_is_faithful, tower_coefficient, tower_subgroups,
+    _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_count,
+    one_faithful_descriptor, tower_coefficient, tower_subgroups,
 )
 
 __all__ = [
@@ -144,10 +141,8 @@ def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _gauss_period(G: MetacyclicParams, t: int) -> CyclotomicNumber:
     """The sum over the order-p^r subgroup H of zeta_q^{t h} (p^r at t = 0), 0 <= t < q."""
-    buf = [0] * G.q
-    for h in _p_power_subgroup(G.q, G.p, G.r):
-        buf[t * h % G.q] += 1
-    return _from_buffer(G.q, 1, buf)
+    H = _p_power_subgroup(G.q, G.p, G.r)
+    return CyclotomicNumber.root_sum(G.q, (t * h for h in H), "Gaussian period")
 
 
 def _linear_character(G: MetacyclicParams, e: int) -> Character:
@@ -224,24 +219,6 @@ def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
 # ---------------------------------------------------------------------------
 # inner products
 
-def _weighted_dot(terms: Iterable[tuple[int, CyclotomicNumber, CyclotomicNumber]]) -> CyclotomicNumber:
-    """Sum of w * a * b over terms, reduced and canonicalized once.
-
-    Each product goes into one exponent buffer at the common conductor, its
-    numerators scaled to the common denominator of all the terms.
-    """
-    live = [(w, a, b) for w, a, b in terms if w and not a.is_zero() and not b.is_zero()]
-    if not live:
-        return _ZERO
-    M = lcm(*(x.conductor for _, a, b in live for x in (a, b)))
-    _check_conductor(M, "inner product")
-    D = lcm(*(a.den * b.den for _, a, b in live))
-    buf = [0] * M
-    for w, a, b in live:
-        _mul_into(buf, M, w * (D // (a.den * b.den)), a, b)
-    return _from_buffer(M, D, buf)
-
-
 def inner_product(chi1, chi2) -> Fraction:
     """<chi1, chi2> = (1/|G|) sum over classes of size * chi1(g) * conj(chi2(g)).
 
@@ -254,7 +231,7 @@ def inner_product(chi1, chi2) -> Fraction:
     G, v1, v2 = chi1.group, chi1.values, chi2.values
     cls = conjugacy_classes(G)
     inv_map = _inverse_class_map(G)
-    raw = _weighted_dot((cls[i].size, v1[i], v2[inv_map[i]]) for i in range(len(cls)))
+    raw = dot((cls[i].size, v1[i], v2[inv_map[i]]) for i in range(len(cls)))
     if not raw.is_rational():
         raise ValueError("inner product is not rational for these class functions")
     return raw.rational_value() / G.order

@@ -7,6 +7,12 @@ put each operand's nonzero terms (i, c) at its own conductor m at exponent
 i * (M/m) mod M of one integer buffer at the common conductor M (a rational
 or a root of unity is one term), then reduce it once: wrap exponents mod M
 and divide by the sparse monic Phi_M = Phi_rad(x^(M/rad)), rad = rad(M).
+``dot`` accumulates a whole sum of weighted products in one such buffer and
+reduces once, which is what makes full-table orthogonality sweeps affordable;
+``CyclotomicNumber.root_sum`` builds a sum of roots of unity (a root of unity
+or a Gaussian period) the same way.  Each refuses a conductor above the cap
+before it allocates a buffer.  ``format_sum`` is the one text rule for a sum of
+terms, shared by a value and the polynomials whose coefficients are values.
 
 Every value is canonicalized when it is built, down to the smallest
 conductor m' | m whose field contains it, so equal values compare equal.
@@ -45,7 +51,9 @@ from .groups import InternalCheckError, prime_factors
 __all__ = [
     "CyclotomicNumber",
     "AbelianField",
+    "dot",
     "field_of_values",
+    "format_sum",
     "euler_phi",
     "max_conductor",
     "ConductorOverflowError",
@@ -174,6 +182,23 @@ def _mul_into(buf: list[int], M: int, w: int, a, b) -> None:
             buf[(e + f) % M] += wx * y
 
 
+def dot(terms) -> "CyclotomicNumber":
+    """Sum of w * a * b over the terms (w, a, b), reduced and canonicalized once.
+
+    Each product goes into one exponent buffer at the common conductor, its
+    numerators scaled to the common denominator of all the terms.
+    """
+    live = [(w, a, b) for w, a, b in terms if w and not a.is_zero() and not b.is_zero()]
+    if not live:
+        return CyclotomicNumber.from_rational(0)
+    M = _check_conductor(lcm(*(x.conductor for _, a, b in live for x in (a, b))), "inner product")
+    D = lcm(*(a.den * b.den for _, a, b in live))
+    buf = [0] * M
+    for w, a, b in live:
+        _mul_into(buf, M, w * (D // (a.den * b.den)), a, b)
+    return _from_buffer(M, D, buf)
+
+
 def _kernel_residues(m: int, mp: int) -> list[int]:
     """Units of Z/m congruent to 1 mod mp: Gal(Q(z_m)/Q(z_mp)), for mp | m, mp < m."""
     return [k for k in range(1, m, mp) if gcd(k, m) == 1]
@@ -237,10 +262,35 @@ def _fmt(c: int, den: int) -> str:
     return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
+def format_sum(terms) -> str:
+    """The text of a sum of (coefficient, monomial) terms: how every value and polynomial prints.
+
+    A coefficient is an int, a Fraction or a CyclotomicNumber, and a monomial
+    is a tuple of (symbol, exponent) pairs, printed as "x", "x^e" or nothing
+    for the exponents 1, e > 1 and 0, joined by "*".  Zero terms are dropped;
+    before a monomial a coefficient 1 or -1 prints as the monomial or its
+    negation; a coefficient of more than one term is bracketed; each "+ -"
+    folds to "- ", and the empty sum is "0".
+    """
+    parts = []
+    for c, powers in terms:
+        if not c:
+            continue
+        mono = "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers if e)
+        if mono and c == 1:
+            parts.append(mono)
+        elif mono and c == -1:
+            parts.append(f"-{mono}")
+        else:
+            text = f"({c})" if isinstance(c, CyclotomicNumber) and len(c._nz()) > 1 else str(c)
+            parts.append(f"{text}*{mono}" if mono else text)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 class CyclotomicNumber:
     """An exact element of Q(zeta_m), canonicalized to its minimal conductor."""
 
-    __slots__ = ("conductor", "den", "num", "_terms", "_hash")
+    __slots__ = ("conductor", "den", "num", "_terms")
 
     def __init__(self, conductor: int, coeffs):
         m = _check_conductor(int(conductor), "the CyclotomicNumber constructor")
@@ -250,13 +300,13 @@ class CyclotomicNumber:
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
         self.conductor, self.den, self.num = _canonical(m, den, num)
-        self._terms = self._hash = None
+        self._terms = None
 
     @classmethod
     def _make(cls, m: int, den: int, num: tuple[int, ...]) -> "CyclotomicNumber":
         obj = object.__new__(cls)
         obj.conductor, obj.den, obj.num = m, den, num
-        obj._terms = obj._hash = None
+        obj._terms = None
         return obj
 
     @property
@@ -280,10 +330,19 @@ class CyclotomicNumber:
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
         """The root of unity zeta_m^k = zeta_(m/g)^(k/g), g = gcd(m, k), built at conductor m/g."""
         g = gcd(m, k)
-        m, k = m // g, k // g
-        _check_conductor(m, "zeta")
+        return cls.root_sum(m // g, (k // g,), "zeta")
+
+    @classmethod
+    def root_sum(cls, m: int, exponents, op: str) -> "CyclotomicNumber":
+        """The sum of zeta_m^e over the exponents, a repeated one counted each time.
+
+        The conductor m is checked against the cap, naming op, before the
+        buffer is allocated or an exponent read.
+        """
+        _check_conductor(m, op)
         buf = [0] * m
-        buf[k % m] = 1
+        for e in exponents:
+            buf[e % m] += 1
         return _from_buffer(m, 1, buf)
 
     # -- queries ------------------------------------------------------------
@@ -414,10 +473,7 @@ class CyclotomicNumber:
         return (self.conductor, self.den, self.num) == (other.conductor, other.den, other.num)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.conductor, self.den, self.num))
-        return h
+        return hash((self.conductor, self.den, self.num))
 
     def __bool__(self):
         return not self.is_zero()
@@ -426,19 +482,8 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.conductor}, {[_fmt(c, self.den) for c in self.num]})"
 
     def __str__(self):
-        den = self.den
-        if self.conductor == 1:
-            return _fmt(self.num[0], den)
-        terms = []
-        for i, c in self._nz():
-            mono = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-            if i == 0:
-                terms.append(_fmt(c, den))
-            elif abs(c) == den:
-                terms.append(mono if c > 0 else f"-{mono}")
-            else:
-                terms.append(f"{_fmt(c, den)}*{mono}")
-        return " + ".join(terms).replace("+ -", "- ")
+        z, den = f"z{self.conductor}", self.den
+        return format_sum((c if den == 1 else Fraction(c, den), ((z, i),)) for i, c in self._nz())
 
 
 def _coerce(x):

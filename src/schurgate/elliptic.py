@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, format_sum
 from .groups import InternalCheckError, is_prime
 
 __all__ = ["EllipticCurveQ", "EulerFactor", "a_v", "untwisted_factor"]
@@ -224,26 +224,7 @@ class EulerFactor(NamedTuple):
         return {"v": self.v, "poly": [c.to_json() for c in self.poly]}
 
     def __str__(self):
-        return _tpoly_str(self.poly)
-
-
-def _tpoly_str(poly) -> str:
-    parts = []
-    for i, c in enumerate(poly):
-        if hasattr(c, "is_zero") and c.is_zero():
-            continue
-        cs = str(c)
-        mono = "" if i == 0 else ("T" if i == 1 else f"T^{i}")
-        if mono and cs == "1":
-            parts.append(mono)
-        elif mono and cs == "-1":
-            parts.append(f"-{mono}")
-        elif mono:
-            wrapped = f"({cs})" if ("+" in cs or " - " in cs) else cs
-            parts.append(f"{wrapped}*{mono}")
-        else:
-            parts.append(cs)
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return format_sum((c, (("T", i),)) for i, c in enumerate(self.poly))
 
 
 def untwisted_factor(av: int, v: int) -> EulerFactor:

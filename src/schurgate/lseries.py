@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, format_sum
 from .groups import ConjClass, InternalCheckError, MetacyclicParams
 from .characters import Character, QuotientIdentity, quotient_identity_virtual_character
 
@@ -212,25 +212,7 @@ class SymbolicPoly:
         return self.terms == other.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            mono = "*".join(
-                s for s in (f"a^{i}" if i > 1 else "a" if i else "",
-                            f"v^{j}" if j > 1 else "v" if j else "") if s
-            )
-            cs = str(c)
-            if not mono:
-                parts.append(f"({cs})" if "+" in cs or " - " in cs else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append((f"({cs})" if "+" in cs or " - " in cs else cs) + f"*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_sum((c, (("a", i), ("v", j))) for (i, j), c in sorted(self.terms.items()))
 
     __repr__ = __str__
 

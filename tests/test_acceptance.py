@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from oracles import conjugate_psi, psi_value, subgroup_elements, value_at
-from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
+from schurgate.cyclotomic import CyclotomicNumber as C, dot, field_of_values
 from schurgate.groups import (
     GroupElement,
     _psi_orbit_reps,
@@ -29,7 +29,6 @@ from schurgate.groups import (
 from schurgate.characters import (
     PsiDescriptor,
     _inverse_class_map,
-    _weighted_dot,
     faithful_characters,
     formula_field,
     induce_from_X,
@@ -159,7 +158,7 @@ def test_criterion_03_character_table_properties():
         inv = _inverse_class_map(G)
         for gi in range(len(classes)):
             for hi in range(gi, len(classes)):
-                s = _weighted_dot((1, chi.values[gi], chi.values[inv[hi]]) for chi in table)
+                s = dot((1, chi.values[gi], chi.values[inv[hi]]) for chi in table)
                 want = C.from_rational(G.order // classes[gi].size if gi == hi else 0)
                 assert s == want, f"column orth fails for {G}"
     # Mackey: restriction of an induced character is the sum of the b-conjugates

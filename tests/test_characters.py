@@ -18,13 +18,14 @@ from oracles import (
     restriction_to_X,
     value_at,
 )
-from schurgate.cyclotomic import CyclotomicNumber as C, field_of_values
+from schurgate.cyclotomic import CyclotomicNumber as C, dot, field_of_values
 from schurgate.groups import (
     GroupElement,
     Subgroup,
     conjugacy_classes,
     iter_valid_groups,
     make_group,
+    psi_is_faithful,
     subgroup_X,
     tower_subgroups,
 )
@@ -39,7 +40,6 @@ from schurgate.characters import (
     is_faithful,
     one_faithful_character,
     permutation_character,
-    psi_is_faithful,
     quotient_identity_virtual_character,
     tensor_decompose,
     trivial_character,
@@ -104,7 +104,7 @@ def test_row_orthogonality_exact():
 
 
 def test_column_orthogonality_exact():
-    from schurgate.characters import _weighted_dot, _inverse_class_map
+    from schurgate.characters import _inverse_class_map
 
     for G in (G21, G63):
         tab = irreducible_characters(G)
@@ -112,7 +112,7 @@ def test_column_orthogonality_exact():
         inv = _inverse_class_map(G)
         for gi in range(len(cls)):
             for hi in range(len(cls)):
-                s = _weighted_dot(
+                s = dot(
                     (1, chi.values[gi], chi.values[inv[hi]]) for chi in tab
                 )
                 expected = G.order // cls[gi].size if gi == hi else 0

@@ -985,6 +985,16 @@ def test_symbolic_euler_at_a_large_q_builds_no_cube_root_of_unity(capsys, monkey
     }
 
 
+def test_symbolic_euler_refuses_a_gauss_period_above_the_cap(monkeypatch):
+    """The period at conductor q is refused before it is built, not after it, in a product."""
+    monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", "100")
+    out = _cli("euler", "--symbolic", "-q", "103", "-p", "3", "-n", "1", "--order7-class", "H")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "error: conductor 103 exceeds the cap 100 in Gaussian period (set SCHURGATE_MAX_CONDUCTOR to raise it)\n"
+    )
+
+
 # -- the exit contract on argv drawn from a grammar of the eight commands -----
 #
 # A drawn group has q * p^n <= 2000 (200 for `table`, which costs classes^2

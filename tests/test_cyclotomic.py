@@ -10,13 +10,15 @@ from schurgate.cyclotomic import (
     AbelianField,
     ConductorOverflowError,
     CyclotomicNumber as C,
+    dot,
     euler_phi,
     field_of_values,
+    format_sum,
     max_conductor,
     _cyclo,
     _image,
 )
-from schurgate.characters import _weighted_dot, inner_product, one_faithful_character
+from schurgate.characters import inner_product, one_faithful_character
 from schurgate.groups import make_group
 from oracles import (
     complex_conjugate,
@@ -132,6 +134,44 @@ def test_conductor_overflow_names_the_operation(lower_cap, op):
     assert str(err.value) == (
         f"conductor {conductor} exceeds the cap 20 in {op} (set SCHURGATE_MAX_CONDUCTOR to raise it)"
     )
+
+
+def test_a_gauss_period_above_the_cap_is_refused_before_its_buffer(lower_cap, monkeypatch):
+    import schurgate.characters as characters
+    import schurgate.cyclotomic as cyclotomic
+
+    def unread():
+        yield pytest.fail("an exponent was read")
+
+    tau = one_faithful_character(make_group(103, 3, 1))  # building it reads no period
+    characters._gauss_period.cache_clear()
+    lower_cap(100)
+    monkeypatch.setattr(cyclotomic, "_from_buffer", lambda *args: pytest.fail("a buffer was reduced"))
+    message = r"^conductor 103 exceeds the cap 100 in Gaussian period \(set SCHURGATE_MAX_CONDUCTOR"
+    with pytest.raises(ConductorOverflowError, match=message):
+        tau.degree  # the period at index 0
+    assert characters._gauss_period.cache_info().currsize == 0
+    with pytest.raises(ConductorOverflowError, match="conductor 103 exceeds the cap 100 in zeta"):
+        C.root_sum(103, unread(), "zeta")
+
+
+def test_values_factors_and_symbolic_polys_print_by_one_rule():
+    """Every printed sum drops zeros, prints a coefficient of +-1 as a sign, brackets a sum and folds "+ -"."""
+    from schurgate.elliptic import EulerFactor
+    from schurgate.lseries import SymbolicPoly
+
+    eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)
+    zero, one = C.from_rational(0), C.from_rational(1)
+    a, v = SymbolicPoly.var_a(), SymbolicPoly.var_v()
+    assert str(eta) == "z7 + z7^2 + z7^4"
+    assert str(C.from_rational(Fraction(-3, 2)) * C.zeta(7, 2) + 1) == "1 - 3/2*z7^2"
+    assert (str(zero), str(C.from_rational(Fraction(-3, 2)))) == ("0", "-3/2")
+    assert str(EulerFactor(5, (one, -eta, zero, C.zeta(3), -one))) == "1 + (-z7 - z7^2 - z7^4)*T + z3*T^3 - T^4"
+    assert str(SymbolicPoly.scalar(eta) - a * a * v + (-eta) * v + Fraction(2, 3) * a) == (
+        "(z7 + z7^2 + z7^4) + (-z7 - z7^2 - z7^4)*v + 2/3*a - a^2*v"
+    )
+    assert str(EulerFactor(5, (zero,))) == str(SymbolicPoly.zero()) == format_sum([]) == "0"
+    assert format_sum([(-1, ()), (Fraction(1, 2), (("x", 0), ("y", 3))), (-1, (("x", 1),))]) == "-1 + 1/2*y^3 - x"
 
 
 def test_canonicalization_minimal_conductor():
@@ -382,7 +422,7 @@ def test_arithmetic_agrees_with_to_complex(x, y):
 @given(st.lists(st.tuples(st.integers(-3, 3), value(), value()), max_size=3))
 def test_weighted_dot_matches_term_by_term_sum(terms):
     want = sum((w * x * y for w, x, y in terms), C.from_rational(0))
-    assert _weighted_dot(terms) == want
+    assert dot(terms) == want
 
 
 # conductors with p^2 | m (9, 27, 25, 63), p || m (15, 21, 35, 63), m = 2 * odd

@@ -213,6 +213,26 @@ def test_no_module_imports_a_name_it_never_reads(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _private_kernel_imports(source: str) -> list[str]:
+    """Underscore names a module imports from the cyclotomic kernel, as "name (line n)"."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "cyclotomic"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(pathlib.Path(schurgate.__file__).parent.glob("*.py")) if p.name != "cyclotomic.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_kernel_reads_its_private_names(path):
+    """How a value is stored, built and printed stays in cyclotomic.py: no other module imports its _names."""
+    assert _private_kernel_imports(path.read_text()) == []
+
+
 def test_singular_curve_rejected_on_direct_construction():
     with pytest.raises(ValueError, match="singular"):
         schurgate.EllipticCurveQ(0, 0, 0, 0, 0)

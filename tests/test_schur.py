@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from schurgate.cyclotomic import CyclotomicNumber, InternalCheckError
 from schurgate.groups import (
     conjugacy_classes,
+    faithful_descriptors,
     iter_valid_groups,
     make_group,
     subgroup_X,
@@ -19,7 +20,6 @@ from schurgate.characters import (
     _inverse_class_map,
     character_field,
     faithful_characters,
-    faithful_descriptors,
     irreducible_characters,
     one_faithful_character,
     permutation_character,
