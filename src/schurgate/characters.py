@@ -21,10 +21,9 @@ one ``cyclotomic.dot`` over the classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import AbelianField, CyclotomicNumber, dot
 from .groups import (
@@ -32,6 +31,9 @@ from .groups import (
     _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_count,
     one_faithful_descriptor, tower_coefficient, tower_subgroups,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Character",
@@ -100,9 +102,9 @@ class Character:
     @property
     def degree(self) -> int:
         v0 = self.at(_IDENTITY)
-        if not v0.is_rational() or v0.rational_value().denominator != 1:
+        if not v0.is_rational() or v0.den != 1:
             raise ValueError("character degree must be a rational integer")
-        return int(v0.rational_value())
+        return v0.num[0]
 
     @property
     def char_id(self) -> str:

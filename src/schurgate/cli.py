@@ -233,7 +233,7 @@ def cmd_euler(args) -> int:
             "cube_of_quadratic": cube,
         }
         lines = [f"symbolic twisted factor at class a^{cls.rep.x} (character {tau.char_id}):"]
-        lines += [f"  T^{i}: {c}" for i, c in enumerate(poly)]
+        lines += [f"  T^{i}: {c}" for i, c in enumerate(payload["poly"])]
         lines.append(
             "not a cube of a quadratic" if not cube["is_cube"] else "IS a cube of a quadratic"
         )
@@ -248,7 +248,7 @@ def cmd_euler(args) -> int:
     if args.trivial:
         factor = untwisted_factor(av, args.v)
         payload = {**factor.to_json(), "a_v": av}
-        _emit(args, payload, f"factor {factor} (a_{args.v} = {av})")
+        _emit(args, payload, f"factor {factor} (a_{args.v} = {av})" if args.format == "text" else "")
         return 0
     from .characters import one_faithful_character
     from .frobenius import frobenius_datum, resolve_field_poly
@@ -271,7 +271,8 @@ def cmd_euler(args) -> int:
     tau = one_faithful_character(G)
     factor = twisted_euler_factor(av, args.v, tau, cls)
     payload = {**factor.to_json(), "a_v": av, "character": tau.char_id, "class": list(cls.rep)}
-    _emit(args, payload, f"twisted factor {factor} (a_{args.v} = {av}, class a^{cls.rep.x} b^{cls.rep.y})")
+    where = f"a_{args.v} = {av}, class a^{cls.rep.x} b^{cls.rep.y}"
+    _emit(args, payload, f"twisted factor {factor} ({where})" if args.format == "text" else "")
     return 0
 
 
@@ -306,11 +307,9 @@ def cmd_series(args) -> int:
         "character": chi.char_id,
         **series.to_json(),
     }
-    shown = []
-    for n in range(1, min(series.X, 30) + 1):
-        c = series.coefficient(n)
-        shown.append(f"a_{n}={c}")
-    _emit(args, payload, f"series to X={series.X} (good primes): " + ", ".join(shown))
+    shown = (f"a_{n}={series.coefficient(n)}" for n in range(1, min(series.X, 30) + 1))
+    text = f"series to X={series.X} (good primes): " + ", ".join(shown) if args.format == "text" else ""
+    _emit(args, payload, text)
     return 0
 
 

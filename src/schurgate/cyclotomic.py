@@ -1,12 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and their abelian subfields.
 
 A value is (conductor m, den > 0, integer numerators over the power basis
-1, z, ..., z^(phi(m)-1)) with gcd(den, numerators) = 1; ``coeffs`` builds
-the rationals on request.  Sums, products, Galois images and inner products
-put each operand's nonzero terms (i, c) at its own conductor m at exponent
-i * (M/m) mod M of one integer buffer at the common conductor M (a rational
-or a root of unity is one term), then reduce it once: wrap exponents mod M
-and divide by the sparse monic Phi_M = Phi_rad(x^(M/rad)), rad = rad(M).
+1, z, ..., z^(phi(m)-1)) with gcd(den, numerators) = 1, and a rational is an
+integer pair: ``fractions`` is imported only where the API returns or reads
+a Fraction (``coeffs``, ``rational_value``, the public constructor).  Sums,
+products, Galois images and inner products put each operand's nonzero terms
+(i, c) at its own conductor m at exponent i * (M/m) mod M of one integer
+buffer at the common conductor M (a rational or a root of unity is one
+term), then reduce it once: wrap exponents mod M and divide by the sparse
+monic Phi_M = Phi_rad(x^(M/rad)), rad = rad(M).
 ``dot`` accumulates a whole sum of weighted products in one such buffer and
 reduces once, which is what makes full-table orthogonality sweeps affordable;
 ``CyclotomicNumber.root_sum`` builds a sum of roots of unity (a root of unity
@@ -42,11 +44,15 @@ sanity checks compare against is a test oracle, not part of the package.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm, prod
+from typing import TYPE_CHECKING
 
 from .groups import InternalCheckError, prime_factors
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CyclotomicNumber",
@@ -265,11 +271,11 @@ def _fmt(c: int, den: int) -> str:
 def format_sum(terms) -> str:
     """The text of a sum of (coefficient, monomial) terms: how every value and polynomial prints.
 
-    A coefficient is an int, a Fraction or a CyclotomicNumber, and a monomial
-    is a tuple of (symbol, exponent) pairs, printed as "x", "x^e" or nothing
-    for the exponents 1, e > 1 and 0, joined by "*".  Zero terms are dropped;
-    before a monomial a coefficient 1 or -1 prints as the monomial or its
-    negation; a coefficient of more than one term is bracketed; each "+ -"
+    A coefficient is an int, a CyclotomicNumber or a rational's text, and a
+    monomial is a tuple of (symbol, exponent) pairs, printed as "x", "x^e" or
+    nothing for the exponents 1, e > 1 and 0, joined by "*".  Zero terms are
+    dropped; before a monomial a coefficient 1 or -1 prints as the monomial or
+    its negation; a coefficient of more than one term is bracketed; each "+ -"
     folds to "- ", and the empty sum is "0".
     """
     parts = []
@@ -293,6 +299,7 @@ class CyclotomicNumber:
     __slots__ = ("conductor", "den", "num", "_terms")
 
     def __init__(self, conductor: int, coeffs):
+        from fractions import Fraction
         m = _check_conductor(int(conductor), "the CyclotomicNumber constructor")
         vec = [Fraction(c) for c in coeffs]
         if len(vec) != _phi(m):
@@ -312,6 +319,7 @@ class CyclotomicNumber:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Rational coordinates over the power basis of Q(zeta_conductor)."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def _nz(self) -> tuple[tuple[int, int], ...]:
@@ -322,9 +330,16 @@ class CyclotomicNumber:
         return terms
 
     @classmethod
-    def from_rational(cls, x) -> "CyclotomicNumber":
-        x = x if type(x) is int else Fraction(x)  # an int is its own numerator
-        return cls._make(1, x.denominator, (x.numerator,))
+    def from_rational(cls, x, den: int = 1) -> "CyclotomicNumber":
+        """The rational x / den, for an int den and an int, a Fraction or anything Fraction reads."""
+        if not isinstance(x, int):
+            from fractions import Fraction
+            x = Fraction(x)
+            x, den = x.numerator, x.denominator * den
+        if not den:
+            raise ZeroDivisionError(f"rational {x}/0")
+        g = gcd(x, den) if den > 0 else -gcd(x, den)
+        return cls._make(1, den // g, (x // g,))
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CyclotomicNumber":
@@ -354,6 +369,7 @@ class CyclotomicNumber:
         return self.conductor == 1
 
     def rational_value(self) -> Fraction:
+        from fractions import Fraction
         if self.conductor != 1:
             raise ValueError(f"value {self} is not rational")
         return Fraction(self.num[0], self.den)
@@ -361,7 +377,7 @@ class CyclotomicNumber:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         M = _check_conductor(lcm(self.conductor, other.conductor), "add")
@@ -379,15 +395,15 @@ class CyclotomicNumber:
         return CyclotomicNumber._make(self.conductor, self.den, tuple(-c for c in self.num))
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         return NotImplemented if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1 or other.conductor == 1:
@@ -411,7 +427,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.conductor == 1:
-            return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]))
+            return CyclotomicNumber.from_rational(self.den, self.num[0])
         y = self
         acc = CyclotomicNumber.from_rational(1)
         while y.conductor != 1:
@@ -423,14 +439,14 @@ class CyclotomicNumber:
                 raise InternalCheckError(
                     f"norm of a value at conductor {m} down to Q(z_{mp}) has conductor {y.conductor}"
                 )
-        return acc * Fraction(y.den, y.num[0])
+        return acc * CyclotomicNumber.from_rational(y.den, y.num[0])
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         return NotImplemented if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         return NotImplemented if other is NotImplemented else other * self.inverse()
 
     def __pow__(self, k: int):
@@ -467,7 +483,7 @@ class CyclotomicNumber:
         return {"conductor": self.conductor, "coeffs": coeffs}
 
     def __eq__(self, other):
-        other = _coerce(other)
+        other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return (self.conductor, self.den, self.num) == (other.conductor, other.den, other.num)
@@ -482,16 +498,20 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.conductor}, {[_fmt(c, self.den) for c in self.num]})"
 
     def __str__(self):
+        # a coefficient stays an int when den divides it, so that format_sum sees 1 and -1
         z, den = f"z{self.conductor}", self.den
-        return format_sum((c if den == 1 else Fraction(c, den), ((z, i),)) for i, c in self._nz())
+        return format_sum((c // den if c % den == 0 else _fmt(c, den), ((z, i),)) for i, c in self._nz())
 
-
-def _coerce(x):
-    if isinstance(x, CyclotomicNumber):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CyclotomicNumber.from_rational(x)
-    return NotImplemented
+    @staticmethod
+    def coerce(x):
+        """x as a CyclotomicNumber if it is one, an int or a Fraction; else NotImplemented.
+        No Fraction exists before ``fractions`` is loaded, so its type is looked up, not imported."""
+        if isinstance(x, CyclotomicNumber):
+            return x
+        fractions = sys.modules.get("fractions")
+        if isinstance(x, int) or fractions and isinstance(x, fractions.Fraction):
+            return CyclotomicNumber.from_rational(x)
+        return NotImplemented
 
 
 class AbelianField:

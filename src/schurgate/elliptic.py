@@ -146,22 +146,24 @@ def _ec_mul(k: int, P, A, v):
 
 def _orders_in_interval(P, A, v, lo, hi) -> set[int]:
     """Every N in [lo, hi] with [N]P = O, by baby steps jP (j <= m) and giant
-    steps of 2m + 1 around the block centres lo + m + i (2m + 1)."""
+    steps of 2m + 1 around the block centres a (2m + 1), from the block that
+    holds lo on.  An order of at most 2m shows in the baby steps, as jP = O,
+    jP = -j'P (an x seen before) or 2jP = O (y = 0), and is found by walking
+    on to O; a larger order leaves at most one N in each block."""
     m = isqrt((hi - lo) // 2) + 1
     baby = {}
     R = None
-    for j in range(1, 2 * m + 2):
+    for j in range(1, m + 1):
         R = _ec_add(R, P, A, v)
-        if R is None or (j <= m and R[0] in baby):
-            while R is not None:  # jP = -j'P: the order is at most 2m
+        if R is None or R[0] in baby or R[1] == 0:
+            while R is not None:
                 R = _ec_add(R, P, A, v)
                 j += 1
             return set(range(-(-lo // j) * j, hi + 1, j))
-        if j <= m:
-            baby[R[0]] = (j, R[1])
-    step = R  # (2m + 1) P
-    centre = lo + m
-    R = _ec_mul(centre, P, A, v)
+        baby[R[0]] = (j, R[1])
+    step = _ec_add(_ec_add(R, R, A, v), P, A, v)  # (2m + 1) P
+    a = (lo + m) // (2 * m + 1)
+    centre, R = a * (2 * m + 1), _ec_mul(a, step, A, v)
     found = set()
     while centre - m <= hi:
         if R is None:

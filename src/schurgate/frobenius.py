@@ -15,9 +15,10 @@ with o = p^i > 1 (a power of b), or a single q (nontrivial order-q part),
 and the cyclotomic exponent y already says which: 1 + o + ... + o with
 o = p^(r - v_p(y)) when y is not 0 mod p^r, else 1^q or q.  So the pattern
 is certified, not factored: the Frobenius matrix of x -> x^v mod f, built
-once per prime, checks the shapes y allows (``frobenius_datum``), and
-distinct-degree factorization runs only when a certificate fails, to name
-the pattern in the refusal.  In the q case the conjugacy class is
+once per prime from integer products of packed residues (``_FrobeniusMap``),
+checks the shapes y allows (``frobenius_datum``), and distinct-degree
+factorization runs only when a certificate fails, to name the pattern in
+the refusal.  In the q case the conjugacy class is
 ambiguous among the (q-1)/p^r classes of order-q-part elements with the
 observed cyclotomic component; the ambiguity is carried explicitly and
 never silently resolved.  The class and each candidate are built from
@@ -28,6 +29,7 @@ is read and the cost does not grow with p^n.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .groups import ConjClass, GroupElement, MetacyclicParams, _psi_orbit_reps, is_prime, vp
@@ -154,56 +156,58 @@ def _discriminant(coeffs: tuple[int, ...]) -> int:
 class _FrobeniusMap:
     """The v-power map of F_v[x]/(f) for a monic f of degree d >= 2.
 
-    A residue h = sum h_i x^i is packed into one integer with a B-bit slot
+    A residue h = sum h_i x^i is packed into one integer with a W-bit slot
     per coefficient, so a product of residues is one integer product whose
-    slots hold the coefficient sums (fewer than d v^2, no carries).  The
-    slots of degree d .. 2d-1 are then folded back with the packed rows
-    x^k mod f, and one % v per coefficient finishes the reduction.  Rows
-    x^(v i) mod f (the Berlekamp Q-matrix) turn each further power x^(v^k)
-    into one matrix-vector product.
+    slots hold the coefficient sums (below 2^b, b the bit length of 2 d v^2:
+    no carries).  A product lo + x^d hi is reduced with no loop over its
+    slots, by Barrett's method twice.  x^d hi = Q f + R, where Q is hi mu
+    with its d - 1 lowest slots dropped, mu = floor(x^(2d-1) / f), so the
+    residue is lo - (Q (f - x^d) mod x^d), a multiple of v in each slot
+    keeping it nonnegative.  And every slot is taken mod v at once, as
+    floor(s m / 2^k) = floor(s / v) for m = floor(2^k / v) + 1,
+    k = b + bitlen(v) and 0 <= s < 2^b (Granlund and Montgomery, PLDI 1994),
+    with W = 2b + 2 bits keeping the slots of s m apart.  Rows x^(v i) mod f
+    (the Berlekamp Q-matrix) turn each further power x^(v^k) into one
+    matrix-vector product.
     """
 
     def __init__(self, f: list[int], v: int):
         d = len(f) - 1
         self.f, self.d, self.v = f, d, v
-        self.bits = b = (2 * d * v * v).bit_length()
-        self.mask = (1 << b) - 1
-        self.low = (1 << (b * d)) - 1
-        self.shifts = [b * k for k in range(2 * d)]
-        row = [-c % v for c in f[:d]]  # x^d mod f
-        self.top_down = self.shifts[d - 1::-1]
-        fold = []
-        for k in range(d, 2 * d):
-            fold.append((self.shifts[k], self.pack(row)))
-            top = row[-1]
-            row = [(r - top * c) % v for r, c in zip([0] + row[:-1], f)]
-        self.fold = fold  # (slot shift, x^k mod f) for k = d .. 2d-1
-        h = 1 << b  # x
+        b = (2 * d * v * v).bit_length()
+        self.bits = W = 2 * b + 2
+        self.mask = (1 << W) - 1
+        self.shifts = [W * k for k in range(d)]
+        self.low = (1 << (W * d)) - 1
+        ones = ((1 << (2 * W * d)) - 1) // self.mask  # 1 in each of 2d slots
+        k = b + v.bit_length()
+        self.barrett = (v, (1 << k) // v + 1, k, ones * ((1 << (W - k)) - 1))
+        self.offset = (ones & self.low) * (d * v * v)
+        # mu reversed is 1 / (f reversed) mod x^d, a power series in F_v[[x]]
+        rf, g = f[::-1], [1]
+        for j in range(1, d):
+            g.append(-sum(map(mul, rf[1 : j + 1], reversed(g))) % v)
+        self.mu, self.tail = self.pack(g[::-1]), self.pack(f[:d])
+        h = 1 << W  # x
         for bit in bin(v)[3:]:
-            h = self.reduce(h * h << b if bit == "1" else h * h)
+            h = self.reduce(h * h << W if bit == "1" else h * h)
         rows = [1, h]
         for _ in range(d - 2):
             rows.append(self.reduce(rows[-1] * h))
         self.rows = rows
 
     def pack(self, coeffs) -> int:
-        out, b = 0, self.bits
-        for c in reversed(coeffs):
-            out = out << b | c
-        return out
+        return sum(c << t for c, t in zip(coeffs, self.shifts))
 
     def reduce(self, s: int) -> int:
         """The packed product s (degree < 2d) as a reduced residue mod (f, v)."""
-        v, mask, b = self.v, self.mask, self.bits
-        acc = s & self.low
-        for t, row in self.fold:
-            c = s >> t & mask
-            if c:
-                acc += c % v * row
-        out = 0
-        for t in self.top_down:
-            out = out << b | (acc >> t & mask) % v
-        return out
+        v, m, k, slots = self.barrett  # s - v * (s * m >> k & slots) takes every slot of s mod v
+        hi = s >> self.bits * self.d
+        hi -= v * (hi * m >> k & slots)
+        quo = hi * self.mu >> self.bits * (self.d - 1)
+        quo -= v * (quo * m >> k & slots)
+        s = (s & self.low) + self.offset - (quo * self.tail & self.low)
+        return s - v * (s * m >> k & slots)
 
     def power(self, h: int) -> int:
         """h^v mod (f, v) for a packed reduced residue h."""
@@ -213,7 +217,8 @@ class _FrobeniusMap:
             c = h >> t & mask
             if c:
                 acc += c * row
-        return self.reduce(acc)
+        v, m, k, slots = self.barrett
+        return acc - v * (acc * m >> k & slots)
 
     def iterate(self, h: int, k: int) -> int:
         """h^(v^k) mod (f, v) for a packed reduced residue h."""
@@ -237,7 +242,7 @@ class _FrobeniusMap:
     def minus_x(self, h: int) -> list[int]:
         """The trimmed coefficients of h - x for a packed residue h."""
         mask = self.mask
-        diff = [h >> t & mask for t in self.shifts[: self.d]]
+        diff = [h >> t & mask for t in self.shifts]
         diff[1] = (diff[1] - 1) % self.v
         return _gf_trim(diff)
 
@@ -342,6 +347,10 @@ class FrobeniusDatum(NamedTuple):
         }
 
 
+# a series meets the few classes of each cyclotomic exponent y at every prime
+_conj_class = lru_cache(maxsize=1 << 12)(MetacyclicParams.conj_class)
+
+
 def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     """Frobenius class data at an unramified prime v from pattern + residue.
 
@@ -371,14 +380,14 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     elif xv == x:
         pattern = (1,) * q
     elif frob.iterate(xv, q - 1) == x:  # degrees 1 and q are left, and x^v != x rules out 1^q
-        cands = tuple(G.conj_class(GroupElement(x0, y)) for x0 in _psi_orbit_reps(G))
+        cands = tuple(_conj_class(G, GroupElement(x0, y)) for x0 in _psi_orbit_reps(G))
         order = cands[0].element_order
         if any(c.element_order != order for c in cands):
             raise _pattern_error(coeffs, v, (q,), y)
         return FrobeniusDatum(v, order, y, None, cands, (q,))
     if pattern is None:
         raise _pattern_error(coeffs, v, _distinct_degrees(frob), y)
-    cls = G.conj_class(GroupElement(0, y))
+    cls = _conj_class(G, GroupElement(0, y))
     return FrobeniusDatum(v, cls.element_order, y, cls, (cls,), pattern)
 
 

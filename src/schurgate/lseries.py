@@ -9,9 +9,9 @@ independent trace sources feed it, and the tower identity compares them:
   * characters: for M = A_v (x) tau(g), tr(M^s) = (alpha^s + beta^s) chi(g^s),
     with alpha, beta the roots of T^2 - a_v T + v.  Their power sums are
     integers (or polynomials in formal symbols a, v), so every coefficient
-    stays in Q(zeta); chi(g^s) is read, uncached, only for the s <= kmax
-    that the recursion uses, by the character's evaluator at the class of
-    g^s (no value table is built), so a prime costs the same at any n.
+    stays in Q(zeta); chi(g^s) is read once per process for each class
+    representative and 1 <= s <= kmax the recursion uses, by the evaluator at
+    the class of g^s (no value table is built), so a prime costs the same at any n.
   * residue degrees: a prime of residue degree f over v contributes
     f (alpha^s + beta^s) to tr_s whenever f | s.  The degrees come from
     factorization patterns and the compositum splitting formula, with no
@@ -41,13 +41,12 @@ statement in this package is about good-prime-supported coefficients only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CyclotomicNumber, format_sum
-from .groups import ConjClass, InternalCheckError, MetacyclicParams
+from .groups import ConjClass, GroupElement, InternalCheckError, MetacyclicParams
 from .characters import Character, QuotientIdentity, quotient_identity_virtual_character
 
 # elliptic and frobenius are imported where they are used: the symbolic factor needs neither
@@ -68,7 +67,7 @@ __all__ = [
 
 _ZERO = CyclotomicNumber.from_rational(0)
 _ONE = CyclotomicNumber.from_rational(1)
-_THIRD = CyclotomicNumber.from_rational(Fraction(1, 3))
+_THIRD = CyclotomicNumber.from_rational(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +78,16 @@ def _newton(traces, kmax: int, sign: int, one) -> list:
     c_0 = one and k c_k = sign * sum_{s=1..k} traces[s] c_{k-s}.
 
     With traces[s] = tr(M^s), sign -1 gives det(1 - M T) and sign +1 the
-    L-series 1 / det(1 - M T).  Integer traces give Fractions.
+    L-series 1 / det(1 - M T).  traces[0] is not read.  The traces are
+    cyclotomic values or polynomials in them, and the division by k is a
+    product with the kernel's rational sign/k.
     """
     c = [one]
     for k in range(1, kmax + 1):
-        acc = traces[1] * c[k - 1]
-        for s in range(2, k + 1):
+        acc = traces[k]  # traces[k] * c_0
+        for s in range(1, k):
             acc = acc + traces[s] * c[k - s]
-        c.append(acc * Fraction(sign, k))
+        c.append(acc if sign == k == 1 else acc * CyclotomicNumber.from_rational(sign, k))
     return c
 
 
@@ -99,10 +100,18 @@ def _power_sums(a, v, kmax: int) -> list:
 
 
 def _traces(sums: list, chi, cls: ConjClass, kmax: int) -> list:
-    """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 0 <= s <= kmax;
-    each chi(g^s) is read at the class of g^s, g the class representative."""
-    G = chi.group
-    return [sums[s] * chi(G.power(cls.rep, s)) for s in range(kmax + 1)]
+    """tr(M^s) = (alpha^s + beta^s) chi(g^s) for M = A_v (x) tau(g), 1 <= s <= kmax
+    (Newton's identities never read tr(M^0), so index 0 holds None)."""
+    G, at, rep = chi.group, chi.at, cls.rep
+    return [None] + [sums[s] * _value_at_power(at, G, rep, s) for s in range(1, kmax + 1)]
+
+
+@lru_cache(maxsize=1 << 12)
+def _value_at_power(at, G: MetacyclicParams, rep: GroupElement, s: int) -> CyclotomicNumber:
+    """chi(g^s) for g = rep, read by the evaluator at of chi, once per process: a series
+    reads the few classes of its Frobenius data at every prime, and the key holds the
+    evaluator itself, so no two characters share a value."""
+    return at(G.conj_class(G.power(rep, s)))
 
 
 def _determinant(chi: Character, cls: ConjClass, a, v, one) -> list:
@@ -201,9 +210,8 @@ class SymbolicPoly:
     def _coerce(x) -> "SymbolicPoly":
         if isinstance(x, SymbolicPoly):
             return x
-        if isinstance(x, (int, Fraction, CyclotomicNumber)):
-            return SymbolicPoly.scalar(x)
-        return NotImplemented
+        c = CyclotomicNumber.coerce(x)
+        return NotImplemented if c is NotImplemented else SymbolicPoly({(0, 0): c})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -413,10 +421,10 @@ def _tower_series(G: MetacyclicParams, datum: FrobeniusDatum, av: int, v: int, k
         for f, count in tower_residue_degrees(G, datum, kind, level):
             for s in range(f, kmax + 1, f):
                 traces[s] += sign * count * f * sums[s]
-    series = _newton(traces, kmax, 1, 1)
-    if any(b.denominator != 1 for b in series):
+    series = _newton([CyclotomicNumber.from_rational(t) for t in traces], kmax, 1, _ONE)
+    if any(b.den != 1 for b in series):
         raise InternalCheckError(f"tower local series is not integral at v = {v} ({G.spec})")
-    return [CyclotomicNumber.from_rational(b) for b in series]
+    return series
 
 
 class IdentityCheck(NamedTuple):

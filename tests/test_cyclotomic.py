@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -452,3 +454,50 @@ def test_field_of_values_matches_all_units_on_random_lists():
         lists += [vals, [trace]]
     for vals in lists:
         assert field_of_values(vals) == field_of_values_all_units(vals), vals
+
+
+# run in a fresh interpreter, so that the first half sees no Fraction type at all
+COERCION = """
+import operator, sys
+from schurgate.cyclotomic import CyclotomicNumber as C
+from schurgate.lseries import SymbolicPoly
+
+def results():
+    z, a = C.zeta(7), SymbolicPoly.var_a()
+    return [str(z + 1), str(2 * z - True), str(True + z), str(3 - z), str(z * False), str(-1 * z),
+            z == 1, C.from_rational(1) == True, str(a * 2 + True), str(1 - a), str(False * a)]
+
+def refuses(operand):
+    for x in (C.zeta(7), SymbolicPoly.var_a()):
+        for op in (operator.add, operator.sub, operator.mul):
+            for args in ((x, operand), (operand, x)):
+                try:
+                    op(*args)
+                except TypeError:
+                    continue
+                raise AssertionError(f"{op.__name__}{args!r} did not raise TypeError")
+
+before = results()
+refuses(0.5)
+refuses("1")
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
+from decimal import Decimal
+from fractions import Fraction
+assert results() == before
+refuses(Decimal(1))
+z, a, half = C.zeta(7), SymbolicPoly.var_a(), Fraction(1, 2)
+assert z * half == half * z == C(7, [0, half, 0, 0, 0, 0]) == C.from_rational(1, 2) * z
+assert z + Fraction(4, 2) == z + 2 and Fraction(1, 3) - z == C.from_rational(1, 3) - z
+print(*before, str(Fraction(-3, 2) * z + 1), str(a * half), str(Fraction(1, 3) + a), sep="|")
+"""
+
+
+def test_int_bool_and_fraction_operands_coerce_and_nothing_else():
+    """int, bool and Fraction operands give the same values with or without fractions loaded;
+    float, str and Decimal operands raise TypeError, as before."""
+    out = subprocess.run([sys.executable, "-c", COERCION], capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("|") == [
+        "1 + z7", "-1 + 2*z7", "1 + z7", "3 - z7", "0", "-z7", "False", "True", "1 + 2*a", "1 - a", "0",
+        "1 - 3/2*z7", "1/2*a", "1/3 + a\n",
+    ]

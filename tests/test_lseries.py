@@ -1,6 +1,7 @@
 import cmath
 import functools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -29,11 +30,13 @@ from oracles import (
 from schurgate.cyclotomic import InternalCheckError, prime_factors
 from schurgate.cyclotomic import CyclotomicNumber as C
 from schurgate.groups import (
-    GroupElement, MetacyclicParams, _class_index, conjugacy_classes, is_prime, make_group, tower_subgroups,
+    GroupElement, MetacyclicParams, PsiDescriptor, _class_index, conjugacy_classes, is_prime, make_group,
+    tower_subgroups,
 )
 from schurgate.characters import (
     _linear_character,
     faithful_characters,
+    induce_from_X,
     irreducible_characters,
     one_faithful_character,
     permutation_character,
@@ -516,7 +519,8 @@ def test_identity_rhs_factors_are_the_faithful_factors_to_the_coefficient():
 
 
 def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
-    """det(1 - M T) has degree D = 2 chi(1), so a full factor reads chi(g^s) for s <= D alone."""
+    """det(1 - M T) has degree D = 2 chi(1), so a full factor reads chi(g^s) for 1 <= s <= D alone,
+    and a second factor at the same class reads none: each value is read once per process."""
     G = make_group(31, 3, 2)  # no other test reads a factor on this group
     tau = one_faithful_character(G)
     calls = 0
@@ -528,15 +532,17 @@ def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
         return power(self, g, k)
 
     monkeypatch.setattr(MetacyclicParams, "power", counted)
-    for x, y in ((1, 0), (1, 1), (0, 1)):
+    seen = set()
+    for x, y in ((1, 0), (1, 1), (0, 1)):  # (1, 1) and (0, 1) are one class
         cls = G.conj_class(GroupElement(x, y))
         assert cls.element_order > 7
         calls = 0
         assert twisted_euler_factor(-2, 5, tau, cls).degree == 6
-        assert calls == 7
+        assert calls == (0 if cls in seen else 6)
+        seen.add(cls)
         calls = 0
         assert len(symbolic_twisted_euler_factor(tau, cls)) == 7
-        assert calls == 7
+        assert calls == 0
 
 
 @pytest.mark.parametrize("G", [G21, G63, make_group(7, 3, 3)], ids=str)
@@ -615,3 +621,49 @@ def test_ambiguity_check_raises_exactly_when_block_factors_differ(n):
                 num, den = factors.pop()
                 assert _resolve_local_factor(chi, datum, av, v, kmax) == local_expansion(num, den, kmax)
     assert ambiguous > 10
+
+
+def _conjugate_units(G):
+    """Every unit k mod q p^(n-r), the modulus of the values of the faithful characters."""
+    m = G.q * G.pn // G.pr
+    return [k for k in range(1, m) if gcd(k, m) == 1]
+
+
+@pytest.mark.parametrize("G", [G21, G63], ids=str)
+def test_galois_conjugate_twist_has_the_conjugate_series(G):
+    """sigma_k of each coefficient of L(E, ind:u,w) is the coefficient of L(E, ind:ku,kw).
+
+    sigma_k maps psi_(u,w) to psi_(ku,kw), hence ind:u,w to ind:ku,kw, and the
+    coefficients are polynomials in the values with integer coefficients.  So
+    a character read at the wrong index or a value read for another character
+    breaks the equality, which orthogonality and degree checks cannot see.
+    """
+    u, w = 1, 1 if G.n > G.r else 0
+    series = [
+        dirichlet_partial(E_MINUS_X, G, induce_from_X(G, PsiDescriptor(k * u, k * w)), EXAMPLE_F1, 200,
+                          pick_first=True).an[1:]
+        for k in _conjugate_units(G)
+    ]
+    base = series[0]  # k = 1
+    assert sum(not c.is_rational() for c in base) >= 5
+    for k, got in zip(_conjugate_units(G), series):
+        assert got == tuple(c.galois(k) for c in base), k
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_galois_conjugate_twist_has_the_conjugate_factor(n):
+    """The same for the full Euler factors on C13:C3^n, where (Z/13)^x / H has order 4.
+
+    With q = 7 the quotient has order 2, so u and 1/u lie in one H-orbit and
+    a character read at u^-1 x instead of u x is still right; here it is not.
+    """
+    G = make_group(13, 3, n)
+    u, w = 2, 1 if n > G.r else 0
+    classes = [G.conj_class(GroupElement(x, y)) for x in (1, 2, 4, 8) for y in sorted({0, G.pr % G.pn})]
+    factors = [
+        [twisted_euler_factor(-2, 5, induce_from_X(G, PsiDescriptor(k * u, k * w)), c).poly for c in classes]
+        for k in _conjugate_units(G)
+    ]
+    assert any(not c.is_rational() for f in factors[0] for c in f)
+    for k, got in zip(_conjugate_units(G), factors):
+        assert got == [tuple(c.galois(k) for c in f) for f in factors[0]], k

@@ -13,6 +13,8 @@ import schurgate
 
 ARITHMETIC = {"schurgate.elliptic", "schurgate.frobenius", "schurgate.lseries"}
 INTROSPECTION = {"dataclasses", "inspect"}
+# the kernel keeps a rational as an integer pair, so no value job needs these
+RATIONALS = {"fractions", "decimal"}
 # what a closed-form answer never needs: the kernel, the tables and their imports
 VALUE_LAYER = {"schurgate.cyclotomic", "schurgate.characters", "fractions", "decimal", "json"}
 
@@ -60,24 +62,29 @@ def test_untwisted_euler_loads_only_the_curve_and_the_kernel():
     package = {m for m in loaded if m.startswith("schurgate")}
     assert package == {"schurgate", "schurgate.cli", "schurgate.groups", "schurgate.elliptic",
                        "schurgate.cyclotomic"}, sorted(package)
-    assert not loaded & INTROSPECTION
+    assert not loaded & (INTROSPECTION | RATIONALS)
 
 
 @pytest.mark.parametrize("argv", [
     ["frobenius", "-q", "7", "-p", "3", "-n", "2", "-v", "53"],
     ["euler", "--order7-class", "H", "-q", "7", "-p", "3", "-n", "2", "--symbolic"],
+    ["euler", "--curve", "0,0,0,-1,0", "-v", "53", "-n", "2", "--pick-first"],
+    ["euler", "--curve", "0,0,0,-1,0", "-v", "53", "-n", "2", "--pick-first", "--format", "json"],
     ["series", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30"],
+    ["series", "--curve", "0,0,0,-1,0", "-n", "2", "-X", "30", "--character", "ind:1,1", "--pick-first",
+     "--format", "json"],
     ["identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30"],
-], ids=lambda argv: "-".join(argv[:2]))
+    ["identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30", "--format", "json"],
+], ids=lambda argv: "-".join(argv[:2] + [a for a in argv[-1:] if a in ("--pick-first", "json")]))
 def test_arithmetic_commands_load_no_introspection(argv):
     loaded = _loaded_after(*argv)
-    if argv[0] == "euler":  # the symbolic factor needs neither the curve nor Frobenius
+    if "--symbolic" in argv:  # the symbolic factor needs neither the curve nor Frobenius
         package = {m for m in loaded if m.startswith("schurgate")}
         assert package == {"schurgate", "schurgate.cli", "schurgate.groups", "schurgate.cyclotomic",
                            "schurgate.characters", "schurgate.lseries"}, sorted(package)
     else:
         assert "schurgate.frobenius" in loaded
-    assert not loaded & INTROSPECTION
+    assert not loaded & (INTROSPECTION | RATIONALS), sorted(loaded & (INTROSPECTION | RATIONALS))
 
 
 @pytest.mark.parametrize("argv", [
