@@ -182,6 +182,12 @@ def conjugate_psi(G: MetacyclicParams, psi: PsiDescriptor, k: int) -> PsiDescrip
     return PsiDescriptor(psi.u * pow(G.j, k, G.q) % G.q, psi.w)
 
 
+def conjugate_units(G: MetacyclicParams) -> list[int]:
+    """Every unit k mod q p^(n-r), the modulus of the values of the faithful characters."""
+    m = G.q * G.pn // G.pr
+    return [k for k in range(1, m) if gcd(k, m) == 1]
+
+
 def restriction_to_X(chi: Character) -> dict[GroupElement, CyclotomicNumber]:
     """Values of chi on the elements of X."""
     G = chi.group

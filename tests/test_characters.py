@@ -2,10 +2,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from oracles import (
     VirtualCharacter,
     conjugate_psi,
+    conjugate_units,
     decompose,
     dense_galois,
     elements,
@@ -276,6 +278,51 @@ def test_field_degree_counts_the_conjugates_of_the_value_tuple():
             M = lcm(*(m for _, m in rows))
             tuples = {tuple(row[k % m] for row, m in rows) for k in range(1, M + 1) if gcd(k, M) == 1}
             assert len(tuples) == character_field(tau).degree, (G, tau.char_id)
+
+
+# -- Galois conjugation on tables -----------------------------------------------
+#
+# sigma_k (zeta -> zeta^k) maps psi_(u,w) to psi_(ku,kw), hence the column of
+# values of ind:u,w to that of ind:ku,kw, for every unit k mod q p^(n-r), the
+# conductor of the faithful values.  With q = 7 and p = 3, (Z/q)^x / H has
+# order 2, so a period read at u^-1 x instead of u x would still pass; the
+# sweep reaches q = 13, where it has order 4.
+
+GALOIS_MAX = 300
+
+
+def _bases(G):
+    """ind:1,0 and ind:1,1 (one character when n = r): a faithful one, and one that is not when n > r."""
+    return sorted({(1, w % (G.pn // G.pr)) for w in (0, 1)})
+
+
+def _column(G, u, w):
+    return induce_from_X(G, PsiDescriptor(u, w)).values
+
+
+def test_galois_conjugate_columns_and_their_stabilizer_on_sweep():
+    """sigma_k of the column of ind:u,w is that of ind:ku,kw, and the k fixing it give character_field."""
+    for G in iter_valid_groups(GALOIS_MAX):
+        for u, w in _bases(G):
+            base = _column(G, u, w)
+            field = character_field(induce_from_X(G, PsiDescriptor(u, w)))
+            fixed = set()
+            for k in conjugate_units(G):
+                image = tuple(v.galois(k) for v in base)
+                assert _column(G, k * u, k * w) == image, (G, u, w, k)
+                if image == base:
+                    fixed.add(k % field.conductor)
+            assert fixed == set(field.stabilizer), (G, u, w)
+
+
+@seed(20011)
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(list(iter_valid_groups(2000))).flatmap(
+    lambda G: st.tuples(st.just(G), st.integers(1, G.q - 1), st.integers(0, G.pn), st.sampled_from(conjugate_units(G)))
+))
+def test_galois_conjugate_column_at_a_drawn_unit(draw):
+    G, u, w, k = draw
+    assert _column(G, k * u, k * w) == tuple(v.galois(k) for v in _column(G, u, w))
 
 
 def test_formula_field_matches_on_sweep():

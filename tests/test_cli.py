@@ -3,11 +3,13 @@ import hashlib
 import io
 import json
 import shlex
+from math import isqrt
 
 import pytest
 import sympy
 from hypothesis import example, given, seed, settings, strategies as st
 
+import golden
 from schurgate.cli import main
 from schurgate.characters import faithful_characters
 from schurgate.groups import iter_valid_groups, make_group
@@ -229,138 +231,56 @@ def test_schur_and_predict_at_n12(capsys):
     assert tower["modulus"] == 2125764
 
 
-# sha256 of the JSON stdout of every README command, recorded before the
-# cyclotomic kernel moved to Galois descent over sparse Phi_m.  Left out for
-# its running time (about 30 s): `sweep --max 2000 --tables --table-max 300`.
-README_JSON_SHA256 = {
-    "table -q 7 -p 3 -n 1":
-        "15c77bf88a969aa7f71c076325ff95d83fbcf0e498b0d1dfb2381f6f37bb1b7f",
-    "schur -q 19 -p 3 -n 4":
-        "d4cf3edbea051e29059aff0e31a6324e07963b1b3780c88ff56cead7c0572ebb",
-    "schur -q 7 -p 3 -n 2 --all":
-        "a3f1f40ff1c644ca0f64a4a6cad88be6f2638b7caf49aebd37c3d431086876c8",
-    "predict -q 7 -p 3 -n 2":
-        "3b32f91de4808c2e3c79748322ec9b8d2a57e8456fb6344a6430903ff2af91d7",
-    "predict -q 7 -p 3 -n 1":
-        "1c431c23196db7d3dc79063410292c6b25c5f37f7f99f5119f717151455a4dc6",
-    "frobenius -q 7 -p 3 -n 2 -v 53":
-        "d8b3e1caced9e7abeb242bc55033f9e973669c32dee722b75a4a4f3784ab6adc",
-    "euler --curve 0,0,0,-1,0 -v 5 --trivial -n 1":
-        "4b2eaf4c140afbe1b8d90989058172d30af8a035021802f213d89a74ab2b9e24",
-    "euler --order7-class H -q 7 -p 3 -n 2 --symbolic":
-        "636af52a414d621a26aa2db493253b68e2a73ac5f4f19b62ef03514fa6ffff94",
-    "series --curve 0,0,0,-1,0 -n 1 -X 100":
-        "453bfc601376b16dfa256aa88d79e79cfd0d79645386e2e2ea000a0a5915a018",
-    "identity --curve 0,0,0,-1,0 --field example-F1 -n 1 -X 500":
-        "b607858a4452c3b9775f469080879dc7e9afc0f49c2fca578d313cc575019fd3",
-    "sweep --max 10000":
-        "93577b8a7f119352a66d9582c13319a54d0fe607b725d3a8866eee021229d4b0",
-}
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("command", sorted(README_JSON_SHA256))
+# the golden manifest (tests/golden.py): argv -> the exit code and the sha256
+# of stdout and stderr that a fresh process gave when it was recorded
+RECORDED = {tuple(line["argv"]): line for line in golden.read_manifest()}
+
+
+def run_as_recorded(capsys, argv):
+    """Run argv in process and compare it with its manifest line."""
+    line = RECORDED[tuple(argv)]
+    code, out, err = run(capsys, *argv)
+    assert (code, _sha256(out), _sha256(err)) == (line["exit"], line["stdout"], line["stderr"])
+    return code, out, err
+
+
+def test_manifest_lists_every_golden_command_and_each_parses():
+    """A README command, workload job or grid entry added without --record fails here."""
+    from schurgate.cli import build_parser
+
+    assert list(RECORDED) == [tuple(argv) for argv in golden.commands()]
+    parser = build_parser()
+    for argv in RECORDED:
+        parser.parse_args(argv)
+
+
+# The README commands, in both formats.  `sweep --max 2000 --tables
+# --table-max 300` takes 3 to 4 s a format, so only `golden.py --check` runs it.
+README_IN_PROCESS = [command for command in golden.readme() if "--tables" not in command]
+
+
+@pytest.mark.parametrize("command", sorted(README_IN_PROCESS))
 def test_readme_command_json_is_byte_identical(capsys, command):
-    code, out, _ = run(capsys, *shlex.split(command), "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == README_JSON_SHA256[command]
+    assert run_as_recorded(capsys, [*shlex.split(command), "--format", "json"])[0] == 0
 
 
-# sha256 of the --format text stdout of the same README commands, recorded
-# before `schur` built its text lines from the encoded reports.  Left out for
-# the same reason: `sweep --max 2000 --tables --table-max 300`.
-README_TEXT_SHA256 = {
-    "table -q 7 -p 3 -n 1":
-        "0f04cb779eddfcd431fcc221c83de1393d199399d69cc34d20b7ee8637cba824",
-    "schur -q 19 -p 3 -n 4":
-        "7c4bcca2122a46b6c239695945ce3ba0042de5be2cdb0a987c5273ee0bdf1718",
-    "schur -q 7 -p 3 -n 2 --all":
-        "12ddaf76c21c54d8e419df95cfc1ecfacf9c66d4336c741867cd8ec8f7df448d",
-    "predict -q 7 -p 3 -n 2":
-        "3dc64e0baad2c9833a1dc9e669ab7cc824727e85e7a6f08ce5a09685d178328f",
-    "predict -q 7 -p 3 -n 1":
-        "1929cb1c70bcce6adae3db8dd63901dcccbdbd8d232480324e2b1d1f9e6b2add",
-    "frobenius -q 7 -p 3 -n 2 -v 53":
-        "1e1bef89cdd04d2286bc4819e897a883b30cae0790f490cd4857547c4988ddbe",
-    "euler --curve 0,0,0,-1,0 -v 5 --trivial -n 1":
-        "f78306ae72e690580f8276a99e99c0927dece7ad045a6c1cb2f806e2e65e6c4f",
-    "euler --order7-class H -q 7 -p 3 -n 2 --symbolic":
-        "f2f539d8e062e9ed6ebcbbafb1c52db2f14d4826916a070dc06340fc8bcd8480",
-    "series --curve 0,0,0,-1,0 -n 1 -X 100":
-        "e26e7318db32330a4cd676b0f4b4acd7628db8cb68d329ff8d4085f562eaa9ed",
-    "identity --curve 0,0,0,-1,0 --field example-F1 -n 1 -X 500":
-        "48a0144bf041fca09750a8c9e22987e603cd23a005cd94bfedfa1955e48aa48d",
-    "sweep --max 10000":
-        "c14bf0a9c1426be07944af6a20a77e850322b8c9518e5dcdf75e76cf3b945b36",
-}
-
-
-@pytest.mark.parametrize("command", sorted(README_TEXT_SHA256))
+@pytest.mark.parametrize("command", sorted(README_IN_PROCESS))
 def test_readme_command_text_is_byte_identical(capsys, command):
-    code, out, _ = run(capsys, *shlex.split(command), "--format", "text")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == README_TEXT_SHA256[command]
+    assert run_as_recorded(capsys, [*shlex.split(command), "--format", "text"])[0] == 0
 
 
-# sha256 of the JSON stdout of L-series commands on y^2 = x^3 - x, recorded
-# before the local data moved to integer Fourier inversion and the
-# multiplicative sieve assembly.
-SERIES_JSON_SHA256 = {
-    "series -n 2 -X 200 --character ind:1,1 --pick-first":
-        "845ae6f500cd7bea76f0e3c88747273f27b81da40404226232fcbf41ed0a7f93",
-    "series -n 3 -X 60 --character lin:2":
-        "5af6eb9beccce8f64746a0308ca9798f5c2cba4d2ea9d60254f7f72153dfac6b",
-    "identity -n 2 -X 120":
-        "1e4aff87ac75c90d0f28c10a065e6625c167b1570b0f600e593c1a8b2886aca2",
-    "series -n 1 -X 8000":
-        "2f4d97f00311750a85baccb03285cc6b2ec2280f65ff8c440c7710cc38962ed2",
-    # recorded while every local factor read chi(g^s) for all s below the order of g
-    "series -n 8 -X 100":
-        "71a87fb98405956fac1d4763c63666a95d7a3fec14874180ddcde6ee0c5e0ae9",
-    "series -n 4 -X 300 --character lin:5":
-        "747943cad4094dd1262b01cc7fd4e5d67557b0b0ec04f68a17c7456f1d28ab74",
-    "identity -n 3 -X 100":
-        "910a99eda43fdbdbdedb121399af70c36d258a87f0306733584fecdb478a066d",
-    # recorded while every character was built as its full table of class values
-    "series -n 9 -X 100 --character lin:1":
-        "42a05cd47cd3d06f5e5825e4821c04ba5e1158b61e82ef27d4a8fe735713ab38",
-    "series -n 6 -X 100 --character ind:1,2 --pick-first":
-        "9a60a5571d218241c054afea46775707f71ce2f588492e97d1c42b515551d145",
-    # recorded while the rhs of the character identity was a value-wise sum of the faithful characters
-    "identity -n 1 -X 100":
-        "c7a1c93371e34b143882ff6232126462e417411fc8695aa1c3c9fd11e72f7986",
-    "identity -n 2 -X 100":
-        "36b01e369a9a194517e6cc8a3ef2b5c7a22665af03fc5f34250bca53812a377d",
-    "identity -n 4 -X 100":
-        "2bf4c3ab15e77b8e4126dd3482721ef9bf90d7c602443b008dcb27b2f96acd82",
-    "identity -n 5 -X 100":
-        "73f55f5c453fda70c24fb05fb294d719a5d0eddd2baa1674477fb33093770034",
-}
-
-
-@pytest.mark.parametrize("command", sorted(SERIES_JSON_SHA256))
+@pytest.mark.parametrize("command", golden.SERIES)
 def test_series_command_json_is_byte_identical(capsys, command):
-    code, out, _ = run(capsys, *shlex.split(command), "--curve", "0,0,0,-1,0", "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[command]
+    assert run_as_recorded(capsys, shlex.split(command))[0] == 0
 
 
-# sha256 of the text stdout of twisted Euler factors, recorded while every
-# character was built as its full table of class values
-EULER_SHA256 = {
-    "euler --order7-class H -q 7 -p 3 -n 9 --symbolic":
-        "f2f539d8e062e9ed6ebcbbafb1c52db2f14d4826916a070dc06340fc8bcd8480",
-    "euler --curve 0,0,0,-1,0 -v 53 -n 6 --pick-first":
-        "882776a2f1d90ea05e9133f5777f511f23319c5b151e25f85de6e0739a8e8b1d",
-    "euler --curve 0,0,0,-1,0 -v 53 -n 7 --pick-first":
-        "d00f1745e79acaf99fb2fc53c77ce3f2313a38916202afedb8c971e6eeebf7f5",
-}
-
-
-@pytest.mark.parametrize("command", sorted(EULER_SHA256))
+@pytest.mark.parametrize("command", golden.EULER)
 def test_euler_command_is_byte_identical(capsys, command):
-    code, out, _ = run(capsys, *shlex.split(command))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EULER_SHA256[command]
+    assert run_as_recorded(capsys, shlex.split(command))[0] == 0
 
 
 def test_few_class_commands_build_no_class_list(capsys, monkeypatch):
@@ -373,12 +293,9 @@ def test_few_class_commands_build_no_class_list(capsys, monkeypatch):
 
     for module in (groups, characters):
         monkeypatch.setattr(module, "conjugacy_classes", refuse)
-    symbolic = "euler --order7-class H -q 7 -p 3 -n 9 --symbolic"
-    code, out, _ = run(capsys, *symbolic.split())
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == EULER_SHA256[symbolic]
-    series = "series -n 9 -X 100 --character lin:1"
-    code, out, _ = run(capsys, *series.split(), "--curve", "0,0,0,-1,0", "--format", "json")
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == SERIES_JSON_SHA256[series]
+    assert run_as_recorded(capsys, "euler --order7-class H -q 7 -p 3 -n 9 --symbolic".split())[0] == 0
+    series = "series -n 9 -X 100 --character lin:1 --curve 0,0,0,-1,0 --format json"
+    assert run_as_recorded(capsys, series.split())[0] == 0
     hash(one_faithful_character(make_group(7, 3, 12)))  # reads the value at 1 alone
     # the identity reads its two sides in closed form, and no irreducible table either
     monkeypatch.setattr(characters, "irreducible_characters", refuse)
@@ -410,31 +327,15 @@ def test_ambiguous_series_is_refused_at_the_first_prime_that_tells_the_candidate
     ))
 
 
-# sha256 of the stdout of `table` on the two largest benchmark groups,
-# recorded before values moved to (den, ints) storage with exponent-space
-# products and an orbit-stabilizer field_of_values.
-TABLE_SHA256 = {
-    "table -q 31 -p 5 -n 2 -j 16 --format json":
-        "34592e2ec1383742a645f21df5411fed138321d8b94cfb300dadff9e7694f86f",
-    "table -q 31 -p 5 -n 2 -j 16 --format text":
-        "d6078531a4e31a04fed32a6c8f9b0d0ce431fc306185adf1da628ebdbf8631c6",
-    "table -q 73 -p 3 -n 2 -j 8 --format json":
-        "b404297ab3460977f9890972783a30390ed8bcaea0a1223ff42c23f3d3dd293b",
-}
-
-
-@pytest.mark.parametrize("command", sorted(TABLE_SHA256))
+@pytest.mark.parametrize("command", golden.TABLE)
 def test_table_command_is_byte_identical(capsys, command):
-    code, out, _ = run(capsys, *shlex.split(command))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command]
+    assert run_as_recorded(capsys, shlex.split(command))[0] == 0
 
 
 # sha256 of the concatenated JSON stdout of `schur` on every group of
-# iter_valid_groups(2000), and of one verbose sweep, recorded while orders
-# were still found by walking them.  They pin details.f and v_p_of_N.
+# iter_valid_groups(2000), recorded while orders were still found by walking
+# them, as was the verbose sweep of golden.SWEEP.  They pin details.f and v_p_of_N.
 SCHUR_2000_SHA256 = "69845d95acce469f031eb3cb02e632f57bceb20c618c723ee7761974b3c54997"
-SWEEP_20000_SHA256 = "96a8b61b499fed8783dca49e5a92783dc354799efdf7aa8183131f1f36f8e279"
 
 
 # sha256 of the concatenated JSON stdout of `table` on every group of
@@ -475,9 +376,7 @@ def test_schur_json_on_every_small_group_is_byte_identical(capsys):
 
 
 def test_verbose_sweep_json_is_byte_identical(capsys):
-    code, out, _ = run(capsys, "sweep", "--max", "20000", "--verbose-rows", "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_20000_SHA256
+    assert run_as_recorded(capsys, shlex.split(golden.SWEEP))[0] == 0
 
 
 def _cli(*argv):
@@ -528,24 +427,16 @@ def test_closed_form_commands_end_at_once(argv, code, needle):
         assert out.stderr.startswith("error: ") and needle in out.stderr
 
 
-# sha256 of the stdout of `schur` at the largest n whose p^n has at most 4,300 digits,
-# CPython's default int-to-str limit, recorded before n was capped
-SCHUR_AT_THE_DIGIT_LIMIT_SHA256 = {
-    ("-q 7 -p 3", 9012, "json"): "25836da3b18821dbbd696ddfc4c8eeb8638587e8f6f86fa91177faf163640653",
-    ("-q 7 -p 3", 9012, "text"): "592080943e6674d308ac69896843811b416a21abe359bc2b656d94b5c8ea0e52",
-    ("-q 19 -p 3", 9012, "json"): "60a3c156c771f15003396eacf8427e987045cd7f53040214966e3731a21e55c3",
-    ("-q 11 -p 5", 6151, "json"): "623b887c82986e77095537d748e30292ea94595955afe11efa318464c6a8b0b5",
-    ("-q 11 -p 5", 6151, "text"): "aea0274440fc6f52ee3f631c98e3a70630e4e15e34ff4dd98c92273340bb2af0",
-}
-
-
-@pytest.mark.parametrize("group, n, fmt", sorted(SCHUR_AT_THE_DIGIT_LIMIT_SHA256))
-def test_n_is_capped_one_past_the_digit_limit(capsys, group, n, fmt):
-    code, out, err = run(capsys, "schur", *group.split(), "-n", str(n), "--format", fmt)
+# `schur` at the largest n whose p^n has at most 4,300 digits, CPython's
+# default int-to-str limit, as recorded before n was capped, and at n + 1
+@pytest.mark.parametrize("command", golden.DIGIT_LIMIT)
+def test_n_is_capped_one_past_the_digit_limit(capsys, command):
+    argv = command.split()
+    code, _, err = run_as_recorded(capsys, argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == SCHUR_AT_THE_DIGIT_LIMIT_SHA256[group, n, fmt]
-    p = group.split()[-1]
-    assert run(capsys, "schur", *group.split(), "-n", str(n + 1), "--format", fmt) == (2, "", (
+    p, n = (int(argv[argv.index(flag) + 1]) for flag in ("-p", "-n"))
+    argv[argv.index("-n") + 1] = str(n + 1)
+    assert run(capsys, *argv) == (2, "", (
         f"error: n = {n + 1} is too large for p = {p}: p^n would have more than 4300 digits\n"
     ))
 
@@ -738,14 +629,16 @@ def test_divisibility_multiplicity_error_names_group_and_characters(capsys, monk
     assert "multiplicity 1/2 in ('permutation', 'K0') must be an integer (ind[u=1,w=0], " + C7_C3 in err
 
 
-def test_hasse_bound_error_names_curve_and_prime(capsys, monkeypatch):
+# the naive count runs up to v = 229, Shanks-Mestre above it
+@pytest.mark.parametrize("count, v", [("_naive_trace", 101), ("_shanks_mestre_trace", 233)])
+def test_hasse_bound_error_names_curve_and_prime(capsys, monkeypatch, count, v):
     import schurgate.elliptic as elliptic
 
-    # every residue a square: the count comes out far above the Hasse bound
-    monkeypatch.setattr(elliptic, "bytearray", lambda n: bytearray(b"\x01" * n), raising=False)
-    code, _, err = run(capsys, "euler", "--curve", "0,0,0,-1,0", "-v", "101", "--trivial", "-n", "1")
+    # a trace just past the Hasse bound 2 sqrt(v)
+    monkeypatch.setattr(elliptic, count, lambda E, v: 2 * isqrt(v) + 1)
+    code, _, err = run(capsys, "euler", "--curve", "0,0,0,-1,0", "-v", str(v), "--trivial", "-n", "1")
     assert code == 3
-    assert "Hasse bound violated at v = 101 on the curve [0,0,0,-1,0]" in err
+    assert err == f"internal invariant violation: Hasse bound violated at v = {v} on the curve [0,0,0,-1,0]\n"
 
 
 def test_class_size_error_names_group(capsys, monkeypatch):

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import random
-from math import gcd
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from oracles import (
     assemble_by_convolution,
     block_euler_factor,
     block_local_factor,
+    conjugate_units,
     cube_of_quadratic_defect_three_roots,
     eigenvalue_multiplicities,
     eigenvalue_multiplicities_direct,
@@ -623,12 +623,6 @@ def test_ambiguity_check_raises_exactly_when_block_factors_differ(n):
     assert ambiguous > 10
 
 
-def _conjugate_units(G):
-    """Every unit k mod q p^(n-r), the modulus of the values of the faithful characters."""
-    m = G.q * G.pn // G.pr
-    return [k for k in range(1, m) if gcd(k, m) == 1]
-
-
 @pytest.mark.parametrize("G", [G21, G63], ids=str)
 def test_galois_conjugate_twist_has_the_conjugate_series(G):
     """sigma_k of each coefficient of L(E, ind:u,w) is the coefficient of L(E, ind:ku,kw).
@@ -642,11 +636,11 @@ def test_galois_conjugate_twist_has_the_conjugate_series(G):
     series = [
         dirichlet_partial(E_MINUS_X, G, induce_from_X(G, PsiDescriptor(k * u, k * w)), EXAMPLE_F1, 200,
                           pick_first=True).an[1:]
-        for k in _conjugate_units(G)
+        for k in conjugate_units(G)
     ]
     base = series[0]  # k = 1
     assert sum(not c.is_rational() for c in base) >= 5
-    for k, got in zip(_conjugate_units(G), series):
+    for k, got in zip(conjugate_units(G), series):
         assert got == tuple(c.galois(k) for c in base), k
 
 
@@ -662,8 +656,8 @@ def test_galois_conjugate_twist_has_the_conjugate_factor(n):
     classes = [G.conj_class(GroupElement(x, y)) for x in (1, 2, 4, 8) for y in sorted({0, G.pr % G.pn})]
     factors = [
         [twisted_euler_factor(-2, 5, induce_from_X(G, PsiDescriptor(k * u, k * w)), c).poly for c in classes]
-        for k in _conjugate_units(G)
+        for k in conjugate_units(G)
     ]
     assert any(not c.is_rational() for f in factors[0] for c in f)
-    for k, got in zip(_conjugate_units(G), factors):
+    for k, got in zip(conjugate_units(G), factors):
         assert got == [tuple(c.galois(k) for c in f) for f in factors[0]], k
