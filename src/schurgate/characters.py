@@ -1,4 +1,4 @@
-"""Complex character tables of C_q x| C_{p^n} and the identities on them.
+"""Characters of C_q x| C_{p^n}, each read at a class in closed form, and the tower identity.
 
 The table of G splits into p^n one-dimensional characters factoring through
 the C_{p^n} abelianization and, for each level r <= m <= n, the faithful
@@ -15,25 +15,22 @@ classes is built only when ``values`` is first read.  The two sides of the
 tower identity are characters of the same kind: four permutation characters
 added at a class, and the tower coefficient times the faithful sum, a
 product of two Ramanujan sums.  They are compared at one class per type, at
-most 2(n + 1), so the identity reads no table either.  An inner product is
-one ``cyclotomic.dot`` over the classes.
+most 2(n + 1), so the identity reads no table either.  The table side and
+the character fields live in ``tables`` and ``fields``, loaded on the first
+use of their names from here (PEP 562): a series or an identity compiles neither.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from importlib import import_module
+from typing import NamedTuple
 
-from .cyclotomic import AbelianField, CyclotomicNumber, dot
+from .cyclotomic import CyclotomicNumber
 from .groups import (
-    ConjClass, GroupElement, InternalCheckError, MetacyclicParams, PsiDescriptor, Subgroup,
-    _class_index, _induced_descriptors, _p_power_subgroup, conjugacy_classes, faithful_count,
-    one_faithful_descriptor, tower_coefficient, tower_subgroups,
+    ConjClass, GroupElement, MetacyclicParams, PsiDescriptor, Subgroup, _p_power_subgroup,
+    conjugacy_classes, faithful_count, one_faithful_descriptor, tower_coefficient, tower_subgroups,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "Character",
@@ -131,14 +128,7 @@ class Character:
 
 
 # ---------------------------------------------------------------------------
-# table construction
-
-@lru_cache(maxsize=None)
-def _inverse_class_map(G: MetacyclicParams) -> tuple[int, ...]:
-    cls = conjugacy_classes(G)
-    idx = _class_index(G)
-    return tuple(idx[G.class_of(G.inv(c.rep))] for c in cls)
-
+# the irreducible characters
 
 @lru_cache(maxsize=None)
 def _gauss_period(G: MetacyclicParams, t: int) -> CyclotomicNumber:
@@ -166,34 +156,6 @@ def _induced_character(G: MetacyclicParams, level: int, u: int, w: int) -> Chara
     return Character(G, prov, at)
 
 
-@lru_cache(maxsize=None)
-def irreducible_characters(G: MetacyclicParams) -> tuple[Character, ...]:
-    """The complete irreducible table, in deterministic order.
-
-    One-dimensional characters sorted by exponent, then the p^r-dimensional
-    ones by quotient level (unfaithful first) and minimal (u, w) orbit
-    representative.  The count equals the number of conjugacy classes and
-    the squared degrees sum to |G|.
-    """
-    table = [_linear_character(G, e) for e in range(G.pn)]
-    table += [_induced_character(G, level, *psi) for level, psi in _induced_descriptors(G)]
-    ncls = len(conjugacy_classes(G))
-    if len(table) != ncls:
-        raise InternalCheckError(
-            f"table size {len(table)} does not match class count {ncls} ({G.spec})"
-        )
-    squares = sum(chi.degree ** 2 for chi in table)
-    if squares != G.order:
-        raise InternalCheckError(
-            f"degree squares sum to {squares}, not the group order {G.order} ({G.spec})"
-        )
-    return tuple(table)
-
-
-def faithful_characters(G: MetacyclicParams) -> list[Character]:
-    return [chi for chi in irreducible_characters(G) if chi.provenance[0] == "induced"]
-
-
 def one_faithful_character(G: MetacyclicParams) -> Character:
     """A single faithful irreducible, without building the whole table."""
     return _induced_character(G, G.n, *one_faithful_descriptor(G))
@@ -219,90 +181,7 @@ def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
 
 
 # ---------------------------------------------------------------------------
-# inner products
-
-def inner_product(chi1, chi2) -> Fraction:
-    """<chi1, chi2> = (1/|G|) sum over classes of size * chi1(g) * conj(chi2(g)).
-
-    Conjugation is evaluated as the value at the inverse class.  The result
-    must be rational (it always is for characters and their integer
-    combinations); a non-rational result raises.
-    """
-    if chi1.group != chi2.group:
-        raise ValueError("characters live on different groups")
-    G, v1, v2 = chi1.group, chi1.values, chi2.values
-    cls = conjugacy_classes(G)
-    inv_map = _inverse_class_map(G)
-    raw = dot((cls[i].size, v1[i], v2[inv_map[i]]) for i in range(len(cls)))
-    if not raw.is_rational():
-        raise ValueError("inner product is not rational for these class functions")
-    return raw.rational_value() / G.order
-
-
-def is_faithful(chi: Character) -> bool:
-    """Trivial-kernel test: the kernel is the union of classes where chi = chi(1)."""
-    return chi.values[0] not in chi.values[1:]
-
-
-# ---------------------------------------------------------------------------
-# tensor structure, character fields, permutation characters
-
-def tensor_decompose(tau: Character) -> tuple[Character, Character]:
-    """Write a faithful irreducible as tau_r (x) chi with tau_r from level r.
-
-    tau_r is the inflation of a faithful irreducible of C_q x| C_{p^r} and chi
-    is one-dimensional of order p^n (trivial in the degenerate case n = r).
-    The factorization is verified value-wise before returning.
-    """
-    G = tau.group
-    if tau.provenance[0] != "induced":
-        raise ValueError("tensor decomposition applies to faithful induced characters")
-    if not is_faithful(tau):
-        raise ValueError("character is not faithful")
-    _, u, w = tau.provenance
-    tau_r = _induced_character(G, G.r, u, 0)
-    e = w if G.n > G.r else 0
-    chi = _linear_character(G, e)
-    prod = tuple(a * b for a, b in zip(tau_r.values, chi.values))
-    if prod != tau.values:
-        raise InternalCheckError(
-            f"tensor factorization {tau.char_id} = {tau_r.char_id} (x) {chi.char_id} "
-            f"failed value-wise ({G.spec})"
-        )
-    return tau_r, chi
-
-
-def character_field(chi: Character) -> AbelianField:
-    """The field of values of chi, read off its provenance in closed form.
-
-    A linear character lin[e] has field Q(zeta_d), d = p^n / gcd(e, p^n).  One
-    induced from psi = (u, w) at level m is Q(zeta_d, eta_H), or Q(zeta_d) when
-    q | u, with d = p^{m-r} / gcd(w, p^{m-r}).  Permutation characters are
-    rational.
-    """
-    G, (kind, *args) = chi.group, chi.provenance
-    if kind == "one_dimensional":
-        return _eta_field(G, G.pn // gcd(args[0], G.pn), False)
-    if kind in ("induced", "lifted_from_quotient"):
-        level, u, w = (G.n, *args) if kind == "induced" else args
-        pmr = G.p ** (level - G.r)
-        return _eta_field(G, pmr // gcd(w, pmr), u % G.q != 0)
-    if kind == "permutation":
-        return AbelianField.rationals()
-    raise ValueError(f"no closed-form field for a {kind!r} character ({G.spec})")
-
-
-def formula_field(G: MetacyclicParams) -> AbelianField:
-    """Closed form of the field of a faithful character: Q(zeta_{p^{n-r}}, eta_H)."""
-    return _eta_field(G, G.pn // G.pr, True)
-
-
-@lru_cache(maxsize=None)
-def _eta_field(G: MetacyclicParams, d: int, eta: bool) -> AbelianField:
-    """Q(zeta_d, eta_H) if eta, else Q(zeta_d): fixed by the units k = 1 mod d in H mod q."""
-    m = G.q * d if eta else d  # k lies in H iff k^{p^r} = 1 mod q
-    return AbelianField(m, [k for k in range(1, m, d) if k % G.q and pow(k, G.pr, G.q) == 1])
-
+# permutation characters and the tower identity
 
 def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     """The character of G acting on the cosets G/H, in closed form from (kind, level).
@@ -414,3 +293,11 @@ def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity
         coefficient=coeff,
         faithful_count=faithful_count(G),
     )
+
+
+def __getattr__(name: str):
+    """The table side of __all__ from ``tables``, the fields from ``fields``, on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = ".fields" if name in ("character_field", "formula_field") else ".tables"
+    return getattr(import_module(module, __package__), name)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m) and their abelian subfields.
+"""Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A value is (conductor m, den > 0, integer numerators over the power basis
 1, z, ..., z^(phi(m)-1)) with gcd(den, numerators) = 1, and a rational is an
@@ -32,10 +32,8 @@ Inverses take the relative norm down the same prime layers: multiplying y
 by its conjugates over Q(zeta_(m/p)) lands in that subfield, and repeating
 until the norm is rational gives 1/y as (product of the factors) / norm.
 
-``field_of_values`` is the general route, for any values, and the check on the
-closed forms that ``characters`` reads fields off.  It works by orbit-stabilizer:
-each value's orbit under generators of the units fixing the values before it
-gives Schreier generators of its stabilizer, not a scan of all phi(m) units.
+Abelian subfields (``AbelianField``, ``field_of_values``) live in ``fields``,
+which is loaded on their first use from here (PEP 562).
 
 No floating point is used anywhere: the complex embedding that numeric
 sanity checks compare against is a test oracle, not part of the package.
@@ -46,6 +44,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import lru_cache
+from importlib import import_module
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING
 
@@ -92,7 +91,8 @@ def max_conductor() -> int:
     return cap
 
 
-def _check_conductor(m: int, op: str) -> int:
+def check_conductor(m: int, op: str) -> int:
+    """m, once it is known to be a positive conductor within the cap; op names the caller."""
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m} in {op}")
     if m > max_conductor():
@@ -197,17 +197,12 @@ def dot(terms) -> "CyclotomicNumber":
     live = [(w, a, b) for w, a, b in terms if w and not a.is_zero() and not b.is_zero()]
     if not live:
         return CyclotomicNumber.from_rational(0)
-    M = _check_conductor(lcm(*(x.conductor for _, a, b in live for x in (a, b))), "inner product")
+    M = check_conductor(lcm(*(x.conductor for _, a, b in live for x in (a, b))), "inner product")
     D = lcm(*(a.den * b.den for _, a, b in live))
     buf = [0] * M
     for w, a, b in live:
         _mul_into(buf, M, w * (D // (a.den * b.den)), a, b)
     return _from_buffer(M, D, buf)
-
-
-def _kernel_residues(m: int, mp: int) -> list[int]:
-    """Units of Z/m congruent to 1 mod mp: Gal(Q(z_m)/Q(z_mp)), for mp | m, mp < m."""
-    return [k for k in range(1, m, mp) if gcd(k, m) == 1]
 
 
 def _descend(m: int, pr: int, vec: list[int]) -> list[int] | None:
@@ -300,7 +295,7 @@ class CyclotomicNumber:
 
     def __init__(self, conductor: int, coeffs):
         from fractions import Fraction
-        m = _check_conductor(int(conductor), "the CyclotomicNumber constructor")
+        m = check_conductor(int(conductor), "the CyclotomicNumber constructor")
         vec = [Fraction(c) for c in coeffs]
         if len(vec) != _phi(m):
             raise ValueError(f"need phi({m}) = {_phi(m)} coefficients, got {len(vec)}")
@@ -354,7 +349,7 @@ class CyclotomicNumber:
         The conductor m is checked against the cap, naming op, before the
         buffer is allocated or an exponent read.
         """
-        _check_conductor(m, op)
+        check_conductor(m, op)
         buf = [0] * m
         for e in exponents:
             buf[e % m] += 1
@@ -380,7 +375,7 @@ class CyclotomicNumber:
         other = self.coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        M = _check_conductor(lcm(self.conductor, other.conductor), "add")
+        M = check_conductor(lcm(self.conductor, other.conductor), "add")
         g = gcd(self.den, other.den)
         buf = [0] * M
         for x, scale in ((self, other.den // g), (other, self.den // g)):
@@ -415,7 +410,7 @@ class CyclotomicNumber:
             den, num = x.den * r.den, [a * c for a in x.num]
             g = gcd(den, *num)
             return CyclotomicNumber._make(x.conductor, den // g, tuple(a // g for a in num))
-        M = _check_conductor(lcm(self.conductor, other.conductor), "mul")
+        M = check_conductor(lcm(self.conductor, other.conductor), "mul")
         buf = [0] * M
         _mul_into(buf, M, 1, self, other)
         return _from_buffer(M, self.den * other.den, buf)
@@ -433,7 +428,8 @@ class CyclotomicNumber:
         while y.conductor != 1:
             m = y.conductor
             mp = m // prime_factors(m)[0]
-            c = prod(y.galois(k) for k in _kernel_residues(m, mp) if k != 1)
+            # the units k = 1 mod mp other than 1: Gal(Q(z_m)/Q(z_mp)) less the identity
+            c = prod(y.galois(k) for k in range(1 + mp, m, mp) if gcd(k, m) == 1)
             y, acc = y * c, acc * c
             if mp % y.conductor:
                 raise InternalCheckError(
@@ -514,125 +510,8 @@ class CyclotomicNumber:
         return NotImplemented
 
 
-class AbelianField:
-    """An abelian number field, as the fixed field of a subgroup of (Z/m)^x.
-
-    Canonicalized on construction: the conductor is reduced to the true
-    conductor of the field, so equal fields always compare equal.  For the
-    rationals the representation is conductor 1 with stabilizer (1,).
-    """
-
-    __slots__ = ("conductor", "stabilizer")
-
-    def __init__(self, conductor: int, stabilizer):
-        m = _check_conductor(int(conductor), "the AbelianField constructor")
-        stab = sorted({k % m for k in stabilizer}) if m > 1 else [1]
-        if m > 1:
-            if 1 not in stab:
-                raise ValueError("stabilizer must contain 1")
-            for a in stab:
-                if gcd(a, m) != 1:
-                    raise ValueError(f"stabilizer element {a} is not a unit mod {m}")
-            if _span(m, stab)[1] != set(stab):
-                raise ValueError("stabilizer is not closed under multiplication")
-        m, stab = self._reduce(m, stab)
-        self.conductor = m
-        self.stabilizer = tuple(stab)
-
-    @staticmethod
-    def _reduce(m: int, stab: list[int]) -> tuple[int, list[int]]:
-        """Conductor of the fixed field and the stabilizer there, one prime at a time.
-
-        The field lies in Q(zeta_(m/p)) iff every unit that is 1 mod m/p fixes
-        it; a prime that fails at m fails at every divisor of m, as in _canonical.
-        """
-        for pr in prime_factors(m):
-            while m % pr == 0 and set(_kernel_residues(m, m // pr)) <= set(stab):
-                m //= pr
-                stab = sorted({k % m for k in stab})
-        return (m, stab) if m > 1 else (1, [1])
-
-    @property
-    def degree(self) -> int:
-        return _phi(self.conductor) // len(self.stabilizer)
-
-    def to_json(self) -> dict:
-        return {"conductor": self.conductor, "stabilizer": list(self.stabilizer)}
-
-    @classmethod
-    def rationals(cls) -> "AbelianField":
-        return cls(1, [1])
-
-    def __eq__(self, other):
-        if not isinstance(other, AbelianField):
-            return NotImplemented
-        return self.conductor == other.conductor and self.stabilizer == other.stabilizer
-
-    def __hash__(self):
-        return hash((self.conductor, self.stabilizer))
-
-    def __repr__(self):
-        return f"AbelianField(conductor={self.conductor}, degree={self.degree})"
-
-
-def _span(m: int, candidates) -> tuple[list[int], set[int]]:
-    """Greedy generators and the elements of the subgroup of (Z/m)^x the candidates span.
-
-    A candidate outside the span so far becomes a generator g, and the span H
-    grows by the cosets g^t H until g^t falls in H; no Galois image is needed.
-    """
-    gens, group = [], {1}
-    for g in candidates:
-        if g not in group:
-            gens.append(g)
-            out, x = set(group), g
-            while x not in group:
-                out.update(h * x % m for h in group)
-                x = x * g % m
-            group = out
-    return gens, group
-
-
-def _stabilizer(m: int, gens, order: int, x: CyclotomicNumber):
-    """Generators and elements of the subgroup of <gens> (of the given order) fixing x.
-
-    Walks the orbit of x, recording for each image a unit u of <gens> that
-    maps x to it; each generator g then gives the Schreier generator
-    g * u / u' of the stabilizer, where u' is the unit recorded for g(u(x)).
-    """
-    mx, terms = x.conductor, x._nz()
-    reps = {x.num: 1}
-    frontier = [1]
-    schreier = set()
-    while frontier:
-        u = frontier.pop()
-        for g in gens:
-            gu = g * u % m
-            img = tuple(_image(mx, terms, gu % mx))
-            r = reps.get(img)
-            if r is None:
-                reps[img] = gu
-                frontier.append(gu)
-            elif r != gu:
-                schreier.add(gu * pow(r, -1, m) % m)
-    sub_gens, group = _span(m, sorted(schreier))
-    if len(group) * len(reps) != order:
-        raise InternalCheckError(
-            f"orbit-stabilizer at conductor {m}: |orbit| {len(reps)} * |stabilizer| "
-            f"{len(group)} != {order}"
-        )
-    return sub_gens, group
-
-
-def field_of_values(values) -> AbelianField:
-    """Smallest abelian field containing every value in the list."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("need at least one value")
-    m = _check_conductor(lcm(*(v.conductor for v in vals)), "field_of_values")
-    if m == 1:
-        return AbelianField.rationals()
-    gens, group = _span(m, (k for k in range(2, m) if gcd(k, m) == 1))
-    for x in dict.fromkeys(v for v in vals if v.conductor > 1):
-        gens, group = _stabilizer(m, gens, len(group), x)
-    return AbelianField(m, group)
+def __getattr__(name: str):
+    """AbelianField and field_of_values, from ``fields`` on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".fields", __package__), name)

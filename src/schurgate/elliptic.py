@@ -51,6 +51,15 @@ class EllipticCurveQ(_Weierstrass):
         return self
 
     @classmethod
+    def from_spec(cls, spec: str) -> "EllipticCurveQ":
+        """The curve of a command line's "a1,a2,a3,a4,a6"."""
+        try:
+            coeffs = [int(t) for t in spec.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad curve spec {spec!r}: expected a1,a2,a3,a4,a6") from exc
+        return cls.from_list(coeffs)
+
+    @classmethod
     def from_list(cls, coeffs) -> "EllipticCurveQ":
         vals = [int(c) for c in coeffs]
         if len(vals) != 5:
@@ -83,11 +92,11 @@ class EllipticCurveQ(_Weierstrass):
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
 
-def a_v(E: EllipticCurveQ, v: int) -> int:
-    """Trace of Frobenius a_v = v + 1 - #E(F_v) at a good odd prime v <= 10^6."""
+def a_v(E: EllipticCurveQ, v: int, *, known_prime: bool = False) -> int:
+    """Trace of Frobenius a_v = v + 1 - #E(F_v) at a good odd prime v <= 10^6 (tested unless known_prime)."""
     if v > MAX_POINT_COUNT_PRIME:  # before the primality test: any v above the cap gets this message
         raise ValueError(f"v = {v} exceeds the point-counting cap {MAX_POINT_COUNT_PRIME}")
-    if not is_prime(v):
+    if not known_prime and not is_prime(v):
         raise ValueError(f"{v} is not prime")
     if v == 2 or E.discriminant % v == 0:
         raise ValueError(f"bad prime {v}")

@@ -247,15 +247,15 @@ class _FrobeniusMap:
         return _gf_trim(diff)
 
 
-def _frobenius_map(coeffs, v: int) -> _FrobeniusMap | None:
+def _frobenius_map(coeffs, v: int, known_prime: bool = False) -> _FrobeniusMap | None:
     """The v-power map of the monic form of f mod v, or None below degree 2.
 
-    Raises if v is not prime, if v divides the leading coefficient (the
-    degree drops) or the discriminant (v ramified: f mod v is squarefree
-    exactly when v does not divide disc(f), given that v does not divide
-    the leading coefficient).
+    Raises if v is not prime (unless known_prime: a sieve found it), if v
+    divides the leading coefficient (the degree drops) or the discriminant
+    (v ramified: f mod v is squarefree exactly when v does not divide
+    disc(f), given that v does not divide the leading coefficient).
     """
-    if not is_prime(v):
+    if not known_prime and not is_prime(v):
         raise ValueError(f"{v} is not prime")
     lead = coeffs[-1] % v
     if lead == 0:
@@ -351,12 +351,12 @@ class FrobeniusDatum(NamedTuple):
 _conj_class = lru_cache(maxsize=1 << 12)(MetacyclicParams.conj_class)
 
 
-def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
+def frobenius_datum(coeffs, G: MetacyclicParams, v: int, *, known_prime: bool = False) -> FrobeniusDatum:
     """Frobenius class data at an unramified prime v from pattern + residue.
 
-    Preconditions: v prime, v not in {p, q}, v unramified (not dividing the
-    polynomial discriminant; detected via squarefreeness mod v), and the
-    polynomial of degree exactly q.
+    Preconditions: v prime (tested unless known_prime), v not in {p, q}, v
+    unramified (not dividing the polynomial discriminant; detected via
+    squarefreeness mod v), and the polynomial of degree exactly q.
 
     Each shape that y allows is certified on the Frobenius map of f mod v:
     1^q iff x^v = x; q iff x^(v^q) = x != x^v (Rabin's test, q prime);
@@ -368,7 +368,7 @@ def frobenius_datum(coeffs, G: MetacyclicParams, v: int) -> FrobeniusDatum:
     check_field_degree(coeffs, G)
     if v in (G.p, q):
         raise ValueError(f"{v} is a ramified structural prime for this group")
-    frob = _frobenius_map(coeffs, v)
+    frob = _frobenius_map(coeffs, v, known_prime)
     y = cyclotomic_exponent(v, G.p, G.n)
     x, xv = 1 << frob.bits, frob.rows[1]  # x and x^v mod f, packed
     pattern = None

@@ -100,6 +100,14 @@ REFUSALS = [
     "series --curve 0,0,0,-1,0 -n 1 -X 10 --character ind:1",  # character spec
     "euler --symbolic -n 1 --order7-class foo",  # --order7-class
 ]
+# what the parser itself prints: help, and its exit-2 usage errors
+PARSER = [
+    "--help",
+    "table --help",
+    "bogus -q 7 -p 3 -n 1",  # unknown command
+    "schur -q 7 -p 3 -n 1 --bogus",  # unrecognized argument
+    "schur -q 7 -p 3",  # missing -n
+]
 
 
 def readme() -> list[str]:
@@ -147,6 +155,7 @@ def commands() -> list[list[str]]:
         *map(shlex.split, [*SERIES, *EULER, *TABLE, *DIGIT_LIMIT, SWEEP]),
         *_both_formats(map(shlex.split, _symbolic_grid() + twisted)),
         *(shlex.split(f"{command} --format json") for command in REFUSALS),
+        *map(shlex.split, PARSER),
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
@@ -164,6 +173,7 @@ def _run(argv: list[str], hash_seed: int) -> dict:
     """One command in a fresh process, as a manifest line."""
     env = {k: v for k, v in os.environ.items() if k != "SCHURGATE_MAX_CONDUCTOR"}
     env["PYTHONHASHSEED"] = str(hash_seed)
+    env["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "schurgate.cli", *argv], capture_output=True, env=env,
                          cwd=ROOT, timeout=60)

@@ -28,7 +28,6 @@ from schurgate.groups import (
 )
 from schurgate.characters import (
     PsiDescriptor,
-    _inverse_class_map,
     faithful_characters,
     formula_field,
     induce_from_X,
@@ -40,6 +39,7 @@ from schurgate.characters import (
     tensor_decompose,
 )
 from schurgate.schur import global_index, multiplicity_divisibility_check, qadic_class_order
+from schurgate.tables import _inverse_class_map
 from schurgate.elliptic import EllipticCurveQ, a_v
 from schurgate.frobenius import EXAMPLE_F1
 from schurgate.lseries import (

@@ -106,7 +106,7 @@ def test_row_orthogonality_exact():
 
 
 def test_column_orthogonality_exact():
-    from schurgate.characters import _inverse_class_map
+    from schurgate.tables import _inverse_class_map
 
     for G in (G21, G63):
         tab = irreducible_characters(G)

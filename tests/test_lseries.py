@@ -418,6 +418,23 @@ def test_good_primes_match_trial_division(field):
                 assert good_primes(E, field, G, X) == good_primes_trial_division(E, field, G, X)
 
 
+def test_the_sieve_is_the_one_primality_test_of_a_series(monkeypatch):
+    import schurgate.elliptic as elliptic
+    import schurgate.frobenius as frobenius
+
+    want = dirichlet_partial(E_MINUS_X, G63, _linear_character(G63, 1), EXAMPLE_F1, 500)
+    chk = identity_series_check(E_MINUS_X, EXAMPLE_F1, G21, 300)
+    for module in (elliptic, frobenius):
+        monkeypatch.setattr(module, "is_prime", lambda v: pytest.fail(f"{v} tested again after the sieve"))
+    assert dirichlet_partial(E_MINUS_X, G63, _linear_character(G63, 1), EXAMPLE_F1, 500) == want
+    assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G21, 300) == chk
+    monkeypatch.undo()
+    for v in (9, 25, 91, 561):  # a direct call still tests v
+        for call in (lambda: a_v(E_MINUS_X, v), lambda: frobenius_datum(EXAMPLE_F1, G21, v)):
+            with pytest.raises(ValueError, match=f"^{v} is not prime$"):
+                call()
+
+
 def test_zero_discriminant_is_refused_at_the_first_prime():
     with pytest.raises(ValueError, match="ramified prime 5"):
         dirichlet_partial(E_MINUS_X, G21, trivial_character(G21), (0, 0, 0, 0, 0, 0, 1, 1), 50)

@@ -60,8 +60,8 @@ def test_group_commands_leave_the_arithmetic_side_out(argv):
 def test_untwisted_euler_loads_only_the_curve_and_the_kernel():
     loaded = _loaded_after("euler", "--curve", "0,0,0,-1,0", "-v", "5", "--trivial", "-n", "1")
     package = {m for m in loaded if m.startswith("schurgate")}
-    assert package == {"schurgate", "schurgate.cli", "schurgate.groups", "schurgate.elliptic",
-                       "schurgate.cyclotomic"}, sorted(package)
+    assert package == {"schurgate", "schurgate.cli", "schurgate.cli_local", "schurgate.groups",
+                       "schurgate.elliptic", "schurgate.cyclotomic"}, sorted(package)
     assert not loaded & (INTROSPECTION | RATIONALS)
 
 
@@ -80,8 +80,9 @@ def test_arithmetic_commands_load_no_introspection(argv):
     loaded = _loaded_after(*argv)
     if "--symbolic" in argv:  # the symbolic factor needs neither the curve nor Frobenius
         package = {m for m in loaded if m.startswith("schurgate")}
-        assert package == {"schurgate", "schurgate.cli", "schurgate.groups", "schurgate.cyclotomic",
-                           "schurgate.characters", "schurgate.lseries"}, sorted(package)
+        assert package == {"schurgate", "schurgate.cli", "schurgate.cli_local", "schurgate.groups",
+                           "schurgate.cyclotomic", "schurgate.characters", "schurgate.lseries",
+                           "schurgate.symbolic"}, sorted(package)
     else:
         assert "schurgate.frobenius" in loaded
     assert not loaded & (INTROSPECTION | RATIONALS), sorted(loaded & (INTROSPECTION | RATIONALS))
@@ -109,7 +110,50 @@ def test_table_commands_still_load_the_characters(argv):
     assert {"schurgate.characters", "schurgate.cyclotomic"} <= loaded
 
 
-# the exports by defining module, in the order of __all__
+# what the series route never runs, each in modules of its own: the handlers of
+# the other commands, the table side with the fields, and the symbolic factor
+HANDLERS = {"schurgate.cli_groups", "schurgate.cli_local", "schurgate.cli_series"}
+TABLE_SIDE = {"schurgate.tables", "schurgate.fields"}
+SYMBOLIC = "schurgate.symbolic"
+SERIES = ["series", "--curve", "0,0,0,-1,0", "-n", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SERIES,
+    ["series", "--curve", "0,0,0,-1,0", "-n", "2", "-X", "30", "--character", "ind:1,1", "--pick-first"],
+    ["identity", "--curve", "0,0,0,-1,0", "-n", "1", "-X", "30"],
+    ["frobenius", "-q", "7", "-p", "3", "-n", "2", "-v", "53"],
+    ["euler", "--curve", "0,0,0,-1,0", "-v", "53", "-n", "2", "--pick-first"],
+    ["euler", "--curve", "0,0,0,-1,0", "-v", "53", "--trivial", "-n", "1"],
+    ["euler", "--order7-class", "H", "-q", "7", "-p", "3", "-n", "2", "--symbolic"],
+    ["table", "-q", "7", "-p", "3", "-n", "1"],
+    ["sweep", "--max", "21", "--tables"],
+    ["schur", "-q", "7", "-p", "3", "-n", "1"],
+], ids=lambda argv: "-".join(argv[:1] + [a for a in argv if a in ("ind:1,1", "--trivial", "--symbolic",
+                                                                   "--tables")]))
+def test_a_job_loads_one_handler_module_and_only_what_its_command_runs(argv):
+    loaded = _loaded_after(*argv)
+    assert len(HANDLERS & loaded) == 1, sorted(HANDLERS & loaded)
+    tables = argv[0] == "table" or "--tables" in argv
+    assert (TABLE_SIDE & loaded) == (TABLE_SIDE if tables else set()), sorted(TABLE_SIDE & loaded)
+    assert (SYMBOLIC in loaded) == ("--symbolic" in argv)
+
+
+def _package_lines(loaded: set[str]) -> int:
+    """Source lines of the schurgate modules loaded."""
+    root = pathlib.Path(schurgate.__file__).parent
+    names = [m.partition(".")[2] or "__init__" for m in loaded if m.partition(".")[0] == "schurgate"]
+    return sum(len((root / f"{name}.py").read_text().splitlines()) for name in names)
+
+
+@pytest.mark.parametrize("argv, budget", [(SERIES, 2650), (["schur", "-q", "7", "-p", "3", "-n", "1"], 1100)],
+                         ids=["series", "schur"])
+def test_a_job_compiles_at_most_its_budget_of_package_lines(argv, budget):
+    """Without bytecode (PYTHONDONTWRITEBYTECODE=1) a job compiles every module it loads from source."""
+    assert _package_lines(_loaded_after(*argv)) <= budget
+
+
+# the exports by export module, in the order of __all__
 HOMES = {
     "cyclotomic": ["AbelianField", "ConductorOverflowError", "CyclotomicNumber", "euler_phi",
                    "field_of_values"],
@@ -136,13 +180,22 @@ def test_all_is_the_same_48_names():
     assert len(schurgate.__all__) == 48 and schurgate.__version__ == "0.1.0"
 
 
+# exports that their export module loads from the defining module on first use
+DEFINED_IN = {
+    "AbelianField": "fields", "field_of_values": "fields", "character_field": "fields", "formula_field": "fields",
+    "faithful_characters": "tables", "inner_product": "tables", "irreducible_characters": "tables",
+    "is_faithful": "tables", "tensor_decompose": "tables", "symbolic_twisted_euler_factor": "symbolic",
+}
+
+
 def test_each_name_is_the_object_its_module_defines():
     for mod, names in HOMES.items():
         module = importlib.import_module(f"schurgate.{mod}")
         for name in names:
             obj = getattr(schurgate, name)
             assert obj is getattr(module, name), name
-            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+            home = f"schurgate.{DEFINED_IN.get(name, mod)}"
+            assert getattr(obj, "__module__", home) == home, name
 
 
 def test_unknown_name_raises_attribute_error():

@@ -17,7 +17,6 @@ from schurgate.groups import (
 )
 from oracles import VirtualCharacter
 from schurgate.characters import (
-    _inverse_class_map,
     character_field,
     faithful_characters,
     irreducible_characters,
@@ -25,6 +24,7 @@ from schurgate.characters import (
     permutation_character,
     trivial_character,
 )
+from schurgate.tables import _inverse_class_map
 from schurgate.schur import (
     REASON_COPRIME,
     REASON_INFINITY,
