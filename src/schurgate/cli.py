@@ -6,16 +6,22 @@ JSON mode.  Text mode renders the same structure for humans.  Exit codes:
 0 success, 2 invalid input, a request too large for the process (memory or
 recursion exhausted) or output that cannot be written (an --out path that
 cannot be opened, a stdout closed early), 3 internal invariant violation.
+
+Every command's options are declared once, in ``_COMMANDS``.  ``main`` reads a
+line that spells each option exactly with ``_parse_exact``, which imports
+nothing; any other line (help, an abbreviation, a usage error) goes to the
+argparse parser that ``build_parser`` makes from the same table, so every
+help text, usage line and error message is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from _json import encode_basestring_ascii as _encode_str  # the C encoder json.encoder binds
 from importlib import import_module
+from types import SimpleNamespace
 
 from .groups import InternalCheckError
 
@@ -65,28 +71,55 @@ def _emit(args, payload: dict, text: str) -> None:
 
 # -- parser ---------------------------------------------------------------------
 
-# the module of each command's handler cmd_<command>: a job compiles only its own (README, Start-up)
-_COMMANDS = {**dict.fromkeys(("table", "schur", "predict", "sweep"), "cli_groups"),
-             "frobenius": "cli_local", "euler": "cli_local", "series": "cli_series", "identity": "cli_series"}
+def _group(q=None, p=None) -> list:
+    return [("-q", dict(type=int, required=q is None, default=q, help="the odd prime q")),
+            ("-p", dict(type=int, required=p is None, default=p, help="the odd prime p")),
+            ("-n", dict(type=int, required=True, help="exponent n of p")),
+            ("-j", dict(type=int, default=None, help="action residue j (default: smallest of order p)"))]
 
 
-def _add_group_args(sp, q_default=None, p_default=None):
-    sp.add_argument("-q", type=int, required=q_default is None, default=q_default,
-                    help="the odd prime q")
-    sp.add_argument("-p", type=int, required=p_default is None, default=p_default,
-                    help="the odd prime p")
-    sp.add_argument("-n", type=int, required=True, help="exponent n of p")
-    sp.add_argument("-j", type=int, default=None,
-                    help="action residue j (default: smallest of order p)")
-
-
-def _add_common(sp):
-    sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--out", default=None, help="write output to a file")
+_FIELD = ("--field", dict(default="example-F1"))
+_COMMON = [("--format", dict(choices=("json", "text"), default="text")),
+           ("--out", dict(default=None, help="write output to a file"))]
+# each command's handler module (a job compiles only its own; README, Start-up), help and
+# options, an option as its add_argument call: the one table that both parsers read
+_COMMANDS = {
+    "table": ("cli_tables", "full character table with fields and decompositions", _group()),
+    "schur": ("cli_groups", "local and global Schur index reports", [
+        *_group(), ("--all", dict(action="store_true", help="report every faithful character"))]),
+    "predict": ("cli_groups", "conditional rank and Selmer predictions", _group()),
+    "frobenius": ("cli_local", "Frobenius class data at an unramified prime", [
+        *_group(), _FIELD, ("-v", dict(type=int, required=True))]),
+    "euler": ("cli_local", "twisted local Euler factors", [
+        *_group(7, 3), ("--curve", dict(default=None, help="a1,a2,a3,a4,a6")),
+        ("-v", dict(type=int, default=None)),
+        ("--trivial", dict(action="store_true", help="untwisted factor")),
+        ("--symbolic", dict(action="store_true", help="leave a_v and v as formal symbols")),
+        ("--order7-class", dict(dest="order7_class", default=None,
+                                help="H for the orbit of a, or an explicit exponent x")),
+        _FIELD,
+        ("--pick-first", dict(action="store_true",
+                              help="resolve an ambiguous Frobenius class to the smallest candidate"))]),
+    "series": ("cli_series", "truncated twisted Dirichlet series", [
+        *_group(7, 3), ("--curve", dict(required=True)), _FIELD,
+        ("--character", dict(default="trivial", help="trivial, lin:e or ind:u,w")),
+        ("-X", dict(type=int, default=100)),
+        ("--pick-first", dict(action="store_true",
+                              help="resolve ambiguous Frobenius classes to the smallest candidate"))]),
+    "identity": ("cli_series", "tower L-identity, characters and coefficients", [
+        *_group(7, 3), ("--curve", dict(required=True)), _FIELD, ("-X", dict(type=int, default=500))]),
+    "sweep": ("cli_tables", "index = 1 iff p^n | q-1, over all small groups", [
+        ("--max", dict(type=int, default=10 ** 4, help="bound on q * p^n")),
+        ("--tables", dict(action="store_true", help="also run table-level checks on small groups")),
+        ("--table-max", dict(dest="table_max", type=int, default=300)),
+        ("--verbose-rows", dict(dest="verbose_rows", action="store_true"))]),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named command alone (a job's parser in main)."""
+    """The parser of every command, or of the named command alone (main's, for a line _parse_exact leaves)."""
+    import argparse  # with gettext and locale, 3 to 4.5 ms that a line _parse_exact reads never pays
+
     ap = argparse.ArgumentParser(
         prog="schurgate",
         description=(
@@ -95,77 +128,62 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    if command in (None, "table"):
-        sp = sub.add_parser("table", help="full character table with fields and decompositions")
-        _add_group_args(sp)
-
-    if command in (None, "schur"):
-        sp = sub.add_parser("schur", help="local and global Schur index reports")
-        _add_group_args(sp)
-        sp.add_argument("--all", action="store_true", help="report every faithful character")
-
-    if command in (None, "predict"):
-        sp = sub.add_parser("predict", help="conditional rank and Selmer predictions")
-        _add_group_args(sp)
-
-    if command in (None, "frobenius"):
-        sp = sub.add_parser("frobenius", help="Frobenius class data at an unramified prime")
-        _add_group_args(sp)
-        sp.add_argument("--field", default="example-F1")
-        sp.add_argument("-v", type=int, required=True)
-
-    if command in (None, "euler"):
-        sp = sub.add_parser("euler", help="twisted local Euler factors")
-        _add_group_args(sp, q_default=7, p_default=3)
-        sp.add_argument("--curve", default=None, help="a1,a2,a3,a4,a6")
-        sp.add_argument("-v", type=int, default=None)
-        sp.add_argument("--trivial", action="store_true", help="untwisted factor")
-        sp.add_argument("--symbolic", action="store_true",
-                        help="leave a_v and v as formal symbols")
-        sp.add_argument("--order7-class", dest="order7_class", default=None,
-                        help="H for the orbit of a, or an explicit exponent x")
-        sp.add_argument("--field", default="example-F1")
-        sp.add_argument("--pick-first", action="store_true",
-                        help="resolve an ambiguous Frobenius class to the smallest candidate")
-
-    if command in (None, "series"):
-        sp = sub.add_parser("series", help="truncated twisted Dirichlet series")
-        _add_group_args(sp, q_default=7, p_default=3)
-        sp.add_argument("--curve", required=True)
-        sp.add_argument("--field", default="example-F1")
-        sp.add_argument("--character", default="trivial", help="trivial, lin:e or ind:u,w")
-        sp.add_argument("-X", type=int, default=100)
-        sp.add_argument("--pick-first", action="store_true",
-                        help="resolve ambiguous Frobenius classes to the smallest candidate")
-
-    if command in (None, "identity"):
-        sp = sub.add_parser("identity", help="tower L-identity, characters and coefficients")
-        _add_group_args(sp, q_default=7, p_default=3)
-        sp.add_argument("--curve", required=True)
-        sp.add_argument("--field", default="example-F1")
-        sp.add_argument("-X", type=int, default=500)
-
-    if command in (None, "sweep"):
-        sp = sub.add_parser("sweep", help="index = 1 iff p^n | q-1, over all small groups")
-        sp.add_argument("--max", type=int, default=10 ** 4, help="bound on q * p^n")
-        sp.add_argument("--tables", action="store_true",
-                        help="also run table-level checks on small groups")
-        sp.add_argument("--table-max", dest="table_max", type=int, default=300)
-        sp.add_argument("--verbose-rows", dest="verbose_rows", action="store_true")
-
-    for sp in sub.choices.values():
-        _add_common(sp)
+    for name, (_, summary, options) in _COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=summary)
+            for flag, kwargs in [*options, *_COMMON]:
+                sp.add_argument(flag, **kwargs)
     return ap
+
+
+def _parse_exact(argv) -> SimpleNamespace | None:
+    """What argparse reads from argv, where argv spells each option exactly; else None.
+
+    An option is its exact string, with its value in the next token (which
+    must not start with "-") or after "=", or a flag alone; a repeated option
+    keeps its last value.  Anything else (help, an abbreviation, "-n1", a
+    negative value, "--", an unknown token, a bad value, a missing required
+    option) gives None, and main leaves the line to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = dict([*_COMMANDS[argv[0]][2], *_COMMON])
+    dests = {flag: kwargs.get("dest", flag.lstrip("-").replace("-", "_")) for flag, kwargs in options.items()}
+    args = {dests[flag]: kwargs.get("default", False if "action" in kwargs else None)  # store_true: False
+            for flag, kwargs in options.items()}
+    missing = {flag for flag, kwargs in options.items() if kwargs.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None or eq and "action" in kwargs:  # a store_true flag takes no value
+            return None
+        if "action" in kwargs:
+            value = True
+        else:
+            value = value if eq else next(tokens, "-")
+            if value == "--" or not eq and value.startswith("-"):  # argparse reads "=--" as no value
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        args[dests[flag]] = value
+        missing.discard(flag)
+    return None if missing else SimpleNamespace(command=argv[0], **args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
-    if extra:  # "unrecognized arguments" comes with the usage that lists every command
-        build_parser().parse_args(argv)
+    args = _parse_exact(argv)
+    if args is None:  # argparse answers the rest: each usage line, error message and exit code is its own
+        args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
+        if extra:  # "unrecognized arguments" comes with the usage that lists every command
+            build_parser().parse_args(argv)
     try:
-        handler = getattr(import_module(f".{_COMMANDS[args.command]}", __package__), f"cmd_{args.command}")
+        handler = getattr(import_module(f".{_COMMANDS[args.command][0]}", __package__), f"cmd_{args.command}")
         _emit(args, *handler(args))  # a handler returns its document: the payload and its text
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return 0

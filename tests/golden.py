@@ -10,7 +10,8 @@ SCHURGATE_MAX_CONDUCTOR unset.  --record runs with PYTHONHASHSEED=0 and
 a mismatch.  Run --check before claiming that a change keeps every output;
 --record only for an intended change of output, naming each changed argv in
 CHANGES.md.  tests/test_cli.py reruns some lines in process and checks that
-the manifest lists commands() in order.
+the manifest lists commands() in order.  Both modes run one process per CPU
+at a time and keep the manifest order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,13 +102,29 @@ REFUSALS = [
     "series --curve 0,0,0,-1,0 -n 1 -X 10 --character ind:1",  # character spec
     "euler --symbolic -n 1 --order7-class foo",  # --order7-class
 ]
+# the factored-pattern refusal, at v = 13 and at the series' first good prime; the
+# "=" form reads a value that starts with "-"
+PATTERN = [
+    "frobenius -q 7 -p 3 -n 1 --field=-2,0,0,0,0,0,0,1 -v 13",
+    "series --curve 0,0,0,-1,0 -n 1 -X 30 --field=-2,0,0,0,0,0,0,1",
+]
 # what the parser itself prints: help, and its exit-2 usage errors
 PARSER = [
     "--help",
     "table --help",
+    *(f"{command} --help" for command in ("schur", "predict", "frobenius", "euler", "series", "identity", "sweep")),
     "bogus -q 7 -p 3 -n 1",  # unknown command
     "schur -q 7 -p 3 -n 1 --bogus",  # unrecognized argument
     "schur -q 7 -p 3",  # missing -n
+]
+# well-formed lines in other spellings that argparse reads
+SPELLINGS = [
+    "series --curve 0,0,0,-1,0 -n 1 -X 30 --char lin:1",  # an abbreviation
+    "schur -q7 -p3 -n1",  # attached short values
+    "schur -q=7 -p=3 -n=1",
+    "schur -q 7 -p 3 -n 1 --format=json",
+    "series --curve 0,0,0,-1,0 -n 1 -X 10 -X 30",  # a repeated option keeps its last value
+    "schur -q 7 -p 3 -n 1 -j -5",  # a negative value
 ]
 
 
@@ -155,7 +173,9 @@ def commands() -> list[list[str]]:
         *map(shlex.split, [*SERIES, *EULER, *TABLE, *DIGIT_LIMIT, SWEEP]),
         *_both_formats(map(shlex.split, _symbolic_grid() + twisted)),
         *(shlex.split(f"{command} --format json") for command in REFUSALS),
+        *_both_formats(map(shlex.split, PATTERN)),
         *map(shlex.split, PARSER),
+        *map(shlex.split, SPELLINGS),
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
@@ -180,8 +200,14 @@ def _run(argv: list[str], hash_seed: int) -> dict:
     return {"argv": argv, "stdout": _sha256(out.stdout), "stderr": _sha256(out.stderr), "exit": out.returncode}
 
 
+def _run_all(argvs: list[list[str]], hash_seed: int) -> list[dict]:
+    """_run on every argv, one process per CPU at a time, in the order given."""
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return list(pool.map(lambda argv: _run(argv, hash_seed), argvs))
+
+
 def record() -> int:
-    lines = [_run(argv, 0) for argv in commands()]
+    lines = _run_all(commands(), 0)
     MANIFEST.write_text("".join(json.dumps(line) + "\n" for line in lines))
     print(f"recorded {len(lines)} commands in {MANIFEST.relative_to(ROOT)}")
     return 0
@@ -190,8 +216,7 @@ def record() -> int:
 def check() -> int:
     want = read_manifest()
     bad = 0
-    for old in want:
-        new = _run(old["argv"], 1)
+    for old, new in zip(want, _run_all([line["argv"] for line in want], 1)):
         diff = [f"{key} {old[key]} -> {new[key]}" for key in ("exit", "stdout", "stderr") if old[key] != new[key]]
         if diff:
             bad += 1

@@ -751,8 +751,9 @@ def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
     assert "Exception ignored" not in out.stderr and "Traceback" not in out.stderr
 
 
-# a job builds only its command's subparser (build_parser(command)); help and
-# usage errors must read as they do from the full parser
+# a line that the exact-match parser leaves to argparse builds only its
+# command's subparser (build_parser(command)); help and usage errors must read
+# as they do from the full parser
 COMMANDS = ["table", "schur", "predict", "frobenius", "euler", "series", "identity", "sweep"]
 
 
@@ -773,11 +774,19 @@ def test_one_command_parser_gives_the_full_parsers_help_and_usage_errors(capsys,
         assert got[0] in (0, 2) and f"usage: schurgate {command} " in got[1] + got[2]
 
 
-def test_a_job_builds_one_subparser(capsys, monkeypatch):
+def test_a_well_formed_job_builds_no_parser_and_a_fallback_job_one_subparser(capsys, monkeypatch):
     import argparse
 
-    from schurgate.cli import build_parser
+    import schurgate.cli as cli
 
+    build_parser = cli.build_parser
+
+    def refuse(command=None):
+        raise AssertionError(f"a parser built for {command}")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")[0] == 0
+    monkeypatch.setattr(cli, "build_parser", build_parser)
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -786,7 +795,7 @@ def test_a_job_builds_one_subparser(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")[0] == 0
+    assert run(capsys, "schur", "-q7", "-p3", "-n1")[0] == 0  # attached values: argparse reads them
     assert built == ["schur"]
     # an unrecognized argument is reported by the full parser, whose usage lists every command
     argv = ["schur", "-q", "7", "-p", "3", "-n", "1", "--bogus"]
@@ -1016,3 +1025,65 @@ def test_every_drawn_argv_exits_0_2_or_3_with_at_most_one_error_line(argv):
         assert code == 2 and lines[0].startswith("usage: ") and ": error: " in lines[-1], (argv, lines)
     elif code == 2:
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), (argv, lines)
+
+
+# -- the exact-match parser reads what argparse reads --------------------------
+#
+# main parses a line with cli._parse_exact, which imports nothing, and leaves
+# the line to argparse where that returns None; so wherever it returns a
+# namespace, argparse must give an equal one, with no argument left over.
+
+
+def _respell(argv, picks):
+    """argv with tokens spelled in other ways that argparse may read.
+
+    For each token in turn, the next pick keeps it (6 to 9), splits it at
+    "=" or else joins the next token to it with "=" (1), joins the next token
+    to it without "=" (2), cuts a long option short (3), repeats it with the
+    next token (4) or puts -h before it (5); 0 drops it.
+    """
+    out, tokens, picks = argv[:1], argv[1:], iter(picks)
+    while tokens:
+        token, rest, pick = tokens[0], tokens[1:2], next(picks, 9)
+        if pick == 1 and "=" in token:
+            out += token.split("=", 1)
+            rest = []
+        elif pick in (1, 2) and rest:
+            out.append(token + "=" * (pick == 1) + rest[0])
+        elif pick == 3 and token.startswith("--"):
+            out.append(token[:max(3, len(token) - 3)])
+        elif pick == 4:
+            out += [token, *rest, token, *rest]
+        elif pick == 5:
+            out += ["-h", token]
+        elif pick:
+            out.append(token)
+        tokens = tokens[1 + len(rest) * (pick in (1, 2, 4)):]
+    return out
+
+
+@seed(20011)
+@settings(max_examples=200, deadline=None, database=None)
+@example(["series", "--curve", "0,0,0,-1,0", "-n", "1"], [9, 9, 1])  # "-n=1"
+@example(["series", "--curve=--", "-n", "1", "--field=--"], [])  # argparse reads "=--" as no value
+@example(["series", "--curve=0,0,0,-1,0", "-n", "1", "--pick-first=yes"], [])  # a flag takes no value
+@example(["frobenius", "-q", "7", "-p", "3", "-n", "1", "--field=-1,0,1", "-v", "13"], [9] * 6 + [1])  # "--field -1,0,1"
+@example(["schur", "-q", "7", "-p", "3", "-n", "1", "--all"], [9, 9, 9, 9, 9, 9, 4])  # "--all --all"
+@given(_ARGV, st.lists(st.integers(0, 15).map(lambda k: k if k < 6 else 9), max_size=12))
+def test_the_exact_parser_reads_what_argparse_reads(argv, picks):
+    from schurgate.cli import _parse_exact, build_parser
+
+    argv = _respell(argv, picks)
+    args = _parse_exact(argv)
+    if args is not None:
+        parsed, extra = build_parser(argv[0]).parse_known_args(argv)
+        assert (vars(parsed), extra) == (vars(args), []), argv
+
+
+def test_the_exact_parser_reads_every_benchmark_job_and_readme_command():
+    """So the benchmark and the README time the argparse-free route, not the fallback."""
+    from schurgate.cli import _parse_exact
+
+    lines = [[*job, "--format", "json"] for job in golden._workload_jobs()]
+    lines += [shlex.split(command) for command in golden.readme()]
+    assert [shlex.join(argv) for argv in lines if _parse_exact(argv) is None] == []
