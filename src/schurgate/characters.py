@@ -1,4 +1,4 @@
-"""Characters of C_q x| C_{p^n}, each read at a class in closed form, and the tower identity.
+"""Characters of C_q x| C_{p^n}, each read at a class in closed form.
 
 The table of G splits into p^n one-dimensional characters factoring through
 the C_{p^n} abelianization and, for each level r <= m <= n, the faithful
@@ -11,25 +11,21 @@ A character is its descriptor plus a closed-form evaluator at a class:
 induced values vanish off X and on X equal a Gaussian period times a root of
 unity, each period built and kept on the first read of its index.  A factor
 or a series reads the classes it names, at any n and q; the table over all
-classes is built only when ``values`` is first read.  The two sides of the
-tower identity are characters of the same kind: four permutation characters
-added at a class, and the tower coefficient times the faithful sum, a
-product of two Ramanujan sums.  They are compared at one class per type, at
-most 2(n + 1), so the identity reads no table either.  The table side and
-the character fields live in ``tables`` and ``fields``, loaded on the first
-use of their names from here (PEP 562): a series or an identity compiles neither.
+classes is built only when ``values`` is first read.  The table side with
+the character fields lives in ``tables``, and the tower identity, whose two
+sides are characters of this kind, in ``identity``; both are loaded on the
+first use of their names from here (PEP 562), so a series compiles neither.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import import_module
-from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber
 from .groups import (
     ConjClass, GroupElement, MetacyclicParams, PsiDescriptor, Subgroup, _p_power_subgroup,
-    conjugacy_classes, faithful_count, one_faithful_descriptor, tower_coefficient, tower_subgroups,
+    conjugacy_classes, one_faithful_descriptor,
 )
 
 __all__ = [
@@ -65,10 +61,8 @@ class Character:
     ("one_dimensional", e), ("lifted_from_quotient", level, u, w),
     ("induced", u, w), ("permutation", label), or a side of the tower
     identity, ("tower_quotient",) or ("faithful_sum", coefficient).
-    ``at`` maps a ConjClass to the value there; chi(g) reads it at the class
-    of g.  ``values``, the table over conjugacy_classes, is built from it on
-    first use and kept.  Equality is value-wise, and the hash reads only the
-    value at 1, so agrees with it.
+    ``at`` maps a ConjClass to the value there.  ``values``, the table over
+    conjugacy_classes, is built from it on first use and kept.
     """
 
     __slots__ = ("group", "provenance", "at", "_values")
@@ -78,17 +72,6 @@ class Character:
         self.provenance = tuple(provenance)
         self.at = at
         self._values = None
-
-    def __call__(self, g: GroupElement) -> CyclotomicNumber:
-        return self.at(self.group.conj_class(g))
-
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.group, self.at(_IDENTITY)))
 
     @property
     def values(self) -> tuple[CyclotomicNumber, ...]:
@@ -117,14 +100,6 @@ class Character:
 
     def __repr__(self):
         return f"<Character {self.char_id} of {self.group}, degree {self.degree}>"
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.char_id,
-            "degree": self.degree,
-            "provenance": list(self.provenance),
-            "values": [v.to_json() for v in self.values],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +156,7 @@ def induce_from_X(G: MetacyclicParams, psi: PsiDescriptor) -> Character:
 
 
 # ---------------------------------------------------------------------------
-# permutation characters and the tower identity
+# permutation characters
 
 def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     """The character of G acting on the cosets G/H, in closed form from (kind, level).
@@ -202,102 +177,9 @@ def permutation_character(G: MetacyclicParams, H: Subgroup) -> Character:
     return Character(G, ("permutation", H.label), at)
 
 
-def _ramanujan_sum(pk: int, p: int, m: int) -> int:
-    """c_{p^k}(m), the sum of zeta_{p^k}^{w m} over the units w mod pk = p^k (c_1 = 1).
-
-    It is p^k - p^{k-1} when p^k | m, -p^{k-1} when p^{k-1} | m but p^k does
-    not, and 0 otherwise; for a prime q, c_q(x) is q - 1 at x = 0 and -1 elsewhere.
-    """
-    if m % pk == 0:
-        return pk - pk // p if pk > 1 else 1
-    return -(pk // p) if m % (pk // p) == 0 else 0
-
-
-def _faithful_sum(G: MetacyclicParams, coefficient: int) -> Character:
-    """coefficient times the sum of the faithful irreducibles, as a product of Ramanujan sums.
-
-    The faithful characters are induced from psi = (u, w), u over the minimal
-    H-orbit representatives of the units mod q and w over the units mod
-    p^{n-r} (w = 0 when n = r).  Each vanishes off X, that is at (x, y) with
-    p^r not dividing y, and at (x, y) in X equals
-    sum_{h in H} zeta_q^{u h x} * zeta_{p^{n-r}}^{w y / p^r}.  As u runs over
-    the representatives and h over H, u h runs over every unit mod q once,
-    and w runs over every unit mod p^{n-r}, so the sum is the product
-    c_q(x) * c_{p^{n-r}}(y / p^r) of two Ramanujan sums (Hardy and Wright,
-    An Introduction to the Theory of Numbers, 16.6).  It is a rational integer.
-    """
-    q, p, pr, pmr = G.q, G.p, G.pr, G.pn // G.pr
-
-    def at(c: ConjClass) -> CyclotomicNumber:
-        x, y = c.rep
-        if y % pr:
-            return _ZERO
-        return CyclotomicNumber.from_rational(
-            coefficient * _ramanujan_sum(q, q, x) * _ramanujan_sum(pmr, p, y // pr)
-        )
-    return Character(G, ("faithful_sum", coefficient), at)
-
-
-class QuotientIdentity(NamedTuple):
-    """Both sides of the tower permutation-character identity, each a character in closed form.
-
-    lhs = reg + perm(K_{n-1}) - perm(K_n) - perm(F_{n-1}), where reg = perm(F_n)
-    is the regular character, decomposes as ``coefficient`` times the sum of
-    all faithful irreducibles, the rhs.  The coefficient is p^r for n > r; in
-    the degenerate tower base n = r it drops to p^r - p^{r-1}, because
-    perm(F_{n-1}) already contains each faithful character p^{r-1} times.
-    """
-
-    group: MetacyclicParams
-    lhs: Character
-    rhs: Character
-    equal: bool
-    coefficient: int
-    faithful_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "equal": self.equal,
-            "coefficient": self.coefficient,
-            "faithful_count": self.faithful_count,
-            "total_dimension": str(self.lhs.degree),
-        }
-
-
-def quotient_identity_virtual_character(G: MetacyclicParams) -> QuotientIdentity:
-    """The tower identity, its two sides compared at one class of each type they tell apart.
-
-    The lhs adds the four permutation characters at a class (reg is perm(F_n));
-    the rhs is ``_faithful_sum``.  Both depend on the class of (x, y) only
-    through whether x = 0 and through v_p(y): the permutation characters by
-    the ``permutation_character`` docstring, the rhs by its Ramanujan sums.
-    So they agree everywhere iff they agree at (0, p^k) for k = 0..n, and at
-    (1, p^k) when p^r | p^k (x != 0 is its own class only on X): at most
-    2(n + 1) classes, whatever the class count.
-    """
-    towers = {s.label: s for s in tower_subgroups(G)}
-    n = G.n
-    reg, k_below, k_top, f_below = (
-        permutation_character(G, towers[label]) for label in (f"F{n}", f"K{n - 1}", f"K{n}", f"F{n - 1}")
-    )
-    lhs = Character(G, ("tower_quotient",), lambda c: reg.at(c) + k_below.at(c) - k_top.at(c) - f_below.at(c))
-    coeff = tower_coefficient(G)
-    rhs = _faithful_sum(G, coeff)
-    types = (GroupElement(x, G.p ** k % G.pn) for k in range(n + 1) for x in ((0, 1) if k >= G.r else (0,)))
-    return QuotientIdentity(
-        group=G,
-        lhs=lhs,
-        rhs=rhs,
-        equal=all(lhs.at(c) == rhs.at(c) for c in map(G.conj_class, types)),
-        coefficient=coeff,
-        faithful_count=faithful_count(G),
-    )
-
-
 def __getattr__(name: str):
-    """The table side of __all__ from ``tables``, the fields from ``fields``, on first use (PEP 562)."""
+    """The tower identity's names in __all__ from ``identity``, the rest from ``tables``, on first use (PEP 562)."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = ".fields" if name in ("character_field", "formula_field") else ".tables"
+    module = ".identity" if name in ("QuotientIdentity", "quotient_identity_virtual_character") else ".tables"
     return getattr(import_module(module, __package__), name)

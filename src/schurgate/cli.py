@@ -32,8 +32,8 @@ def _dumps(obj, nl: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, at the indentation nl.
 
     Strings, ints, bools, None, lists, tuples and dicts with string keys are
-    joined here; anything else (floats, other keys) goes to json.dumps, whose
-    indent=2 encoder is pure Python and much slower on large tables.
+    joined here, which is every value a handler returns; anything else raises
+    TypeError, as json.dumps does for a type it cannot encode.
     """
     kind = type(obj)
     if kind is int:
@@ -52,9 +52,7 @@ def _dumps(obj, nl: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
-    import json
-
-    return json.dumps(obj, indent=2).replace("\n", nl)
+    raise TypeError(f"_dumps cannot encode a {kind.__name__}")
 
 
 def _emit(args, payload: dict, text: str) -> None:

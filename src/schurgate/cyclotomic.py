@@ -32,7 +32,7 @@ Inverses take the relative norm down the same prime layers: multiplying y
 by its conjugates over Q(zeta_(m/p)) lands in that subfield, and repeating
 until the norm is rational gives 1/y as (product of the factors) / norm.
 
-Abelian subfields (``AbelianField``, ``field_of_values``) live in ``fields``,
+Abelian subfields (``AbelianField``, ``field_of_values``) live in ``tables``,
 which is loaded on their first use from here (PEP 562).
 
 No floating point is used anywhere: the complex embedding that numeric
@@ -511,7 +511,7 @@ class CyclotomicNumber:
 
 
 def __getattr__(name: str):
-    """AbelianField and field_of_values, from ``fields`` on first use (PEP 562)."""
+    """AbelianField and field_of_values, from ``tables`` on first use (PEP 562)."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".fields", __package__), name)
+    return getattr(import_module(".tables", __package__), name)

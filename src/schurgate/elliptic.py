@@ -227,10 +227,6 @@ class EulerFactor(NamedTuple):
     v: int
     poly: tuple[CyclotomicNumber, ...]  # ascending in T, constant term 1
 
-    @property
-    def degree(self) -> int:
-        return len(self.poly) - 1
-
     def to_json(self) -> dict:
         return {"v": self.v, "poly": [c.to_json() for c in self.poly]}
 

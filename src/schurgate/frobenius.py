@@ -39,7 +39,6 @@ __all__ = [
     "FrobeniusDatum",
     "check_field_degree",
     "frobenius_datum",
-    "factor_pattern",
     "cyclotomic_exponent",
     "poly_discriminant",
     "resolve_field_poly",
@@ -266,16 +265,6 @@ def _frobenius_map(coeffs, v: int, known_prime: bool = False) -> _FrobeniusMap |
         raise ValueError(f"ramified prime {v}: reduction is not squarefree")
     inv_lead = pow(lead, -1, v)
     return _FrobeniusMap([c * inv_lead % v for c in coeffs], v)
-
-
-def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
-    """Sorted degrees of the irreducible factors of a squarefree poly mod v.
-
-    Raises as ``_frobenius_map`` does for a composite v, a vanishing leading
-    coefficient or a ramified v.
-    """
-    frob = _frobenius_map(coeffs, v)
-    return (1,) * (len(coeffs) - 1) if frob is None else _distinct_degrees(frob)
 
 
 def _distinct_degrees(frob: _FrobeniusMap) -> tuple[int, ...]:

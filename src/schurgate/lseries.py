@@ -3,19 +3,15 @@
 Every local factor comes from one trace recursion.  For a matrix M,
 det(1 - M T) = exp(-sum_s tr(M^s) T^s / s) and the local L-series is its
 inverse exp(+sum_s tr(M^s) T^s / s); Newton's identities (``_newton``)
-expand either from the traces, in whatever ring they live in.  Two
-independent trace sources feed it, and the tower identity compares them:
-
-  * characters: for M = A_v (x) tau(g), tr(M^s) = (alpha^s + beta^s) chi(g^s),
-    with alpha, beta the roots of T^2 - a_v T + v.  Their power sums are
-    integers (or polynomials in formal symbols a, v), so every coefficient
-    stays in Q(zeta); chi(g^s) is read once per process for each class
-    representative and 1 <= s <= kmax the recursion uses, by the evaluator at
-    the class of g^s (no value table is built), so a prime costs the same at any n.
-  * residue degrees: a prime of residue degree f over v contributes
-    f (alpha^s + beta^s) to tr_s whenever f | s.  The degrees come from
-    factorization patterns and the compositum splitting formula, with no
-    character theory, and everything stays in the integers.
+expand either from the traces, in whatever ring they live in.  For
+M = A_v (x) tau(g), tr(M^s) = (alpha^s + beta^s) chi(g^s), with alpha, beta
+the roots of T^2 - a_v T + v.  Their power sums are integers (or polynomials
+in formal symbols a, v), so every coefficient stays in Q(zeta); chi(g^s) is
+read once per process for each class representative and 1 <= s <= kmax the
+recursion uses, by the evaluator at the class of g^s (no value table is
+built), so a prime costs the same at any n.  The tower identity, which
+compares these traces with a second source, residue degrees, lives in
+``identity``, loaded on the first use of its name from here (PEP 562).
 
 The Frobenius-ambiguity check (order-q part) assembles a series only when
 every candidate class gives the same one, unless the caller picks a
@@ -45,12 +41,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import import_module
-from math import gcd, isqrt
+from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import CyclotomicNumber
-from .groups import ConjClass, GroupElement, InternalCheckError, MetacyclicParams
-from .characters import Character, QuotientIdentity, quotient_identity_virtual_character
+from .groups import ConjClass, GroupElement, MetacyclicParams
+from .characters import Character
 
 # elliptic and frobenius are imported where they are used: the symbolic factor needs neither
 if TYPE_CHECKING:
@@ -263,105 +259,9 @@ def dirichlet_partial(
     return _assemble(X, local)
 
 
-# ---------------------------------------------------------------------------
-# the tower identity, coefficient by coefficient
-
-def tower_residue_degrees(G: MetacyclicParams, datum: FrobeniusDatum, kind: str, level: int) -> list[tuple[int, int]]:
-    """Residue degrees over v in a tower field, from pattern + cyclotomic data.
-
-    K-levels split by the order of the cyclotomic component alone; F-levels
-    are the compositum of the degree-q field with a K-level, so each pair of
-    primes yields gcd primes of lcm degree.
-    """
-    y = datum.cyclotomic_component
-    pk = G.p ** level
-    fk = pk // gcd(pk, y)
-    if kind == "K":
-        return [(fk, pk // fk)]
-    if kind != "F":
-        raise ValueError(f"unknown tower kind {kind!r}")
-    out: dict[int, int] = {}
-    for d in datum.pattern:
-        f = d * fk // gcd(d, fk)
-        out[f] = out.get(f, 0) + gcd(d, fk) * (pk // fk)
-    return sorted(out.items())
-
-
-def _tower_series(G: MetacyclicParams, datum: FrobeniusDatum, av: int, v: int, kmax: int) -> list:
-    """b_0..b_kmax of L(E/F_n) L(E/K_{n-1}) / (L(E/K_n) L(E/F_{n-1})) at v, from residue degrees.
-
-    Each prime of residue degree f over v contributes f (alpha^s + beta^s) to
-    tr_s for f | s, with sign +1 in the numerator fields and -1 in the
-    denominator ones.  The traces are integers, and so is the series.
-    """
-    n = G.n
-    sums = _power_sums(av, v, kmax)
-    traces = [0] * (kmax + 1)
-    for kind, level, sign in (("F", n, 1), ("K", n - 1, 1), ("K", n, -1), ("F", n - 1, -1)):
-        for f, count in tower_residue_degrees(G, datum, kind, level):
-            for s in range(f, kmax + 1, f):
-                traces[s] += sign * count * f * sums[s]
-    series = _newton([CyclotomicNumber.from_rational(t) for t in traces], kmax, 1, _ONE)
-    if any(b.den != 1 for b in series):
-        raise InternalCheckError(f"tower local series is not integral at v = {v} ({G.spec})")
-    return series
-
-
-class IdentityCheck(NamedTuple):
-    group: MetacyclicParams
-    X: int
-    coefficient: int
-    holds: bool
-    primes_used: int
-    first_mismatch: int | None
-    quotient: QuotientIdentity  # the closed-form character side; not part of the JSON
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group.to_json(),
-            "X": self.X,
-            "coefficient": self.coefficient,
-            "holds": self.holds,
-            "primes_used": self.primes_used,
-            "first_mismatch": self.first_mismatch,
-        }
-
-
-def identity_series_check(
-    E: EllipticCurveQ, field_coeffs, G: MetacyclicParams, X: int
-) -> IdentityCheck:
-    """Compare both sides of the tower L-identity coefficientwise up to X.
-
-    Left side: L(E/F_n) L(E/K_{n-1}) / (L(E/K_n) L(E/F_{n-1})) built purely
-    from splitting patterns (pattern route).  Right side: the product over
-    faithful tau of L(E, tau)^coefficient, one twist by the closed-form rhs
-    of the character identity, whose values are integers (character route).
-    Good primes only; both sides are symmetric under the Frobenius
-    class ambiguity, which is verified, not assumed.
-    """
-    local = _local_data(E, field_coeffs, G, X)
-    qi = quotient_identity_virtual_character(G)
-    lhs_local = {}
-    rhs_local = {}
-    for v, kmax, datum, av in local:
-        lhs_local[v] = _tower_series(G, datum, av, v, kmax)
-        rhs_local[v] = _resolve_local_factor(qi.rhs, datum, av, v, kmax)
-    lhs = _assemble(X, lhs_local)
-    rhs = _assemble(X, rhs_local)
-    mismatch = next((i for i in range(1, X + 1) if lhs.an[i] != rhs.an[i]), None)
-    return IdentityCheck(
-        group=G,
-        X=X,
-        coefficient=qi.coefficient,
-        holds=mismatch is None,
-        primes_used=len(lhs_local),
-        first_mismatch=mismatch,
-        quotient=qi,
-    )
-
-
 def __getattr__(name: str):
-    """The symbolic factor's names in __all__, from ``symbolic`` on first use (PEP 562)."""
+    """identity_series_check from ``identity``, the rest from ``symbolic``, on first use (PEP 562)."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".symbolic", __package__), name)
+    module = ".identity" if name == "identity_series_check" else ".symbolic"
+    return getattr(import_module(module, __package__), name)

@@ -184,9 +184,6 @@ class DivisibilityCheck(NamedTuple):
     modulus: int
     divisible: bool
 
-    def to_json(self) -> dict:
-        return dict(self._asdict())
-
 
 def multiplicity_divisibility_check(
     G: MetacyclicParams, tau: Character, rho

@@ -25,10 +25,6 @@ class SymbolicPoly:
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     @classmethod
-    def zero(cls) -> "SymbolicPoly":
-        return cls({})
-
-    @classmethod
     def scalar(cls, c) -> "SymbolicPoly":
         if not isinstance(c, CyclotomicNumber):
             c = CyclotomicNumber.from_rational(c)
@@ -87,12 +83,6 @@ class SymbolicPoly:
             return x
         c = CyclotomicNumber.coerce(x)
         return NotImplemented if c is NotImplemented else SymbolicPoly({(0, 0): c})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self):
         return format_sum((c, (("a", i), ("v", j))) for (i, j), c in sorted(self.terms.items()))

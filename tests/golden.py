@@ -126,6 +126,14 @@ SPELLINGS = [
     "series --curve 0,0,0,-1,0 -n 1 -X 10 -X 30",  # a repeated option keeps its last value
     "schur -q 7 -p 3 -n 1 -j -5",  # a negative value
 ]
+# an X that is a prime power v^k, the last term of lseries._kmax: 243 = 3^5, where v = p is
+# not a good prime, and 125 = 5^3; an identity prints no coefficient, so only the JSON series
+# to 125 shows a_125, which a kmax one short would make 0
+PRIME_POWER_X = [
+    "series --curve 0,0,0,-1,0 -n 1 -X 243",
+    "identity --curve 0,0,0,-1,0 -n 1 -X 125",
+    "series --curve 0,0,0,-1,0 -n 1 -X 125",
+]
 
 
 def readme() -> list[str]:
@@ -176,6 +184,7 @@ def commands() -> list[list[str]]:
         *_both_formats(map(shlex.split, PATTERN)),
         *map(shlex.split, PARSER),
         *map(shlex.split, SPELLINGS),
+        *_both_formats(map(shlex.split, PRIME_POWER_X)),
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 

@@ -52,7 +52,7 @@ from schurgate.groups import (
 from schurgate.characters import (
     Character, PsiDescriptor, faithful_characters, inner_product, irreducible_characters,
 )
-from schurgate.lseries import DirichletSeries
+from schurgate.lseries import DirichletSeries, SymbolicPoly
 
 BRUTE_FORCE_LIMIT = 10 ** 4
 
@@ -94,7 +94,7 @@ def value_at(chi, g: GroupElement) -> CyclotomicNumber:
 class VirtualCharacter:
     """Integer linear combination of characters, stored value-wise and read by class.
 
-    It reads like a Character (group, values, at, chi(g), degree), so the
+    It reads like a Character (group, values, at, degree), so the
     package's inner products and factors take it; equality is value-wise.
     """
 
@@ -106,9 +106,6 @@ class VirtualCharacter:
 
     def at(self, cls: ConjClass) -> CyclotomicNumber:
         return self.values[_class_index(self.group)[cls.rep]]
-
-    def __call__(self, g: GroupElement) -> CyclotomicNumber:
-        return self.at(self.group.conj_class(g))
 
     def __eq__(self, other):
         if not isinstance(other, VirtualCharacter):
@@ -202,6 +199,11 @@ def evaluate_symbolic(poly, a_val, v_val) -> CyclotomicNumber:
     for (i, j), c in poly.terms.items():
         acc = acc + c * a_val ** i * v_val ** j
     return acc
+
+
+def symbolic_terms(coeffs) -> list[dict]:
+    """Each coefficient as its {(i, j): coefficient of a^i v^j} without zeros, a number as a constant."""
+    return [SymbolicPoly._coerce(c).terms for c in coeffs]
 
 
 def brute_force_classes(G: MetacyclicParams) -> list[ConjClass]:
@@ -341,8 +343,8 @@ def _multiplicities(chi, cls: ConjClass) -> tuple[tuple[int, int], ...]:
     the power-basis vector, so d * den * m_k is the constant term of one
     folded integer buffer, den = lcm(den_i); every other coordinate is 0.
     """
-    d = cls.element_order
-    values = [chi(chi.group.power(cls.rep, i)) for i in range(d)]
+    d, G = cls.element_order, chi.group
+    values = [chi.at(G.conj_class(G.power(cls.rep, i))) for i in range(d)]
     M = lcm(d, *(val.conductor for val in values if not val.is_zero()))
     lifted = [
         (i, val.den, _image(M, val._nz(), M // val.conductor))
@@ -480,7 +482,7 @@ def field_of_values_all_units(values) -> AbelianField:
     vals = list(values)
     m = lcm(*(v.conductor for v in vals))
     if m == 1:
-        return AbelianField.rationals()
+        return AbelianField(1, [1])
     lifted = []
     for mv, coeffs in {(v.conductor, v.coeffs) for v in vals if v.conductor > 1}:
         den = lcm(*(c.denominator for c in coeffs))  # integers: the same fixed units

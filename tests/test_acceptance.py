@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import conjugate_psi, psi_value, subgroup_elements, value_at
+from oracles import conjugate_psi, psi_value, subgroup_elements, symbolic_terms, value_at
 from schurgate.cyclotomic import CyclotomicNumber as C, dot, field_of_values
 from schurgate.groups import (
     GroupElement,
@@ -213,12 +213,12 @@ def test_criterion_06_remark_euler_factor():
     for t in (1, 2, 4):
         z = C.zeta(7, t)
         block = [SymbolicPoly.scalar(1), -(z * a), (z * z) * v]
-        new = [SymbolicPoly.zero() for _ in range(len(displayed) + 2)]
+        new = [SymbolicPoly({}) for _ in range(len(displayed) + 2)]
         for i, x in enumerate(displayed):
             for j, y in enumerate(block):
                 new[i + j] = new[i + j] + x * y
         displayed = new
-    assert sym == displayed
+    assert symbolic_terms(sym) == symbolic_terms(displayed)
     cube = cube_of_quadratic_defect(sym)
     assert cube["is_cube"] is False
     _report(

@@ -360,12 +360,12 @@ def test_permutation_character_matches_coset_enumeration():
 
 
 def test_evaluator_agrees_with_the_table_at_every_element():
-    # chi(g) goes through the class of g, which class representatives alone never exercise
+    # chi at the class of g, which class representatives alone never exercise
     for G in iter_valid_groups(300):
         perms = [permutation_character(G, s) for s in tower_subgroups(G) + [subgroup_X(G)]]
         for chi in [*irreducible_characters(G), *perms]:
             for g in elements(G):
-                assert chi(g) == value_at(chi, g), (G, chi.char_id, g)
+                assert chi.at(G.conj_class(g)) == value_at(chi, g), (G, chi.char_id, g)
 
 
 def test_permutation_character_error_names_group_and_subgroup():
@@ -404,7 +404,7 @@ def test_closed_form_identity_matches_the_value_wise_faithful_sum():
 
 
 def test_identity_compares_the_sides_at_few_classes_and_sees_a_broken_side(monkeypatch):
-    import schurgate.characters as characters
+    import schurgate.identity as identity
     from schurgate.groups import MetacyclicParams
 
     G = make_group(7, 3, 12)  # 265,721 classes
@@ -415,8 +415,8 @@ def test_identity_compares_the_sides_at_few_classes_and_sees_a_broken_side(monke
     # one class per type: (0, 3^k) for k = 0..n, and (1, 3^k) where 3^r = 3 divides 3^k
     want = [(x, 3 ** k % G.pn) for k in range(G.n + 1) for x in ((0, 1) if k else (0,))]
     assert sorted(seen) == sorted(want)
-    faithful_sum = characters._faithful_sum
-    monkeypatch.setattr(characters, "_faithful_sum", lambda G, c: faithful_sum(G, c + 1))
+    faithful_sum = identity._faithful_sum
+    monkeypatch.setattr(identity, "_faithful_sum", lambda G, c: faithful_sum(G, c + 1))
     assert not quotient_identity_virtual_character(G21).equal
 
 
@@ -433,7 +433,7 @@ def test_inner_product_group_mismatch():
 
 
 def test_character_json():
+    # what a table row reads of a character: its id, its degree and each value's JSON
     tau = one_faithful_character(G21)
-    js = tau.to_json()
-    assert js["degree"] == 3 and js["id"] == "ind[u=1,w=0]"
-    assert len(js["values"]) == 5
+    assert tau.degree == 3 and tau.char_id == "ind[u=1,w=0]"
+    assert [v.to_json()["conductor"] for v in tau.values] == [1, 7, 7, 1, 1]

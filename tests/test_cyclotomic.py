@@ -172,7 +172,7 @@ def test_values_factors_and_symbolic_polys_print_by_one_rule():
     assert str(SymbolicPoly.scalar(eta) - a * a * v + (-eta) * v + Fraction(2, 3) * a) == (
         "(z7 + z7^2 + z7^4) + (-z7 - z7^2 - z7^4)*v + 2/3*a - a^2*v"
     )
-    assert str(EulerFactor(5, (zero,))) == str(SymbolicPoly.zero()) == format_sum([]) == "0"
+    assert str(EulerFactor(5, (zero,))) == str(SymbolicPoly({})) == format_sum([]) == "0"
     assert format_sum([(-1, ()), (Fraction(1, 2), (("x", 0), ("y", 3))), (-1, (("x", 1),))]) == "-1 + 1/2*y^3 - x"
 
 
@@ -218,7 +218,7 @@ def test_galois_is_automorphism_and_composes():
 
 
 def test_field_of_values_examples():
-    assert field_of_values([C.from_rational(1), C.from_rational(Fraction(-3, 2))]) == AbelianField.rationals()
+    assert field_of_values([C.from_rational(1), C.from_rational(Fraction(-3, 2))]) == AbelianField(1, [1])
     eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)
     fld = field_of_values([eta])
     assert fld.conductor == 7 and fld.stabilizer == (1, 2, 4) and fld.degree == 2
@@ -262,14 +262,14 @@ def test_abelian_field_validation():
     with pytest.raises(ValueError):
         AbelianField(7, [1, 2])  # not closed
     full = AbelianField(7, [1, 2, 3, 4, 5, 6])
-    assert full == AbelianField.rationals()
+    assert full == AbelianField(1, [1])
 
 
 def test_abelian_field_reduces_to_the_true_conductor():
     def units(m, keep):
         return [k for k in range(1, m) if gcd(k, m) == 1 and keep(k)]
 
-    assert AbelianField(27, units(27, lambda k: True)) == AbelianField.rationals()
+    assert AbelianField(27, units(27, lambda k: True)) == AbelianField(1, [1])
     assert AbelianField(63, units(63, lambda k: k % 7 == 1)) == field_of_values([C.zeta(7)])
     assert AbelianField(225, units(225, lambda k: k % 9 == 1)) == field_of_values([C.zeta(9)])
     eta = C.zeta(7) + C.zeta(7, 2) + C.zeta(7, 4)

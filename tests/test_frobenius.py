@@ -13,10 +13,10 @@ from oracles import (
 from schurgate.groups import GroupElement, conjugacy_classes, is_prime, make_group
 from schurgate.frobenius import (
     EXAMPLE_F1,
+    _distinct_degrees,
     _frobenius_map,
     _gf_gcd,
     cyclotomic_exponent,
-    factor_pattern,
     frobenius_datum,
     poly_discriminant,
     resolve_field_poly,
@@ -24,6 +24,12 @@ from schurgate.frobenius import (
 
 G63 = make_group(7, 3, 2, 2)
 G21 = make_group(7, 3, 1, 2)
+
+
+def factor_pattern(coeffs, v: int) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of f mod v (degree >= 2), by the datum's route;
+    raises as _frobenius_map does for a vanishing leading coefficient or a ramified v."""
+    return _distinct_degrees(_frobenius_map(coeffs, v))
 
 
 def test_disc_of_builtin_polynomial():

@@ -24,6 +24,7 @@ from oracles import (
     mat_trace,
     monomial_model,
     reciprocal_root_magnitudes,
+    symbolic_terms,
     to_complex,
     tpoly_mul,
 )
@@ -45,6 +46,7 @@ from schurgate.characters import (
 )
 from schurgate.elliptic import EllipticCurveQ, a_v, untwisted_factor
 from schurgate.frobenius import EXAMPLE_F1, frobenius_datum
+from schurgate.identity import _tower_series, tower_residue_degrees
 from schurgate.lseries import (
     SymbolicPoly,
     cube_of_quadratic_defect,
@@ -52,7 +54,6 @@ from schurgate.lseries import (
     good_primes,
     identity_series_check,
     symbolic_twisted_euler_factor,
-    tower_residue_degrees,
     twisted_euler_factor,
     _assemble,
     _kmax,
@@ -61,7 +62,6 @@ from schurgate.lseries import (
     _power_sums,
     _resolve_local_factor,
     _spf,
-    _tower_series,
     _traces,
 )
 
@@ -127,7 +127,7 @@ def test_twisted_factor_degree_and_constant():
     tau = one_faithful_character(G63)
     d = frobenius_datum(EXAMPLE_F1, G63, 5)
     f = twisted_euler_factor(a_v(E_MINUS_X, 5), 5, tau, d.conj_class)
-    assert f.degree == 2 * tau.degree
+    assert len(f.poly) - 1 == 2 * tau.degree
     assert f.poly[0] == C.from_rational(1)
 
 
@@ -149,12 +149,12 @@ def test_symbolic_factor_matches_displayed_product():
     for t in (1, 2, 4):
         z = C.zeta(7, t)
         block = [SymbolicPoly.scalar(1), -(z * a), (z * z) * v]
-        new = [SymbolicPoly.zero() for _ in range(len(expect) + 2)]
+        new = [SymbolicPoly({}) for _ in range(len(expect) + 2)]
         for i, x in enumerate(expect):
             for j, y in enumerate(block):
                 new[i + j] = new[i + j] + x * y
         expect = new
-    assert sym == expect
+    assert symbolic_terms(sym) == symbolic_terms(expect)
 
 
 def test_symbolic_factor_specializes_to_numeric():
@@ -244,7 +244,7 @@ def test_symbolic_poly_refuses_operands_it_cannot_coerce():
                 with pytest.raises(TypeError) as exc:
                     op(x, y)
                 assert "SymbolicPoly" in str(exc.value) and "NotImplemented" not in str(exc.value)
-    assert a + 1 == 1 + a and a - 1 == -(1 - a) and 2 * a == a * 2
+    assert symbolic_terms([a + 1, a - 1, 2 * a]) == symbolic_terms([1 + a, -(1 - a), a * 2])
 
 
 def test_dirichlet_partial_x1_is_one():
@@ -427,7 +427,7 @@ def test_the_sieve_is_the_one_primality_test_of_a_series(monkeypatch):
     for module in (elliptic, frobenius):
         monkeypatch.setattr(module, "is_prime", lambda v: pytest.fail(f"{v} tested again after the sieve"))
     assert dirichlet_partial(E_MINUS_X, G63, _linear_character(G63, 1), EXAMPLE_F1, 500) == want
-    assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G21, 300) == chk
+    assert identity_series_check(E_MINUS_X, EXAMPLE_F1, G21, 300).to_json() == chk.to_json()
     monkeypatch.undo()
     for v in (9, 25, 91, 561):  # a direct call still tests v
         for call in (lambda: a_v(E_MINUS_X, v), lambda: frobenius_datum(EXAMPLE_F1, G21, v)):
@@ -496,7 +496,7 @@ def test_symbolic_factor_matches_block_product_at_every_class():
         tau = one_faithful_character(G)
         for cls in conjugacy_classes(G):
             block = block_euler_factor(a, v, cls.element_order, eigenvalue_multiplicities(tau, cls))
-            assert symbolic_twisted_euler_factor(tau, cls) == list(block.poly)
+            assert symbolic_terms(symbolic_twisted_euler_factor(tau, cls)) == symbolic_terms(block.poly)
 
 
 def test_full_factors_refuse_a_value_table_before_reading_a_trace(monkeypatch):
@@ -532,7 +532,7 @@ def test_identity_rhs_factors_are_the_faithful_factors_to_the_coefficient():
                 continue
             want = functools.reduce(tpoly_mul, [symbolic_twisted_euler_factor(tau, cls) for tau in faithful])
             want = functools.reduce(tpoly_mul, [want] * qi.coefficient)
-            assert symbolic_twisted_euler_factor(qi.rhs, cls) == want, (G, cls)
+            assert symbolic_terms(symbolic_twisted_euler_factor(qi.rhs, cls)) == symbolic_terms(want), (G, cls)
 
 
 def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
@@ -554,7 +554,7 @@ def test_full_factors_read_chi_only_at_the_powers_they_use(monkeypatch):
         cls = G.conj_class(GroupElement(x, y))
         assert cls.element_order > 7
         calls = 0
-        assert twisted_euler_factor(-2, 5, tau, cls).degree == 6
+        assert len(twisted_euler_factor(-2, 5, tau, cls).poly) == 7
         assert calls == (0 if cls in seen else 6)
         seen.add(cls)
         calls = 0
@@ -578,13 +578,13 @@ def test_integer_tower_series_matches_field_factors(G):
 
 
 def test_tower_series_integrality_error_names_group_and_prime(monkeypatch):
-    import schurgate.lseries as lseries
+    import schurgate.identity as identity
 
     # one split prime with power sums 1, 0, ...: no Frobenius pair has them, and
     # exp(T + 0 T^2 / 2 + ...) has c_2 = 1/2
-    monkeypatch.setattr(lseries, "_power_sums", lambda a, v, kmax: [2, 1] + [0] * kmax)
+    monkeypatch.setattr(identity, "_power_sums", lambda a, v, kmax: [2, 1] + [0] * kmax)
     monkeypatch.setattr(
-        lseries, "tower_residue_degrees", lambda G, datum, kind, level: [(1, 1)] if kind == "F" and level == G.n else []
+        identity, "tower_residue_degrees", lambda G, datum, kind, level: [(1, 1)] if kind == "F" and level == G.n else []
     )
     datum = frobenius_datum(EXAMPLE_F1, G21, 5)
     with pytest.raises(InternalCheckError, match="not integral") as err:

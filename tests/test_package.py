@@ -111,9 +111,10 @@ def test_table_commands_still_load_the_characters(argv):
 
 
 # what the series route never runs, each in modules of its own: the handlers of
-# the other commands, the table side with the fields, and the symbolic factor
+# the other commands, the table side with the fields, the tower identity and the symbolic factor
 HANDLERS = {"schurgate.cli_groups", "schurgate.cli_local", "schurgate.cli_series", "schurgate.cli_tables"}
-TABLE_SIDE = {"schurgate.tables", "schurgate.fields"}
+TABLE_SIDE = {"schurgate.tables"}
+IDENTITY = "schurgate.identity"
 SYMBOLIC = "schurgate.symbolic"
 SERIES = ["series", "--curve", "0,0,0,-1,0", "-n", "1"]
 
@@ -136,6 +137,7 @@ def test_a_job_loads_one_handler_module_and_only_what_its_command_runs(argv):
     assert len(HANDLERS & loaded) == 1, sorted(HANDLERS & loaded)
     tables = argv[0] == "table" or "--tables" in argv
     assert (TABLE_SIDE & loaded) == (TABLE_SIDE if tables else set()), sorted(TABLE_SIDE & loaded)
+    assert (IDENTITY in loaded) == (argv[0] == "identity")
     assert (SYMBOLIC in loaded) == ("--symbolic" in argv)
 
 
@@ -188,7 +190,7 @@ def _package_lines(loaded: set[str]) -> int:
     return sum(len((root / f"{name}.py").read_text().splitlines()) for name in names)
 
 
-@pytest.mark.parametrize("argv, budget", [(SERIES, 2650), (["schur", "-q", "7", "-p", "3", "-n", "1"], 950)],
+@pytest.mark.parametrize("argv, budget", [(SERIES, 2400), (["schur", "-q", "7", "-p", "3", "-n", "1"], 950)],
                          ids=["series", "schur"])
 def test_a_job_compiles_at_most_its_budget_of_package_lines(argv, budget):
     """Without bytecode (PYTHONDONTWRITEBYTECODE=1) a job compiles every module it loads from source."""
@@ -224,9 +226,10 @@ def test_all_is_the_same_48_names():
 
 # exports that their export module loads from the defining module on first use
 DEFINED_IN = {
-    "AbelianField": "fields", "field_of_values": "fields", "character_field": "fields", "formula_field": "fields",
+    "AbelianField": "tables", "field_of_values": "tables", "character_field": "tables", "formula_field": "tables",
     "faithful_characters": "tables", "inner_product": "tables", "irreducible_characters": "tables",
-    "is_faithful": "tables", "tensor_decompose": "tables", "symbolic_twisted_euler_factor": "symbolic",
+    "is_faithful": "tables", "tensor_decompose": "tables", "quotient_identity_virtual_character": "identity",
+    "identity_series_check": "identity", "symbolic_twisted_euler_factor": "symbolic",
 }
 
 
@@ -341,3 +344,11 @@ def test_singular_curve_rejected_on_direct_construction():
     E = schurgate.EllipticCurveQ(0, 0, 0, -1, 0)
     assert repr(E) == "EllipticCurveQ(a1=0, a2=0, a3=0, a4=-1, a6=0)"
     assert hash(E) == hash((0, 0, 0, -1, 0))
+
+
+def test_each_function_the_reach_check_keeps_exists_with_a_reason():
+    """tests/reach.py --check runs the golden set; this reads only its KEPT table and the source."""
+    import reach
+
+    assert [name for name in reach.KEPT if name not in reach.defined()] == []
+    assert all(reach.KEPT.values())
