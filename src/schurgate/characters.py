@@ -87,6 +87,11 @@ class Character:
         return v0.num[0]
 
     @property
+    def psi(self) -> PsiDescriptor | None:
+        """The psi of an induced character Ind_X psi; None for every other kind."""
+        return PsiDescriptor(*self.provenance[1:]) if self.provenance[0] == "induced" else None
+
+    @property
     def char_id(self) -> str:
         kind = self.provenance[0]
         if kind == "one_dimensional":
@@ -95,7 +100,7 @@ class Character:
             _, m, u, w = self.provenance
             return f"lift{m}[u={u},w={w}]"
         if kind == "induced":
-            return PsiDescriptor(*self.provenance[1:]).char_id
+            return self.psi.char_id
         return kind
 
     def __repr__(self):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from .groups import (
-    InternalCheckError, conjugacy_classes, faithful_count, iter_valid_groups, make_group, tower_subgroups,
+    InternalCheckError, conjugacy_classes, faithful_count, iter_valid_groups, make_group, psi_is_faithful,
+    tower_subgroups,
 )
 
 
 def cmd_table(args) -> tuple[dict, str]:
     from .characters import (
-        character_field, formula_field, irreducible_characters, is_faithful, tensor_decompose,
+        character_field, formula_field, irreducible_characters, tensor_decompose,
     )
 
     G = make_group(args.q, args.p, args.n, args.j)
@@ -17,11 +18,11 @@ def cmd_table(args) -> tuple[dict, str]:
     classes = conjugacy_classes(G)
     rows = []
     for chi in table:
-        fld = character_field(chi)
+        fld, psi = character_field(chi), chi.psi
         row = {
             "id": chi.char_id,
             "degree": chi.degree,
-            "faithful": is_faithful(chi),
+            "faithful": psi is not None and psi_is_faithful(G, psi),
             "provenance": list(chi.provenance),
             "field": fld.to_json(),
             "field_degree": fld.degree,

@@ -41,7 +41,6 @@ sanity checks compare against is a test oracle, not part of the package.
 
 from __future__ import annotations
 
-import os
 import sys
 from functools import lru_cache
 from importlib import import_module
@@ -60,46 +59,22 @@ __all__ = [
     "field_of_values",
     "format_sum",
     "euler_phi",
-    "max_conductor",
     "ConductorOverflowError",
 ]
 
-_DEFAULT_MAX_CONDUCTOR = 10 ** 6
+MAX_CONDUCTOR = 10 ** 6
 
 
 class ConductorOverflowError(ValueError):
-    """Raised when an operation would need a conductor above the configured cap."""
-
-
-@lru_cache(maxsize=None)
-def max_conductor() -> int:
-    """Conductor cap; override with the SCHURGATE_MAX_CONDUCTOR environment variable.
-
-    The variable is read once per process (``max_conductor.cache_clear()``
-    reads it again).  An invalid value raises on every call, as a call that
-    raises is not cached.
-    """
-    raw = os.environ.get("SCHURGATE_MAX_CONDUCTOR")
-    if raw is None:
-        return _DEFAULT_MAX_CONDUCTOR
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SCHURGATE_MAX_CONDUCTOR must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("SCHURGATE_MAX_CONDUCTOR must be positive")
-    return cap
+    """Raised when an operation would need a conductor above MAX_CONDUCTOR."""
 
 
 def check_conductor(m: int, op: str) -> int:
     """m, once it is known to be a positive conductor within the cap; op names the caller."""
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m} in {op}")
-    if m > max_conductor():
-        raise ConductorOverflowError(
-            f"conductor {m} exceeds the cap {max_conductor()} in {op} "
-            "(set SCHURGATE_MAX_CONDUCTOR to raise it)"
-        )
+    if m > MAX_CONDUCTOR:
+        raise ConductorOverflowError(f"conductor {m} exceeds the cap {MAX_CONDUCTOR} in {op}")
     return m
 
 

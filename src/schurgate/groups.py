@@ -371,24 +371,25 @@ def psi_is_faithful(G: MetacyclicParams, psi: PsiDescriptor) -> bool:
     return psi.u % G.q != 0 and (G.n == G.r or psi.w % G.p != 0)
 
 
-def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescriptor]]:
-    """(level, psi) of the p^r-dimensional irreducibles, in table order.
+def _level_descriptors(G: MetacyclicParams, level: int) -> Iterator[PsiDescriptor]:
+    """The psi at one quotient level r <= level <= n, one at a time.
 
-    Levels run from r to n, where the faithful ones sit; within a level, u
-    runs over the minimal H-orbit representatives and w over the units mod
+    u runs over the minimal H-orbit representatives and w over the units mod
     p^{level - r} (only 0 at level r).
     """
-    for level in range(G.r, G.n + 1):
-        pmr = G.p ** (level - G.r)
-        ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
-        for u in _psi_orbit_reps(G):
-            for w in ws:
-                yield level, PsiDescriptor(u, w)
+    pmr = G.p ** (level - G.r)
+    ws = [w for w in range(pmr) if gcd(w, G.p) == 1] if pmr > 1 else [0]
+    return (PsiDescriptor(u, w) for u in _psi_orbit_reps(G) for w in ws)
+
+
+def _induced_descriptors(G: MetacyclicParams) -> Iterator[tuple[int, PsiDescriptor]]:
+    """(level, psi) of the p^r-dimensional irreducibles, in table order: levels r to n, the faithful last."""
+    return ((level, psi) for level in range(G.r, G.n + 1) for psi in _level_descriptors(G, level))
 
 
 def faithful_descriptors(G: MetacyclicParams) -> Iterator[PsiDescriptor]:
-    """The psi of the faithful irreducibles, in the order of faithful_characters, one at a time."""
-    return (psi for level, psi in _induced_descriptors(G) if level == G.n)
+    """The psi of the faithful irreducibles, in the order of faithful_characters: the level-n walk alone."""
+    return _level_descriptors(G, G.n)
 
 
 def one_faithful_descriptor(G: MetacyclicParams) -> PsiDescriptor:

@@ -120,9 +120,7 @@ def _violation(G: MetacyclicParams, psi: PsiDescriptor, what: str) -> InternalCh
 
 def _faithful_psi(G: MetacyclicParams, tau: Character | PsiDescriptor) -> PsiDescriptor:
     """The descriptor of a faithful irreducible tau = Ind_X psi; raises if tau is not one."""
-    psi = tau
-    if not isinstance(tau, PsiDescriptor):  # a Character, whose provenance names its psi
-        psi = PsiDescriptor(*tau.provenance[1:]) if tau.provenance[0] == "induced" else None
+    psi = tau if isinstance(tau, PsiDescriptor) else tau.psi
     if psi is None or not psi_is_faithful(G, psi):
         raise ValueError(
             "character is not faithful: compute its Schur index in the quotient "

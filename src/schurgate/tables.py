@@ -19,7 +19,9 @@ from typing import TYPE_CHECKING
 from . import cyclotomic, groups  # dot and conjugacy_classes are read there, where bench/tracer.py wraps them
 from .characters import Character, _induced_character, _linear_character
 from .cyclotomic import CyclotomicNumber, check_conductor, euler_phi
-from .groups import InternalCheckError, MetacyclicParams, _class_index, _induced_descriptors, prime_factors
+from .groups import (
+    InternalCheckError, MetacyclicParams, _class_index, _induced_descriptors, prime_factors, psi_is_faithful,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,7 +86,7 @@ def inner_product(chi1, chi2) -> Fraction:
 
 
 def is_faithful(chi: Character) -> bool:
-    """Trivial-kernel test: the kernel is the union of classes where chi = chi(1)."""
+    """Trivial-kernel test on the values of any class function: the kernel is where chi = chi(1)."""
     return chi.values[0] not in chi.values[1:]
 
 
@@ -95,14 +97,13 @@ def tensor_decompose(tau: Character) -> tuple[Character, Character]:
     is one-dimensional of order p^n (trivial in the degenerate case n = r).
     The factorization is verified value-wise before returning.
     """
-    G = tau.group
-    if tau.provenance[0] != "induced":
+    G, psi = tau.group, tau.psi
+    if psi is None:
         raise ValueError("tensor decomposition applies to faithful induced characters")
-    if not is_faithful(tau):
+    if not psi_is_faithful(G, psi):
         raise ValueError("character is not faithful")
-    _, u, w = tau.provenance
-    tau_r = _induced_character(G, G.r, u, 0)
-    e = w if G.n > G.r else 0
+    tau_r = _induced_character(G, G.r, psi.u, 0)
+    e = psi.w if G.n > G.r else 0
     chi = _linear_character(G, e)
     prod = tuple(a * b for a, b in zip(tau_r.values, chi.values))
     if prod != tau.values:

@@ -4,14 +4,14 @@
     python3 tests/golden.py --record   rewrite tests/golden/manifest.jsonl
 
 Each manifest line holds a command's argv, the sha256 of its stdout and of its
-stderr, and its exit code, from a fresh `python -m schurgate.cli` process with
-SCHURGATE_MAX_CONDUCTOR unset.  --record runs with PYTHONHASHSEED=0 and
---check with PYTHONHASHSEED=1, so output that depends on hash order shows as
-a mismatch.  Run --check before claiming that a change keeps every output;
---record only for an intended change of output, naming each changed argv in
-CHANGES.md.  tests/test_cli.py reruns some lines in process and checks that
-the manifest lists commands() in order.  Both modes run one process per CPU
-at a time and keep the manifest order.
+stderr, and its exit code, from a fresh `python -m schurgate.cli` process.
+--record runs with PYTHONHASHSEED=0 and --check with PYTHONHASHSEED=1, so
+output that depends on hash order shows as a mismatch.  Run --check before
+claiming that a change keeps every output; --record only for an intended
+change of output, naming each changed argv in CHANGES.md.  tests/test_cli.py
+reruns some lines in process and checks that the manifest lists commands()
+in order.  Both modes run one process per CPU at a time and keep the
+manifest order.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ PRIME_POWER_X = [
     "identity --curve 0,0,0,-1,0 -n 1 -X 125",
     "series --curve 0,0,0,-1,0 -n 1 -X 125",
 ]
+# the faithful walk: schur --all lists every faithful descriptor in order (p = 5, n - r = 2)
+# and predict counts them (p = 3, n - r = 7)
+WALK = [
+    "schur -q 11 -p 5 -n 3 --all",
+    "predict -q 7 -p 3 -n 8",
+]
 
 
 def readme() -> list[str]:
@@ -185,6 +191,7 @@ def commands() -> list[list[str]]:
         *map(shlex.split, PARSER),
         *map(shlex.split, SPELLINGS),
         *_both_formats(map(shlex.split, PRIME_POWER_X)),
+        *_both_formats(map(shlex.split, WALK)),
     ]
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
@@ -200,7 +207,7 @@ def _sha256(data: bytes) -> str:
 
 def _run(argv: list[str], hash_seed: int) -> dict:
     """One command in a fresh process, as a manifest line."""
-    env = {k: v for k, v in os.environ.items() if k != "SCHURGATE_MAX_CONDUCTOR"}
+    env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -41,6 +41,7 @@ KEPT = {
     "schurgate.__dir__": "the lazy package namespace: the CLI imports the modules themselves",
     "characters.trivial_character": _EXPORT,
     "groups.subgroup_X": _EXPORT,
+    "tables.is_faithful": _EXPORT,
     "schur._violation": "an error path: the message of an internal fault that no command reaches",
     "elliptic.EllipticCurveQ.__str__": "names the curve in the message of an internal fault that no command "
                                        "reaches",
@@ -94,7 +95,6 @@ def reached(argvs: list[list[str]]) -> set[str]:
         if event == "call":
             codes.add(frame.f_code)
 
-    os.environ.pop("SCHURGATE_MAX_CONDUCTOR", None)  # as tests/golden.py runs each command
     sys.path.insert(0, str(PACKAGE.parent))
     sys.setprofile(profile)  # before the import, so that what importing runs counts
     try:

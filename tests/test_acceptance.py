@@ -5,12 +5,11 @@ complete (or ``-v`` for per-test results).
 
 Value-level table checks (orthogonality, Mackey, character fields, tensor
 decompositions, divisibility) sweep every group of order up to
-SCHURGATE_TABLE_SWEEP_MAX (default 300, deduplicated by the table invariant
-(q, p, n, r)) plus the flagship C19:C81; counting-level checks and the
-Schur-index law run over the full q * p^n <= 10^4 enumeration.
+TABLE_SWEEP_MAX = 300 (deduplicated by the table invariant (q, p, n, r))
+plus the flagship C19:C81; counting-level checks and the Schur-index law run
+over the full q * p^n <= 10^4 enumeration.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -51,7 +50,7 @@ from schurgate.lseries import (
 from schurgate.predictions import faithful_count, tower_modulus
 
 SWEEP_MAX = 10 ** 4
-TABLE_SWEEP_MAX = int(os.environ.get("SCHURGATE_TABLE_SWEEP_MAX", "300"))
+TABLE_SWEEP_MAX = 300
 
 G21 = make_group(7, 3, 1, 2)
 G63 = make_group(7, 3, 2, 2)

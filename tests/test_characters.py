@@ -24,7 +24,9 @@ from schurgate.cyclotomic import CyclotomicNumber as C, dot, field_of_values
 from schurgate.groups import (
     GroupElement,
     Subgroup,
+    _induced_descriptors,
     conjugacy_classes,
+    faithful_descriptors,
     iter_valid_groups,
     make_group,
     psi_is_faithful,
@@ -157,6 +159,19 @@ def test_induced_faithful_iff_psi_faithful():
     assert not psi_is_faithful(G63, PsiDescriptor(1, 0))
     assert is_faithful(induce_from_X(G63, PsiDescriptor(1, 1)))
     assert not is_faithful(induce_from_X(G63, PsiDescriptor(1, 0)))
+
+
+def test_the_faithful_walk_is_the_top_level_of_the_table_walk():
+    for G in iter_valid_groups(300):
+        top = [psi for level, psi in _induced_descriptors(G) if level == G.n]
+        assert list(faithful_descriptors(G)) == top, G
+
+
+def test_tensor_decompose_refuses_what_its_descriptor_calls_unfaithful():
+    with pytest.raises(ValueError, match="^character is not faithful$"):
+        tensor_decompose(induce_from_X(G63, PsiDescriptor(1, 0)))
+    with pytest.raises(ValueError, match="applies to faithful induced characters"):
+        tensor_decompose(irreducible_characters(G63)[1])
 
 
 def test_mackey_restriction_is_conjugate_sum():

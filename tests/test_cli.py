@@ -11,7 +11,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import golden
 from schurgate.cli import main
-from schurgate.characters import faithful_characters
+from schurgate.characters import faithful_characters, irreducible_characters, is_faithful
 from schurgate.groups import iter_valid_groups, make_group
 
 
@@ -353,12 +353,15 @@ TABLE_300_SHA256 = "fdb31cffc5b431e961bec78d25d099f46f061ab2ebae67e85e8f24dfed62
 
 
 def test_table_json_on_every_small_group_is_byte_identical(capsys):
+    """Also: the faithful flag read off each row's descriptor is the trivial-kernel test on its values."""
     digest = hashlib.sha256()
     for G in iter_valid_groups(300):
         args = ("-q", str(G.q), "-p", str(G.p), "-n", str(G.n), "-j", str(G.j), "--format", "json")
         code, out, _ = run(capsys, "table", *args)
         assert code == 0
         digest.update(out.encode())
+        flags = [row["faithful"] for row in json.loads(out)["characters"]]
+        assert flags == list(map(is_faithful, irreducible_characters(G))), G
     assert digest.hexdigest() == TABLE_300_SHA256
 
 
@@ -895,14 +898,11 @@ def test_symbolic_euler_at_a_large_q_builds_no_cube_root_of_unity(capsys, monkey
     }
 
 
-def test_symbolic_euler_refuses_a_gauss_period_above_the_cap(monkeypatch):
+def test_symbolic_euler_refuses_a_gauss_period_above_the_cap():
     """The period at conductor q is refused before it is built, not after it, in a product."""
-    monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", "100")
-    out = _cli("euler", "--symbolic", "-q", "103", "-p", "3", "-n", "1", "--order7-class", "H")
+    out = _cli("euler", "--symbolic", "-q", "1000003", "-p", "3", "-n", "1", "--order7-class", "H")
     assert (out.returncode, out.stdout) == (2, "")
-    assert out.stderr == (
-        "error: conductor 103 exceeds the cap 100 in Gaussian period (set SCHURGATE_MAX_CONDUCTOR to raise it)\n"
-    )
+    assert out.stderr == "error: conductor 1000003 exceeds the cap 1000000 in Gaussian period\n"
 
 
 # -- the exit contract on argv drawn from a grammar of the eight commands -----

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import schurgate.cyclotomic as cyclotomic
 from schurgate.cyclotomic import (
     AbelianField,
     ConductorOverflowError,
@@ -16,7 +17,6 @@ from schurgate.cyclotomic import (
     euler_phi,
     field_of_values,
     format_sum,
-    max_conductor,
     _cyclo,
     _image,
 )
@@ -86,14 +86,10 @@ def test_inverse_of_zero_rejected():
 
 
 def test_conductor_overflow(monkeypatch):
-    # the cap is read once per process, so each environment change is followed
-    # by clearing the cached value
-    monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", "100")
-    max_conductor.cache_clear()
+    monkeypatch.setattr(cyclotomic, "MAX_CONDUCTOR", 100)
     with pytest.raises(ConductorOverflowError):
         C.zeta(101)
-    monkeypatch.delenv("SCHURGATE_MAX_CONDUCTOR")
-    max_conductor.cache_clear()
+    monkeypatch.undo()
     assert C.zeta(101) * C.zeta(101, 100) == 1
 
 
@@ -105,12 +101,8 @@ def test_zeta_works_at_the_reduced_conductor():
 
 @pytest.fixture
 def lower_cap(monkeypatch):
-    """Sets SCHURGATE_MAX_CONDUCTOR for one test; the cached cap is reread before and after."""
-    def lower(cap: int) -> None:
-        monkeypatch.setenv("SCHURGATE_MAX_CONDUCTOR", str(cap))
-        max_conductor.cache_clear()
-    yield lower
-    max_conductor.cache_clear()
+    """Lowers cyclotomic.MAX_CONDUCTOR for one test."""
+    return lambda cap: monkeypatch.setattr(cyclotomic, "MAX_CONDUCTOR", cap)
 
 
 @pytest.mark.parametrize("op", [
@@ -133,14 +125,17 @@ def test_conductor_overflow_names_the_operation(lower_cap, op):
     lower_cap(20)
     with pytest.raises(ConductorOverflowError) as err:
         call()
-    assert str(err.value) == (
-        f"conductor {conductor} exceeds the cap 20 in {op} (set SCHURGATE_MAX_CONDUCTOR to raise it)"
-    )
+    assert str(err.value) == f"conductor {conductor} exceeds the cap 20 in {op}"
+
+
+def test_a_conductor_at_the_cap_is_allowed(lower_cap):
+    lower_cap(35)
+    assert (C.zeta(5) * C.zeta(7)).conductor == 35
+    assert (C.zeta(5) + C.zeta(7)).conductor == 35
 
 
 def test_a_gauss_period_above_the_cap_is_refused_before_its_buffer(lower_cap, monkeypatch):
     import schurgate.characters as characters
-    import schurgate.cyclotomic as cyclotomic
 
     def unread():
         yield pytest.fail("an exponent was read")
@@ -149,8 +144,7 @@ def test_a_gauss_period_above_the_cap_is_refused_before_its_buffer(lower_cap, mo
     characters._gauss_period.cache_clear()
     lower_cap(100)
     monkeypatch.setattr(cyclotomic, "_from_buffer", lambda *args: pytest.fail("a buffer was reduced"))
-    message = r"^conductor 103 exceeds the cap 100 in Gaussian period \(set SCHURGATE_MAX_CONDUCTOR"
-    with pytest.raises(ConductorOverflowError, match=message):
+    with pytest.raises(ConductorOverflowError, match="^conductor 103 exceeds the cap 100 in Gaussian period$"):
         tau.degree  # the period at index 0
     assert characters._gauss_period.cache_info().currsize == 0
     with pytest.raises(ConductorOverflowError, match="conductor 103 exceeds the cap 100 in zeta"):

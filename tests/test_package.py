@@ -338,6 +338,27 @@ def test_only_the_kernel_reads_its_private_names(path):
     assert _private_kernel_imports(path.read_text()) == []
 
 
+def _environment_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each read of the process environment: os.environ, os.getenv and their bytes forms."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        (node.lineno, getattr(node, "attr", None) or node.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names or isinstance(node, ast.Name) and node.id in names
+    )
+
+
+def test_environment_guard_flags_each_read():
+    source = "import os\nfrom os import getenv\na = os.environ.get('A')\nb = getenv('B')\nc = os.devnull\n"
+    assert _environment_reads(source) == [(3, "environ"), (4, "getenv")]
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(schurgate.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Every setting is a constant in code: a command's output depends on its argv alone."""
+    assert _environment_reads(path.read_text()) == []
+
+
 def test_singular_curve_rejected_on_direct_construction():
     with pytest.raises(ValueError, match="singular"):
         schurgate.EllipticCurveQ(0, 0, 0, 0, 0)
@@ -352,3 +373,12 @@ def test_each_function_the_reach_check_keeps_exists_with_a_reason():
 
     assert [name for name in reach.KEPT if name not in reach.defined()] == []
     assert all(reach.KEPT.values())
+
+
+def test_each_planted_fault_matches_its_module_once():
+    """tests/faults.py --check plants each fault and runs the checks; this reads only the catalogue and the source."""
+    import faults
+
+    assert [f for f in faults.FAULTS if (faults.PACKAGE / f"{f.module}.py").read_text().count(f.old) != 1] == []
+    assert all(f.new != f.old and f.why for f in faults.FAULTS)
+    assert set(faults.EQUIVALENT) <= set(range(len(faults.FAULTS)))
