@@ -9,9 +9,9 @@ cannot be opened, a stdout closed early), 3 internal invariant violation.
 
 Every command's options are declared once, in ``_COMMANDS``.  ``main`` reads a
 line that spells each option exactly with ``_parse_exact``, which imports
-nothing; any other line (help, an abbreviation, a usage error) goes to the
-argparse parser that ``build_parser`` makes from the same table, so every
-help text, usage line and error message is argparse's.
+nothing; any other line (help, an abbreviation, a usage error) goes to the one
+argparse parser that ``build_parser`` makes from the same table, so every help
+text, usage line and error message is argparse's.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the named command alone (main's, for a line _parse_exact leaves)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command: main's, for a line _parse_exact leaves."""
     import argparse  # with gettext and locale, 3 to 4.5 ms that a line _parse_exact reads never pays
 
     ap = argparse.ArgumentParser(
@@ -127,10 +127,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, summary, options) in _COMMANDS.items():
-        if command in (None, name):
-            sp = sub.add_parser(name, help=summary)
-            for flag, kwargs in [*options, *_COMMON]:
-                sp.add_argument(flag, **kwargs)
+        sp = sub.add_parser(name, help=summary)
+        for flag, kwargs in [*options, *_COMMON]:
+            sp.add_argument(flag, **kwargs)
     return ap
 
 
@@ -177,9 +176,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_exact(argv)
     if args is None:  # argparse answers the rest: each usage line, error message and exit code is its own
-        args, extra = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_known_args(argv)
-        if extra:  # "unrecognized arguments" comes with the usage that lists every command
-            build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         handler = getattr(import_module(f".{_COMMANDS[args.command][0]}", __package__), f"cmd_{args.command}")
         _emit(args, *handler(args))  # a handler returns its document: the payload and its text

@@ -1,4 +1,10 @@
-"""Handlers of the table and sweep commands, as in ``cli_groups``."""
+"""Handlers of the table and sweep commands, as in ``cli_groups``.
+
+The sweep checks each group's q-adic index with ``schur._check_index``, the one
+home of the index-1 criterion and of index | p^r.  A group that fails stops the
+sweep with exit 3 and a message naming it, so every row the JSON prints is
+consistent, and ``inconsistent`` is always empty.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ def cmd_table(args) -> tuple[dict, str]:
             "field_degree": fld.degree,
             "values": [v.to_json() for v in chi.values],
         }
-        if row["faithful"] and chi.degree > 1:
+        if row["faithful"]:  # an induced character, of degree p^r > 1
             tau_r, lin = tensor_decompose(chi)
             row["tensor_decomposition"] = {"tau_r": tau_r.char_id, "chi": lin.char_id}
         rows.append(row)
@@ -67,31 +73,22 @@ def _table_text(G, classes, table, payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _sweep_one(G, idx: int, faithful: int) -> dict:
-    divisible = (G.q - 1) % G.pn == 0
-    consistent = (idx == 1) == divisible
-    power_ok = idx == 1 or (idx > 1 and G.pr % idx == 0)
-    return {
-        "q": G.q,
-        "p": G.p,
-        "n": G.n,
-        "j": G.j,
-        "r": G.r,
-        "index": idx,
-        "pn_divides_q_minus_1": divisible,
-        "consistent": consistent and power_ok,
-        "faithful_count": faithful,
-    }
-
-
 def cmd_sweep(args) -> tuple[dict, str]:
-    from .schur import qadic_class_order
+    from .schur import _check_index, qadic_class_order
 
     if args.max < 1:
         raise ValueError(f"max must be at least 1, got {args.max}")
     groups = list(iter_valid_groups(args.max))
-    rows = [_sweep_one(G, qadic_class_order(G.q, G.p, G.n, G.r)[0], faithful_count(G)) for G in groups]
-    bad = [row for row in rows if not row["consistent"]]
+    rows = []
+    for G in groups:
+        idx = qadic_class_order(G.q, G.p, G.n, G.r)[0]
+        _check_index(G, idx)
+        rows.append({
+            "q": G.q, "p": G.p, "n": G.n, "j": G.j, "r": G.r, "index": idx,
+            "pn_divides_q_minus_1": (G.q - 1) % G.pn == 0,
+            "consistent": True,
+            "faithful_count": faithful_count(G),
+        })
     table_checked = 0
     if args.tables:
         from .characters import (
@@ -133,14 +130,12 @@ def cmd_sweep(args) -> tuple[dict, str]:
     payload = {
         "max_order": args.max,
         "groups": len(rows),
-        "all_consistent": not bad,
-        "inconsistent": bad,
+        "all_consistent": True,
+        "inconsistent": [],
         "table_checked": table_checked if args.tables else None,
     }
     if args.verbose_rows:
         payload["rows"] = rows
-    if bad:
-        raise InternalCheckError(f"{len(bad)} sweep rows inconsistent")
     text = (
         f"swept {len(rows)} groups with q*p^n <= {args.max}: index = 1 exactly when "
         f"p^n | q-1 in every case"

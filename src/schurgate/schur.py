@@ -113,9 +113,17 @@ def qadic_class_order(q: int, p: int, n: int, r: int) -> tuple[int, dict]:
     return p ** index_val, details
 
 
-def _violation(G: MetacyclicParams, psi: PsiDescriptor, what: str) -> InternalCheckError:
-    """An invariant violation that names the character and the group reproducing it."""
-    return InternalCheckError(f"{what} ({psi.char_id}, {G.spec})")
+def _violation(G: MetacyclicParams, psi: PsiDescriptor | None, what: str) -> InternalCheckError:
+    """An invariant violation that names the group reproducing it, and the character when there is one."""
+    return InternalCheckError(f"{what} ({G.spec})" if psi is None else f"{what} ({psi.char_id}, {G.spec})")
+
+
+def _check_index(G: MetacyclicParams, index: int, psi: PsiDescriptor | None = None) -> None:
+    """Raise unless the Schur index of G's faithful characters is 1 exactly when p^n | q - 1 and divides p^r."""
+    if (index == 1) != ((G.q - 1) % G.pn == 0):
+        raise _violation(G, psi, f"index {index} contradicts the p^n | q-1 criterion")
+    if G.pr % index != 0:
+        raise _violation(G, psi, f"global Schur index {index} does not divide the dimension {G.pr}")
 
 
 def _faithful_psi(G: MetacyclicParams, tau: Character | PsiDescriptor) -> PsiDescriptor:
@@ -164,10 +172,7 @@ def global_index(G: MetacyclicParams, tau: Character | PsiDescriptor) -> GlobalI
     psi = _faithful_psi(G, tau)
     locs = tuple(local_index(G, psi, place) for place in ("inf", 2, G.p, G.q))
     g = lcm(*(entry.index for entry in locs))
-    if (g == 1) != ((G.q - 1) % G.pn == 0):
-        raise _violation(G, psi, f"index {g} contradicts the p^n | q-1 criterion")
-    if G.pr % g != 0:
-        raise _violation(G, psi, f"global Schur index {g} does not divide the dimension {G.pr}")
+    _check_index(G, g, psi)
     return GlobalIndexReport(
         group=G,
         character_id=psi.char_id,

@@ -6,11 +6,12 @@ Each entry of FAULTS is (module, exact old text, new text, why): the old text
 occurs exactly once in src/schurgate/<module>.py, and the new text in its
 place is a fault.  --check copies the tree (without .git) to a temporary
 directory for each fault, plants it, then runs `pytest -x -q -p no:cacheprovider`
-and `tests/golden.py --check` there.  It prints one row per fault: the first
-failing test, or "SURVIVED", and the number of golden commands whose output
-changed.  It exits 1 when a fault survives tier-1 and EQUIVALENT gives no
-proof that it changes nothing.  A fault costs the tests up to its first
-failure plus one golden check, about a minute on 2 cores.
+(less the catalogue's own test, CATALOGUE_TEST) and `tests/golden.py --check`
+there.  It prints one row per fault: the first failing test, or "SURVIVED",
+and the number of golden commands whose output changed.  It exits 1 when a
+fault survives tier-1 and EQUIVALENT gives no proof that it changes nothing.
+A fault costs the tests up to its first failure plus one golden check, about
+a minute on 2 cores.
 tests/test_package.py checks that every old text matches its module once,
 without running anything.  Whoever adds a mechanism adds its faults here.
 """
@@ -65,10 +66,64 @@ FAULTS = [
           "psi_is_faithful tests w mod q, not mod p"),
     Fault("groups", "for u in _psi_orbit_reps(G) for w in ws)", "for w in ws for u in _psi_orbit_reps(G))",
           "the descriptor walk runs w before u"),
+    # planted by hand when the mechanism was written, and kept here since
+    Fault("characters", "_gauss_period(G, u * x % G.q)", "_gauss_period(G, pow(u, -1, G.q) * x % G.q)",
+          "_induced_character reads u^-1 x for u x"),
+    Fault("lseries", "@lru_cache(maxsize=1 << 12)\ndef _value_at_power(",
+          "@lambda f, c={}: lambda at, G, rep, s: c[G, rep, s] if (G, rep, s) in c else "
+          "c.setdefault((G, rep, s), f(at, G, rep, s))\ndef _value_at_power(",
+          "_value_at_power keyed without the evaluator"),
+    Fault("lseries", "@lru_cache(maxsize=1 << 12)\ndef _value_at_power(",
+          "@lambda f, c={}: lambda at, G, rep, s: c[at, G, s] if (at, G, s) in c else "
+          "c.setdefault((at, G, s), f(at, G, rep, s))\ndef _value_at_power(",
+          "_value_at_power keyed without the class"),
+    Fault("cli_local", 'f"v = {args.v}: pattern', 'f"v = {args.v}; pattern',
+          "the frobenius text separator"),
+    Fault("cli", 'if value == "--" or not eq and', "if not eq and",
+          'the exact parser reads "=--" as a value'),
+    Fault("cli", 'if kwargs is None or eq and "action" in kwargs:', "if kwargs is None:",
+          "the exact parser gives a flag a value"),
+    Fault("cli", 'value == "--" or not eq and value.startswith("-"):', 'value == "--":',
+          "the exact parser reads a value that starts with -"),
+    Fault("cli", "return None if missing else SimpleNamespace(", "return SimpleNamespace(",
+          "the exact parser lets a required option go missing"),
+    Fault("cli", 'if value not in kwargs.get("choices", (value,)):', "if False:",
+          "the exact parser reads any --format"),
+    Fault("cli", 'print(f"internal invariant violation: {exc}", file=sys.stderr)\n        return 3',
+          'print(f"internal invariant violation: {exc}", file=sys.stderr)\n        return 2',
+          "an invariant violation exits 2"),
+    Fault("cli", 'inner = nl + "  "', 'inner = nl + " "',
+          "_dumps indents by one space"),
+    # the shared index check, on both of its callers, and the cap on the faithful walk
+    Fault("schur", "if G.pr % index != 0:", "if G.pn % index != 0:",
+          "the index is checked against p^n, not the dimension p^r"),
+    Fault("cli_tables", "        _check_index(G, idx)", "        pass",
+          "the sweep writes rows without the index check"),
+    Fault("predictions", "if count > MAX_FAITHFUL_WALK:", "if count > 2 * MAX_FAITHFUL_WALK:",
+          "the count check walks up to twice its cap"),
+    # one in each module that had none
+    Fault("__init__", '"elliptic": "EllipticCurveQ EulerFactor a_v",', '"elliptic": "EulerFactor EllipticCurveQ a_v",',
+          "two exports swap places in __all__"),
+    Fault("cli_groups", "psis = faithful_descriptors(G) if args.all else [one_faithful_descriptor(G)]",
+          "psis = [one_faithful_descriptor(G)]", "schur --all reports one character"),
+    Fault("cli_local", "cls = datum.candidates[0]", "cls = datum.candidates[-1]",
+          "--pick-first takes the last candidate"),
+    Fault("cli_series", "range(1, min(series.X, 30) + 1)", "range(1, min(series.X, 30))",
+          "the series text shows 29 coefficients"),
+    Fault("identity", "if m % (pk // p) == 0 else 0", "if m % (pk // p) == 0 else 1",
+          "_ramanujan_sum is 1 off the p^{k-1} multiples"),
+    Fault("symbolic", "k = (i1 + i2, j1 + j2)", "k = (i1 + i2, j1 + i2)",
+          "SymbolicPoly.__mul__ reads the v-degree of a product wrong"),
+    Fault("tables", "pow(k, G.pr, G.q) == 1", "pow(k, G.p, G.q) == 1",
+          "_eta_field takes H of order p, not p^r"),
+    Fault("schur", "e_val = min(r, V)", "e_val = min(r, V0)",
+          "qadic_class_order caps e by v_p(q - 1)"),
 ]
 
-# faults that change no output, each with its proof; none so far
-EQUIVALENT: dict[int, str] = {}
+# faults that change no output, each with its proof
+EQUIVALENT: dict[int, str] = {
+    34: "j has order p^r mod q, so p^r | q - 1 and r <= V0 <= V: min(r, V0) = min(r, V) = r on every group",
+}
 
 
 def _planted(fault: Fault, tree: Path) -> None:
@@ -77,10 +132,15 @@ def _planted(fault: Fault, tree: Path) -> None:
     path.write_text(path.read_text().replace(fault.old, fault.new))
 
 
+# reads the catalogue against the source, where a planted fault's old text is gone by construction:
+# run in a planted copy, it would fail for every fault that no real test kills
+CATALOGUE_TEST = "tests/test_package.py::test_each_planted_fault_matches_its_module_once"
+
+
 def _first_failure(tree: Path, env: dict) -> str | None:
-    """The first test that tier-1 fails in tree, None when it passes."""
-    out = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                         capture_output=True, text=True, cwd=tree, env=env)
+    """The first test that tier-1, less CATALOGUE_TEST, fails in tree; None when it passes."""
+    out = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                          "--deselect", CATALOGUE_TEST], capture_output=True, text=True, cwd=tree, env=env)
     if out.returncode == 0:
         return None
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", out.stdout, re.M)  # a node id may hold spaces

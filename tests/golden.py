@@ -92,6 +92,7 @@ REFUSALS = [
     "euler --curve 0,0,0,-1,0 -v 53 -n 40 --pick-first",  # conductor cap, in zeta
     "euler --symbolic -q 1000003 -p 3 -n 1 --order7-class H",  # conductor cap, in Gaussian period
     "schur -q 7 -p 3 -n 9013",  # digit limit
+    "predict -q 7 -p 3 -n 3000",  # the faithful walk of the count check
     "identity --curve 0,0,0,-1,0 -n 1 -X 0",  # X bounds
     "series --curve 0,0,0,-1,0 -n 1 -X 100001",
     "euler --curve 0,0,0,-1,0 -v 1000003 --trivial -n 1",  # v bounds

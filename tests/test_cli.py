@@ -243,9 +243,13 @@ RECORDED = {tuple(line["argv"]): line for line in golden.read_manifest()}
 
 
 def run_as_recorded(capsys, argv):
-    """Run argv in process and compare it with its manifest line."""
+    """Run argv in process and compare it with its manifest line; argparse's help and usage errors exit."""
     line = RECORDED[tuple(argv)]
-    code, out, err = run(capsys, *argv)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert (code, _sha256(out), _sha256(err)) == (line["exit"], line["stdout"], line["stderr"])
     return code, out, err
 
@@ -427,6 +431,9 @@ def _cli(*argv):
      "conductor 205891132094649 exceeds the cap 1000000 in zeta"),
     ("sweep --max 0", 2, "max must be at least 1, got 0"),
     ("sweep --max -5", 2, "max must be at least 1, got -5"),
+    ("predict -q 7 -p 3 -n 14", 0, '"faithful_count": 2125764'),  # the count check walks them in about 1.3 s
+    ("predict -q 10000141 -p 3 -n 1", 2, "(10000141, 3, 1, 3774126) has more faithful characters than the cap"),
+    ("predict -q 7 -p 3 -n 3000", 2, "has more faithful characters than the cap 3000000 of the count check"),
 ])
 def test_closed_form_commands_end_at_once(argv, code, needle):
     out = _cli(*argv.split(), "--format", "json")
@@ -616,6 +623,15 @@ def test_index_criterion_error_names_group_and_character(capsys, monkeypatch):
     assert "index 3 contradicts the p^n | q-1 criterion (ind[u=1,w=0], " + C7_C3 in err
 
 
+def test_sweep_index_error_names_the_index_and_group(capsys, monkeypatch):
+    import schurgate.schur as schur
+
+    monkeypatch.setattr(schur, "qadic_class_order", lambda *a: (3, {}))  # 3 | 7 - 1: the index is 1
+    assert run(capsys, "sweep", "--max", "21") == (3, "", (
+        f"internal invariant violation: index 3 contradicts the p^n | q-1 criterion ({C7_C3})\n"
+    ))
+
+
 def test_index_dimension_error_names_group_and_character(capsys, monkeypatch):
     import schurgate.schur as schur
 
@@ -756,9 +772,9 @@ def test_closed_stdout_exits_2_with_one_error_line(tmp_path):
     assert "Exception ignored" not in out.stderr and "Traceback" not in out.stderr
 
 
-# a line that the exact-match parser leaves to argparse builds only its
-# command's subparser (build_parser(command)); help and usage errors must read
-# as they do from the full parser
+# a line that the exact-match parser leaves to argparse builds the one parser
+# of every command; each command's help is its manifest line, and a usage
+# error names the command
 COMMANDS = ["table", "schur", "predict", "frobenius", "euler", "series", "identity", "sweep"]
 
 
@@ -770,28 +786,29 @@ def _parse(capsys, parser, argv):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_one_command_parser_gives_the_full_parsers_help_and_usage_errors(capsys, command):
-    from schurgate.cli import build_parser
+def test_one_command_parser_gives_the_full_parsers_help_and_usage_errors(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # as golden.py records: argparse wraps help to the terminal width
+    assert run_as_recorded(capsys, [command, "--help"])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "xml"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and err.startswith(f"usage: schurgate {command} ") and "'xml'" in err
 
-    for argv in ([command, "-h"], [command, "--format", "xml"]):
-        got = _parse(capsys, build_parser(command), argv)
-        assert got == _parse(capsys, build_parser(), argv)
-        assert got[0] in (0, 2) and f"usage: schurgate {command} " in got[1] + got[2]
 
-
-def test_a_well_formed_job_builds_no_parser_and_a_fallback_job_one_subparser(capsys, monkeypatch):
+def test_a_well_formed_job_builds_no_parser_and_a_fallback_job_one_full_parser(capsys, monkeypatch):
     import argparse
 
     import schurgate.cli as cli
 
     build_parser = cli.build_parser
 
-    def refuse(command=None):
-        raise AssertionError(f"a parser built for {command}")
+    def refuse():
+        raise AssertionError("a parser built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
     assert run(capsys, "schur", "-q", "7", "-p", "3", "-n", "1")[0] == 0
-    monkeypatch.setattr(cli, "build_parser", build_parser)
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -801,7 +818,7 @@ def test_a_well_formed_job_builds_no_parser_and_a_fallback_job_one_subparser(cap
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     assert run(capsys, "schur", "-q7", "-p3", "-n1")[0] == 0  # attached values: argparse reads them
-    assert built == ["schur"]
+    assert (len(calls), built) == (1, COMMANDS)
     # an unrecognized argument is reported by the full parser, whose usage lists every command
     argv = ["schur", "-q", "7", "-p", "3", "-n", "1", "--bogus"]
     with pytest.raises(SystemExit) as exc:
@@ -1078,7 +1095,7 @@ def test_the_exact_parser_reads_what_argparse_reads(argv, picks):
     argv = _respell(argv, picks)
     args = _parse_exact(argv)
     if args is not None:
-        parsed, extra = build_parser(argv[0]).parse_known_args(argv)
+        parsed, extra = build_parser().parse_known_args(argv)
         assert (vars(parsed), extra) == (vars(args), []), argv
 
 
